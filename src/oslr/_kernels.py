@@ -1,16 +1,19 @@
 """Family-coded numeric kernels shared by fitting, testing and simulation.
 
-These are the hot inner loops of the package: censored log-likelihood
-evaluation, the quasi-Newton fit driver, the one-sample test components and
-the two-sample log-rank sweep. Each function is valid vectorized numpy; with
+These are the hot inner loops of the package: the censored log-likelihood
+with its gradient and Hessian in one pass, the damped Newton fit driver, the
+one-sample test components and the two-sample log-rank sweep. Each function is valid vectorized numpy; with
 numba present it is compiled via ``@njit`` (see :mod:`oslr._accel`), and with
 ``OSLR_DISABLE_NUMBA=1`` the same source runs uncompiled.
 
 Families are dispatched by integer code so a single compiled kernel serves
 all three distributions. Parameters are two scalars ``(a, b)``: rate for the
 exponential (``b`` unused), (shape, scale) for Weibull and log-logistic.
-Status codes returned by the fit driver: 0 converged, 1 iteration budget
-exhausted, 2 line-search failure, 3 parameter ran against the working bounds.
+The fit driver works on log-parameters of standardized (unit-median) times
+and tests convergence on the log-scale gradient of the mean log-likelihood,
+so neither its stopping rule nor its bounds depend on the time unit. Status
+codes it returns: 0 converged, 1 iteration budget exhausted, 2 line-search
+failure, 3 parameter ran against the working bounds.
 """
 
 import math
@@ -23,7 +26,7 @@ EXPONENTIAL = 0
 WEIBULL = 1
 LOGLOGISTIC = 2
 
-# |log theta| cap: keeps natural parameters inside ~[1.03e-12, 9.7e11]
+# |log theta| cap on standardized times: parameters inside ~[1.03e-12, 9.7e11]
 _LOG_BOUND = 27.6
 
 FIT_OK = 0
@@ -66,166 +69,137 @@ def cumhaz_grad(code, a, b, t):
 
 
 @jit_kernel
-def loglik_value_grad(code, a, b, times, events):
-    """Total censored log-likelihood and its natural-scale gradient."""
+def loglik_derivs(code, a, b, times, events):
+    """Total censored log-likelihood with its natural-scale derivatives.
+
+    Returns (f, g0, g1, h00, h01, h11): the value, the gradient and the
+    Hessian entries, all summed over the observations in one pass.
+    """
     d = events.sum()
     if code == EXPONENTIAL:
         sx = times.sum()
         f = d * math.log(a) - a * sx
-        return f, d / a - sx, 0.0
+        return f, d / a - sx, 0.0, -d / (a * a), 0.0, 0.0
     logu = np.log(times / b)
     dlogu = (events * logu).sum()
+    f = d * (math.log(a) - math.log(b)) + (a - 1.0) * dlogu
     if code == WEIBULL:
         p = np.exp(a * logu)
-        f = d * (math.log(a) - math.log(b)) + (a - 1.0) * dlogu - p.sum()
-        g0 = d / a + dlogu - (p * logu).sum()
-        g1 = (a / b) * (p.sum() - d)
-        return f, g0, g1
-    r = np.logaddexp(0.0, a * logu)
-    q = np.exp(a * logu - r)
+        pl = p * logu
+        sp = p.sum()
+        spl = pl.sum()
+        f -= sp
+        g0 = d / a + dlogu - spl
+        g1 = (a / b) * (sp - d)
+        h00 = -d / (a * a) - (pl * logu).sum()
+        h01 = (a * spl + sp - d) / b
+        h11 = (a / (b * b)) * (d - (1.0 + a) * sp)
+        return f, g0, g1, h00, h01, h11
     w = events + 1.0
-    f = d * (math.log(a) - math.log(b)) + (a - 1.0) * dlogu - (w * r).sum()
-    g0 = d / a + dlogu - (w * q * logu).sum()
-    g1 = (a / b) * ((w * q).sum() - d)
-    return f, g0, g1
+    r = np.logaddexp(0.0, a * logu)
+    # q = u^a / (1 + u^a), computed in log space to survive large u^a
+    q = np.exp(a * logu - r)
+    wq = w * q
+    wqq = wq * (1.0 - q)
+    wqql = wqq * logu
+    swq = wq.sum()
+    f -= (w * r).sum()
+    g0 = d / a + dlogu - (wq * logu).sum()
+    g1 = (a / b) * (swq - d)
+    h00 = -d / (a * a) - (wqql * logu).sum()
+    h01 = (a * wqql.sum() + swq - d) / b
+    h11 = (a / (b * b)) * (d - a * wqq.sum() - swq)
+    return f, g0, g1, h00, h01, h11
 
 
 @jit_kernel
-def loglik_hess(code, a, b, times, events):
-    """Total log-likelihood Hessian entries (h00, h01, h11), natural scale."""
-    d = events.sum()
-    if code == EXPONENTIAL:
-        return -d / (a * a), 0.0, 0.0
-    logu = np.log(times / b)
-    if code == WEIBULL:
-        p = np.exp(a * logu)
-        h00 = -d / (a * a) - (p * logu * logu).sum()
-        h01 = (-d + (p * (a * logu + 1.0)).sum()) / b
-        h11 = (a / (b * b)) * (d - (1.0 + a) * p.sum())
-        return h00, h01, h11
-    r = np.logaddexp(0.0, a * logu)
-    q = np.exp(a * logu - r)
-    w = events + 1.0
-    qq = q * (1.0 - q)
-    h00 = -d / (a * a) - (w * qq * logu * logu).sum()
-    h01 = (-d + (w * q * (a * logu * (1.0 - q) + 1.0)).sum()) / b
-    h11 = (a / (b * b)) * (d - (w * q * (a * (1.0 - q) + 1.0)).sum())
-    return h00, h01, h11
+def _mean_loglik_log_scale(code, x0, x1, times, events):
+    """Mean log-likelihood at log-parameters (x0, x1) with its gradient and
+    negated Hessian with respect to those log-parameters.
 
-
-@jit_kernel
-def fit_quasi_newton(code, times, events, x0, x1, grad_tol, max_iter):
-    """BFGS on log-parameters with Armijo backtracking line search.
-
-    Minimizes the negative mean log-likelihood (per-observation scaling keeps
-    objective improvements resolvable above float rounding at any sample
-    size) starting from log-parameters (x0, x1). Convergence is declared
-    when the natural-scale gradient of the mean log-likelihood has Euclidean
-    norm <= grad_tol. Returns (a, b, total_loglik, iterations, status) with
-    the last accepted iterate on failure statuses.
+    Returns (f, g0, g1, m00, m01, m11). The exponential's unused second
+    coordinate gets unit curvature and zero gradient, so it never moves.
     """
     inv_n = 1.0 / times.shape[0]
     a = math.exp(x0)
     b = math.exp(x1)
-    f, ga, gb = loglik_value_grad(code, a, b, times, events)
-    f, ga, gb = f * inv_n, ga * inv_n, gb * inv_n
-    fm = -f
-    # gradient of the objective w.r.t. log-parameters (chain rule)
-    g0 = -ga * a
-    g1 = -gb * b
-    # inverse-Hessian approximation, symmetric 2x2
-    h00 = 1.0
-    h01 = 0.0
-    h11 = 1.0
+    f, ga, gb, haa, hab, hbb = loglik_derivs(code, a, b, times, events)
+    # chain rule for theta = exp(x): d/dx_i = theta_i d/dtheta_i, and the
+    # second derivative picks up the first-derivative term on the diagonal
+    g0 = a * ga * inv_n
+    g1 = b * gb * inv_n
+    m00 = -(a * a * haa * inv_n + g0)
+    m01 = -(a * b * hab * inv_n)
+    m11 = -(b * b * hbb * inv_n + g1)
+    if code == EXPONENTIAL:
+        m11 = 1.0
+    return f * inv_n, g0, g1, m00, m01, m11
+
+
+@jit_kernel
+def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
+    """Damped Newton ascent of the mean log-likelihood on log-parameters.
+
+    Starts from log-parameters (x0, x1) and stops with FIT_OK once the
+    gradient of the mean log-likelihood with respect to the log-parameters
+    has Euclidean norm <= grad_tol. Each step solves with the analytic
+    Hessian. When the negated Hessian M is not positive definite it is
+    shifted Levenberg-Marquardt style: with D = diag(1 + |M_ii|), the shift
+    is D times the smallest eigenvalue of D^-1/2 M D^-1/2 plus 1e-3 * (1 +
+    |its trace|). The step is then halved until the mean log-likelihood does
+    not worsen. Callers pass standardized times (unit median), so both the
+    tolerance and the parameter bounds are free of the time unit. Returns
+    (a, b, iterations, status) with the last accepted iterate on failure.
+    """
+    f, g0, g1, m00, m01, m11 = _mean_loglik_log_scale(code, x0, x1, times, events)
     iterations = 0
-    status = FIT_MAX_ITER
-    for _ in range(max_iter):
-        gnorm = math.sqrt(ga * ga + gb * gb)
-        if gnorm <= grad_tol:
-            status = FIT_OK
-            break
+    while True:
+        if math.sqrt(g0 * g0 + g1 * g1) <= grad_tol:
+            return math.exp(x0), math.exp(x1), iterations, FIT_OK
+        if iterations == max_iter:
+            return math.exp(x0), math.exp(x1), iterations, FIT_MAX_ITER
         iterations += 1
-        d0 = -(h00 * g0 + h01 * g1)
-        d1 = -(h01 * g0 + h11 * g1)
-        gd = g0 * d0 + g1 * d1
-        if gd >= 0.0:
-            # approximation lost positive definiteness: restart steepest descent
-            h00 = 1.0
-            h01 = 0.0
-            h11 = 1.0
-            d0 = -g0
-            d1 = -g1
-            gd = -(g0 * g0 + g1 * g1)
+        # scaling by each coordinate's own curvature lets a flat direction
+        # beside a steep one (the ridge of a fit running off to the
+        # boundary) still take long steps
+        s0 = 1.0 + abs(m00)
+        s1 = 1.0 + abs(m11)
+        k00 = m00 / s0
+        k11 = m11 / s1
+        k01 = m01 / math.sqrt(s0 * s1)
+        lam_min = 0.5 * (k00 + k11) - math.sqrt(0.25 * (k00 - k11) ** 2 + k01 * k01)
+        if not lam_min > 0.0:
+            shift = 1e-3 * (1.0 + abs(k00 + k11)) - lam_min
+            m00 += shift * s0
+            m11 += shift * s1
+        det = m00 * m11 - m01 * m01
+        d0 = (m11 * g0 - m01 * g1) / det
+        d1 = (m00 * g1 - m01 * g0) / det
         step = 1.0
         accepted = False
         t0 = x0
         t1 = x1
-        ta = a
-        tb = b
-        tfm = fm
-        tga = ga
-        tgb = gb
+        trial = (f, g0, g1, m00, m01, m11)
         for _ in range(60):
             t0 = x0 + step * d0
             t1 = x1 + step * d1
             # keep exp() in range; an overshooting trial just backtracks
             if abs(t0) < 700.0 and abs(t1) < 700.0:
-                ta = math.exp(t0)
-                tb = math.exp(t1)
-                tf, tga, tgb = loglik_value_grad(code, ta, tb, times, events)
-                tf, tga, tgb = tf * inv_n, tga * inv_n, tgb * inv_n
-                tfm = -tf
-                # NaN/inf objective fails this test and backtracks
-                if tfm <= fm + 1e-4 * step * gd:
-                    accepted = True
-                    break
-                # near the optimum the sufficient-decrease margin drops
-                # below float resolution of the objective; accept any
-                # non-worsening step that clearly shrinks the gradient
-                if tfm <= fm + 1e-12 * (1.0 + abs(fm)) and (
-                    math.sqrt(tga * tga + tgb * tgb) <= 0.9 * gnorm
-                ):
+                trial = _mean_loglik_log_scale(code, t0, t1, times, events)
+                # a NaN value fails this test and backtracks; the allowance
+                # is float rounding of f, which near the optimum exceeds
+                # the true gain of a full Newton step
+                if trial[0] >= f - 1e-14 * (1.0 + abs(f)):
                     accepted = True
                     break
             step *= 0.5
         if not accepted:
-            status = FIT_LINE_SEARCH
-            break
-        if abs(t0) > _LOG_BOUND or abs(t1) > _LOG_BOUND:
-            x0 = t0
-            x1 = t1
-            a = ta
-            b = tb
-            status = FIT_BOUNDARY
-            break
-        ng0 = -tga * ta
-        ng1 = -tgb * tb
-        s0 = t0 - x0
-        s1 = t1 - x1
-        y0 = ng0 - g0
-        y1 = ng1 - g1
-        sy = s0 * y0 + s1 * y1
-        if sy > 1e-10 * math.sqrt((s0 * s0 + s1 * s1) * (y0 * y0 + y1 * y1)):
-            rho = 1.0 / sy
-            u0 = h00 * y0 + h01 * y1
-            u1 = h01 * y0 + h11 * y1
-            yhy = y0 * u0 + y1 * u1
-            c = rho * rho * yhy + rho
-            h00 = h00 - rho * 2.0 * s0 * u0 + c * s0 * s0
-            h01 = h01 - rho * (s0 * u1 + s1 * u0) + c * s0 * s1
-            h11 = h11 - rho * 2.0 * s1 * u1 + c * s1 * s1
+            return math.exp(x0), math.exp(x1), iterations, FIT_LINE_SEARCH
         x0 = t0
         x1 = t1
-        a = ta
-        b = tb
-        fm = tfm
-        ga = tga
-        gb = tgb
-        g0 = ng0
-        g1 = ng1
-    if status == FIT_MAX_ITER and math.sqrt(ga * ga + gb * gb) <= grad_tol:
-        status = FIT_OK
-    return a, b, -fm * times.shape[0], iterations, status
+        f, g0, g1, m00, m01, m11 = trial
+        if abs(x0) > _LOG_BOUND or abs(x1) > _LOG_BOUND:
+            return math.exp(x0), math.exp(x1), iterations, FIT_BOUNDARY
 
 
 @jit_kernel

@@ -56,28 +56,39 @@ class Cohort:
     """
 
     def __init__(self, observations: Iterable, label: str = ""):
-        times = []
-        events = []
-        for obs in observations:
-            if not isinstance(obs, Observation):
-                obs = Observation(float(obs[0]), int(obs[1]))
-            times.append(obs.time)
-            events.append(obs.event)
-        if not times:
-            raise ValueError("cohort must contain at least one observation")
-        self._times = np.asarray(times, dtype=np.float64)
-        self._events = np.asarray(events, dtype=np.float64)
-        self._times.setflags(write=False)
-        self._events.setflags(write=False)
-        self.label = label
+        pairs = np.array(
+            [
+                (obs.time, obs.event) if isinstance(obs, Observation) else obs[:2]
+                for obs in observations
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 2)
+        self._set(pairs[:, 0], pairs[:, 1], label)
 
     @classmethod
     def from_arrays(cls, times, events, label: str = "") -> "Cohort":
-        times = np.asarray(times, dtype=np.float64)
-        events = np.asarray(events, dtype=np.float64)
+        cohort = cls.__new__(cls)
+        cohort._set(times, events, label)
+        return cohort
+
+    def _set(self, times, events, label: str) -> None:
+        """Validate once, with numpy: 1-d equal lengths, at least one
+        observation, finite positive times, events exactly 0 or 1."""
+        times = np.array(times, dtype=np.float64)
+        events = np.array(events, dtype=np.float64)
         if times.shape != events.shape or times.ndim != 1:
             raise ValueError("times and events must be 1-d arrays of equal length")
-        return cls(zip(times.tolist(), events.tolist()), label=label)
+        if times.size == 0:
+            raise ValueError("cohort must contain at least one observation")
+        if not np.all(np.isfinite(times) & (times > 0)):
+            raise ValueError("times must be finite and positive")
+        if not np.all((events == 0.0) | (events == 1.0)):
+            raise ValueError("events must be 0 or 1")
+        times.setflags(write=False)
+        events.setflags(write=False)
+        self._times = times
+        self._events = events
+        self.label = label
 
     @property
     def times(self) -> np.ndarray:

@@ -158,8 +158,7 @@ def loglik_derivatives(fam, theta, obs: Observation):
     times = np.array([obs.time], dtype=np.float64)
     events = np.array([float(obs.event)], dtype=np.float64)
     a, b = _ab(fam, theta)
-    value, g0, g1 = _kernels.loglik_value_grad(fam.code, a, b, times, events)
-    h00, h01, h11 = _kernels.loglik_hess(fam.code, a, b, times, events)
+    value, g0, g1, h00, h01, h11 = _kernels.loglik_derivs(fam.code, a, b, times, events)
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]
     return float(value), grad, hess
@@ -170,7 +169,4 @@ def total_loglik(fam, theta, cohort) -> float:
     fam = family(fam)
     theta = check_theta(fam, theta)
     a, b = _ab(fam, theta)
-    value, _, _ = _kernels.loglik_value_grad(
-        fam.code, a, b, cohort.times, cohort.events
-    )
-    return float(value)
+    return float(_kernels.loglik_derivs(fam.code, a, b, cohort.times, cohort.events)[0])

@@ -1,10 +1,11 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
-Fitting runs a BFGS iteration with analytic gradients on log-parameters
-(keeping the parameter space open) and restarts from a derivative-free
-simplex search if the line search stalls. The reported information matrix is
-the per-observation average of negated analytic log-likelihood Hessians at
-the estimate.
+Fitting divides the times by their median and runs damped Newton on the
+log-parameters with the analytic gradient and Hessian, stopping when the
+log-scale gradient of the mean log-likelihood is small. Neither the stopping
+rule nor the parameter bounds depend on the time unit, so every fit is
+scale-equivariant. The reported information matrix is the per-observation
+average of negated analytic log-likelihood Hessians at the estimate.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from . import _kernels, families
+from . import _kernels
 from .data import Cohort
-from .errors import DomainError, FitError, SelectionError
-from .families import FamilyDescriptor, check_theta, family
+from .errors import FitError, SelectionError
+from .families import FamilyDescriptor, _ab, check_theta, family
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
+# stopping rule and iteration budget of the Newton driver; the tolerance
+# applies to the log-scale gradient of the mean log-likelihood
+GRAD_TOL = 1e-8
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -54,101 +56,77 @@ class FitResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def default_init(fam: FamilyDescriptor, cohort: Cohort) -> np.ndarray:
-    """Moment-style starting values: rate = events / exposure for the
-    exponential; shape 1 and scale = median observed time otherwise."""
-    fam = family(fam)
-    if fam.q == 1:
-        rate = cohort.n_events / float(cohort.times.sum())
-        return np.array([rate if rate > 0 else 1.0])
-    return np.array([1.0, float(np.median(cohort.times))])
+def _loglik_and_information(fam, theta, cohort: Cohort) -> tuple[float, np.ndarray]:
+    a, b = _ab(fam, theta)
+    value, _, _, h00, h01, h11 = _kernels.loglik_derivs(
+        fam.code, a, b, cohort.times, cohort.events
+    )
+    full = np.array([[h00, h01], [h01, h11]])
+    return float(value), -full[: fam.q, : fam.q] / cohort.n
 
 
 def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
     """Average negated log-likelihood Hessian, -(1/n) * sum_i H_i(theta)."""
     fam = family(fam)
-    theta = check_theta(fam, theta)
-    a = float(theta[0])
-    b = float(theta[1]) if fam.q == 2 else 1.0
-    h00, h01, h11 = _kernels.loglik_hess(
-        fam.code, a, b, cohort.times, cohort.events
-    )
-    full = np.array([[h00, h01], [h01, h11]])
-    return -full[: fam.q, : fam.q] / cohort.n
+    return _loglik_and_information(fam, check_theta(fam, theta), cohort)[1]
 
 
-def fit_mle(
-    fam,
-    cohort: Cohort,
-    init=None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FitResult:
+def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
     """Fit one family by censored maximum likelihood.
 
-    Converges when the mean log-likelihood gradient (natural scale) has norm
-    <= tol, i.e. the total-log-likelihood gradient is within tol * n. Raises
-    FitError (carrying the last iterate) on degenerate data, boundary drift
-    or a stalled search.
+    Times are divided by their median, ``init`` is mapped to that unit and
+    the estimate back from it. Damped Newton on the log-parameters converges
+    when the gradient of the mean log-likelihood with respect to the
+    log-parameters has norm <= GRAD_TOL; that gradient is the same in every
+    time unit. Raises FitError (carrying the last iterate) on degenerate
+    data, boundary drift, a stalled search or an exhausted budget.
     """
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
-    theta0 = default_init(fam, cohort) if init is None else check_theta(fam, init)
-    if np.any(theta0 <= 0):
-        raise DomainError(f"initial parameters must be positive, got {theta0}")
-    x0 = math.log(float(theta0[0]))
-    x1 = math.log(float(theta0[1])) if fam.q == 2 else 0.0
-    grad_tol = tol
-    times, events = cohort.times, cohort.events
+    unit = float(np.median(cohort.times))
+    times = cohort.times / unit
+    if init is None:
+        # rate = events / exposure for the exponential; shape 1 and scale
+        # = the median time otherwise
+        x0 = math.log(cohort.n_events / float(times.sum())) if fam.q == 1 else 0.0
+        x1 = 0.0
+    else:
+        a0, b0 = _ab(fam, check_theta(fam, init))
+        # in time units of `unit` a rate scales up and a scale down
+        x0 = math.log(a0 * unit) if fam.q == 1 else math.log(a0)
+        x1 = math.log(b0 / unit) if fam.q == 2 else 0.0
     # overflow at rejected trial points is expected and handled; keep the
     # pure-numpy kernel path quiet about it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a, b, loglik, iters, status = _kernels.fit_quasi_newton(
-            fam.code, times, events, x0, x1, grad_tol, max_iter
+        a, b, iters, status = _kernels.fit_newton(
+            fam.code, times, cohort.events, x0, x1, GRAD_TOL, MAX_ITER
         )
-        if status == _kernels.FIT_LINE_SEARCH:
-            # simplex restart from the stalled iterate, then resume BFGS
-            def negloglik(x):
-                value, _, _ = _kernels.loglik_value_grad(
-                    fam.code, math.exp(x[0]), math.exp(x[1]) if fam.q == 2 else 1.0,
-                    times, events,
-                )
-                return -value
-
-            start = [math.log(a)] + ([math.log(b)] if fam.q == 2 else [0.0])
-            simplex = minimize(negloglik, start, method="Nelder-Mead")
-            a2, b2, loglik, extra, status = _kernels.fit_quasi_newton(
-                fam.code,
-                times,
-                events,
-                float(simplex.x[0]),
-                float(simplex.x[1]) if fam.q == 2 else 0.0,
-                grad_tol,
-                max_iter,
-            )
-            a, b = a2, b2
-            iters += extra
-    theta_hat = np.array([a, b][: fam.q])
-    if status == _kernels.FIT_BOUNDARY or np.any(theta_hat < 1e-12) or np.any(
-        theta_hat > 1e12
+    theta_hat = np.array([a / unit]) if fam.q == 1 else np.array([a, b * unit])
+    if status == _kernels.FIT_BOUNDARY or not np.all(
+        np.isfinite(theta_hat) & (theta_hat > 0)
     ):
         raise FitError(
             f"{fam.name} fit drifted to the parameter-space boundary",
             last_theta=theta_hat,
         )
-    if status != _kernels.FIT_OK:
+    if status == _kernels.FIT_LINE_SEARCH:
         raise FitError(
-            f"{fam.name} fit did not converge within {max_iter} iterations",
+            f"{fam.name} fit stalled: no step improved the likelihood",
             last_theta=theta_hat,
         )
-    info = empirical_information(fam, theta_hat, cohort)
+    if status != _kernels.FIT_OK:
+        raise FitError(
+            f"{fam.name} fit did not converge within {MAX_ITER} iterations",
+            last_theta=theta_hat,
+        )
+    loglik, info = _loglik_and_information(fam, theta_hat, cohort)
     return FitResult(
         family=fam,
         theta_hat=theta_hat,
         info_matrix=info,
-        loglik=float(loglik),
-        aic=2.0 * fam.q - 2.0 * float(loglik),
+        loglik=loglik,
+        aic=2.0 * fam.q - 2.0 * loglik,
         n=cohort.n,
         converged=True,
         iterations=int(iters),
@@ -187,5 +165,7 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
         tol = 1e-12 * m.shape[0]
     u, s, vt = np.linalg.svd(m)
     cutoff = tol * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, np.divide(1.0, s, where=s > 0), 0.0)
+    inv = np.zeros_like(s)
+    keep = s > cutoff
+    inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernels
 from .data import Cohort
 from .errors import DegenerateTestError, UsageError
-from .families import FamilyDescriptor, check_theta, family
+from .families import FamilyDescriptor, _ab, check_theta, family
 from .fitting import FitResult, pseudo_inverse
 
 
@@ -28,7 +28,7 @@ def normal_cdf(z: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def p_two_sided(z: float) -> float:
@@ -45,7 +45,7 @@ def critical_value(alpha: float) -> float:
     """Two-sided rejection threshold on |z| at level alpha."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - alpha / 2.0))
+    return normal_quantile(1.0 - alpha / 2.0)
 
 
 def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
@@ -108,11 +108,6 @@ class ReferenceCurve:
 
         return grad_cumulative_hazard(self.family, self.theta, t)
 
-    def _ab(self):
-        a = float(self.theta[0])
-        b = float(self.theta[1]) if self.family.q == 2 else 1.0
-        return a, b
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -154,7 +149,7 @@ class TestReport:
 def _components(ref: ReferenceCurve, cohort_b: Cohort, t: float):
     if not np.isfinite(t) or t <= 0.0:
         raise UsageError(f"analysis time must be positive and finite, got {t}")
-    a, b = ref._ab()
+    a, b = _ab(ref.family, ref.theta)
     return _kernels.oslr_components(
         ref.family.code, a, b, cohort_b.times, cohort_b.events, t
     )

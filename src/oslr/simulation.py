@@ -18,12 +18,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Cohort
 from .errors import DegenerateTestError, FitError, UsageError
 from .fitting import fit_mle
-from .logrank import ReferenceCurve, critical_value, oslr_test, two_sample_logrank
+from .logrank import (
+    ReferenceCurve,
+    critical_value,
+    normal_quantile,
+    oslr_test,
+    two_sample_logrank,
+)
 
 PROCEDURES = (
     "true_w0",
@@ -237,7 +242,7 @@ def mc_error_interval(p: float, n: int, level: float = 0.95):
         raise UsageError(f"replicate count must be at least 1, got {n}")
     if not 0.0 <= level < 1.0:
         raise UsageError(f"confidence level must be in [0, 1), got {level}")
-    half = float(ndtri(0.5 + level / 2.0)) * math.sqrt(p * (1.0 - p) / n)
+    half = normal_quantile(0.5 + level / 2.0) * math.sqrt(p * (1.0 - p) / n)
     return max(0.0, p - half), min(1.0, p + half)
 
 

@@ -1,17 +1,21 @@
 """End-to-end tests of the command-line interface.
 
-Every test drives ``oslr.cli.main(argv)`` in process and inspects exit codes,
-stdout/stderr and written files. Numeric oracles are the same closed forms
+Every test but the import guard drives ``oslr.cli.main(argv)`` in process and
+inspects exit codes, stdout/stderr and written files. Numeric oracles are the same closed forms
 used by the library tests (exponential MLE D / sum(X), hand product-limit
 values, zero compensated process at a calibrated horizon).
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oslr
 from oslr.cli import main
 from oslr.data import Cohort, write_csv
 
@@ -30,6 +34,20 @@ def _write(path, rows):
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert "oslr" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test oracle only: a fresh `import oslr.cli` must not load it."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oslr.__file__).parents[1]))
+    snippet = (
+        "import sys, oslr.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_command_is_usage_error():

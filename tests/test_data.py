@@ -57,6 +57,12 @@ def test_cohort_rejects_empty_and_invalid():
         Cohort([(0.0, 1)])
     with pytest.raises(ValueError):
         Cohort([(1.0, 3)])
+    # non-binary events are rejected, not truncated to 0 or 1
+    for event in (0.7, 1.9):
+        with pytest.raises(ValueError):
+            Cohort([(1.0, event)])
+        with pytest.raises(ValueError):
+            Cohort.from_arrays([1.0, 2.0, 3.0], [1.0, event, 0.0])
 
 
 def test_from_arrays_matches_pairs():

@@ -1,12 +1,16 @@
 """Censored MLE, information matrix, AIC selection and pseudoinverse."""
 
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oslr.data import Cohort
+from oslr.data import Cohort, ingest_csv
 from oslr.errors import DomainError, FitError, SelectionError
 from oslr.families import family
 from oslr.fitting import (
@@ -20,6 +24,7 @@ from oslr.fitting import (
 from oslr.simulation import Scenario, generate_cohort, replicate_rng
 
 MASTER_SEED = 20260815
+DATA_CONTROL = pathlib.Path(__file__).resolve().parent.parent / "data" / "control.csv"
 
 
 def exp_cohort(rng, n, rate=0.8, censor=None):
@@ -118,23 +123,38 @@ def test_fit_respects_init():
     assert_allclose(a.theta_hat, b.theta_hat, rtol=1e-6)
 
 
+def _assert_scaled(name, fit0, fit1, factor):
+    """Times scaled by factor: the rate scales by 1/factor, a scale by
+    factor, a shape not at all."""
+    if name == "exponential":
+        assert_allclose(fit1.theta_hat[0], fit0.theta_hat[0] / factor, rtol=1e-9)
+    else:
+        assert_allclose(fit1.theta_hat[0], fit0.theta_hat[0], rtol=1e-9)
+        assert_allclose(fit1.theta_hat[1], fit0.theta_hat[1] * factor, rtol=1e-9)
+
+
 @pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
-def test_scale_invariance(name):
-    """Scaling all times by c scales the scale parameter by c (rate by 1/c)
-    and leaves the shape unchanged."""
+@settings(max_examples=25, deadline=None)
+@given(log10_factor=st.floats(-6.0, 6.0))
+def test_scale_invariance(name, log10_factor):
+    """Every fit is equivariant under a change of time unit, 1e-6 to 1e6."""
     rng = np.random.default_rng(17)
     t = 2.0 * rng.weibull(1.3, 400)
     c = rng.uniform(0.5, 5.0, 400)
     base = Cohort.from_arrays(np.minimum(t, c), (t <= c).astype(float))
-    factor = 3.7
+    factor = 10.0**log10_factor
     scaled = Cohort.from_arrays(base.times * factor, base.events)
-    fit0 = fit_mle(name, base)
-    fit1 = fit_mle(name, scaled)
-    if name == "exponential":
-        assert_allclose(fit1.theta_hat[0], fit0.theta_hat[0] / factor, rtol=1e-6)
-    else:
-        assert_allclose(fit1.theta_hat[0], fit0.theta_hat[0], rtol=1e-6)
-        assert_allclose(fit1.theta_hat[1], fit0.theta_hat[1] * factor, rtol=1e-6)
+    _assert_scaled(name, fit_mle(name, base), fit_mle(name, scaled), factor)
+
+
+@pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
+def test_bundled_control_in_seconds(name):
+    """The bundled control arm, converted from years to seconds, fits every
+    family to the same estimate in the new unit."""
+    years = ingest_csv(DATA_CONTROL)
+    factor = 31_557_600.0
+    seconds = Cohort.from_arrays(years.times * factor, years.events)
+    _assert_scaled(name, fit_mle(name, years), fit_mle(name, seconds), factor)
 
 
 def test_weibull_consistency_large_sample():
@@ -230,20 +250,23 @@ def test_select_model():
 
 
 def test_pseudo_inverse():
-    assert_allclose(pseudo_inverse(np.eye(2)), np.eye(2))
-    assert_allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        pseudo_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        pseudo_inverse(np.ones((2, 3)))
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        a = rng.normal(size=(2, 3))
-        m = a @ a.T  # symmetric PSD, possibly rank-deficient after the cut
-        if rng.random() < 0.5:
-            m = np.outer(a[:, 0], a[:, 0])  # exactly rank 1
-        plus = pseudo_inverse(m)
-        assert_allclose(m @ plus @ m, m, atol=1e-10)
-        assert_allclose(plus @ m @ plus, plus, atol=1e-10)
-        assert_allclose((m @ plus).T, m @ plus, atol=1e-10)
-        assert_allclose((plus @ m).T, plus @ m, atol=1e-10)
+    # zero singular values are handled inside and must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_allclose(pseudo_inverse(np.eye(2)), np.eye(2))
+        assert_allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+        with pytest.raises(ValueError):
+            pseudo_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            pseudo_inverse(np.ones((2, 3)))
+        rng = np.random.default_rng(29)
+        for _ in range(25):
+            a = rng.normal(size=(2, 3))
+            m = a @ a.T  # symmetric PSD, possibly rank-deficient after the cut
+            if rng.random() < 0.5:
+                m = np.outer(a[:, 0], a[:, 0])  # exactly rank 1
+            plus = pseudo_inverse(m)
+            assert_allclose(m @ plus @ m, m, atol=1e-10)
+            assert_allclose(plus @ m @ plus, plus, atol=1e-10)
+            assert_allclose((m @ plus).T, m @ plus, atol=1e-10)
+            assert_allclose((plus @ m).T, plus @ m, atol=1e-10)
