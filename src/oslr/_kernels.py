@@ -1,8 +1,8 @@
 """Family-coded numeric kernels shared by fitting, testing and simulation.
 
 These are the hot inner loops of the package: the censored log-likelihood
-with its gradient and Hessian in one pass, the damped Newton fit driver, the
-one-sample test components and the two-sample log-rank sweep. Each function is valid vectorized numpy; with
+with its gradient and Hessian in one pass, the damped Newton fit driver and the
+one-sample test components. Each function is valid vectorized numpy; with
 numba present it is compiled via ``@njit`` (see :mod:`oslr._accel`), and with
 ``OSLR_DISABLE_NUMBA=1`` the same source runs uncompiled.
 
@@ -149,7 +149,8 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
     |its trace|). The step is then halved until the mean log-likelihood does
     not worsen. Callers pass standardized times (unit median), so both the
     tolerance and the parameter bounds are free of the time unit. Returns
-    (a, b, iterations, status) with the last accepted iterate on failure.
+    (a, b, iterations, status); on failure (a, b) is the last iterate inside
+    the working bounds.
     """
     f, g0, g1, m00, m01, m11 = _mean_loglik_log_scale(code, x0, x1, times, events)
     iterations = 0
@@ -195,11 +196,11 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
             step *= 0.5
         if not accepted:
             return math.exp(x0), math.exp(x1), iterations, FIT_LINE_SEARCH
+        if abs(t0) > _LOG_BOUND or abs(t1) > _LOG_BOUND:
+            return math.exp(x0), math.exp(x1), iterations, FIT_BOUNDARY
         x0 = t0
         x1 = t1
         f, g0, g1, m00, m01, m11 = trial
-        if abs(x0) > _LOG_BOUND or abs(x1) > _LOG_BOUND:
-            return math.exp(x0), math.exp(x1), iterations, FIT_BOUNDARY
 
 
 @jit_kernel
@@ -215,56 +216,3 @@ def oslr_components(code, a, b, times, events, t):
     g = cumhaz_grad(code, a, b, capped)
     n = times.shape[0]
     return n_events, expected, g[:, 0].sum() / n, g[:, 1].sum() / n
-
-
-@jit_kernel
-def two_sample_terms(times_a, events_a, times_b, events_b):
-    """Unweighted two-sample log-rank sums (U, V) over pooled event times.
-
-    U accumulates observed-minus-expected events in the second cohort, V the
-    hypergeometric variances; ties are aggregated per distinct time.
-    """
-    na = times_a.shape[0]
-    nb = times_b.shape[0]
-    n = na + nb
-    times = np.empty(n)
-    events = np.empty(n)
-    in_b = np.empty(n)
-    times[:na] = times_a
-    events[:na] = events_a
-    in_b[:na] = 0.0
-    times[na:] = times_b
-    events[na:] = events_b
-    in_b[na:] = 1.0
-    order = np.argsort(times)
-    u = 0.0
-    v = 0.0
-    y = float(n)
-    yb = float(nb)
-    i = 0
-    while i < n:
-        t_cur = times[order[i]]
-        d = 0.0
-        db = 0.0
-        removed = 0.0
-        removed_b = 0.0
-        j = i
-        while j < n and times[order[j]] == t_cur:
-            k = order[j]
-            if events[k] == 1.0:
-                d += 1.0
-                if in_b[k] == 1.0:
-                    db += 1.0
-            removed += 1.0
-            if in_b[k] == 1.0:
-                removed_b += 1.0
-            j += 1
-        if d > 0.0 and y > 0.0:
-            frac = yb / y
-            u += db - d * frac
-            if y > 1.0:
-                v += d * frac * (1.0 - frac) * (y - d) / (y - 1.0)
-        y -= removed
-        yb -= removed_b
-        i = j
-    return u, v

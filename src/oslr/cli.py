@@ -29,11 +29,15 @@ from .fitting import fit_mle, select_model
 from .logrank import ReferenceCurve, critical_value, oslr_test
 from .nonparametric import kaplan_meier, nelson_aalen
 from .render import render_curves
-from .simulation import load_scenarios, run_scenario, write_results_csv
+from .simulation import (
+    load_scenarios,
+    record_rows,
+    run_scenario,
+    write_results_csv,
+    write_rows_csv,
+)
 
 EXIT_OK, EXIT_USAGE, EXIT_FIT, EXIT_DEGENERATE = 0, 1, 2, 3
-
-_CSV_FIELDS = ["kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff"]
 
 
 def _load_cohort(path, prefer):
@@ -206,20 +210,16 @@ def cmd_simulate(args) -> None:
     if overrides:
         scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
     results = [run_scenario(s, workers=args.workers) for s in scenarios]
+    records = [r.to_json_dict() for r in results]
     if args.out:
         with open(f"{args.out}.json", "w") as fh:
-            json.dump([r.to_json_dict() for r in results], fh, indent=2)
+            json.dump(records, fh, indent=2)
             fh.write("\n")
         write_results_csv(f"{args.out}.csv", results)
     if args.format == "csv":
-        import csv as _csv
-
-        writer = _csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
-        for result in results:
-            writer.writerows(result.csv_rows())
+        write_rows_csv(sys.stdout, [row for rec in records for row in record_rows(rec)])
     else:
-        print(json.dumps([r.to_json_dict() for r in results], indent=2))
+        print(json.dumps(records, indent=2))
 
 
 def cmd_report(args) -> None:
@@ -227,39 +227,16 @@ def cmd_report(args) -> None:
         records = json.load(fh)
     if not isinstance(records, list):
         raise UsageError(f"{args.results}: expected a JSON list of result records")
-    rows = []
-    for record in records:
-        try:
-            scenario = record["scenario"]
-            for name, stats in record["procedures"].items():
-                for sided in ("two", "one"):
-                    lo, hi = stats[f"{sided}_sided_interval"]
-                    rows.append(
-                        {
-                            "kappa": scenario["kappa"],
-                            "n_b": scenario["n_b"],
-                            "pi": scenario["pi"],
-                            "procedure": name,
-                            "sided": sided,
-                            "rate": stats[f"{sided}_sided_rate"],
-                            "lo": lo,
-                            "hi": hi,
-                            "n_eff": stats["n_evaluated"],
-                        }
-                    )
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"{args.results}: malformed record ({exc})") from exc
+    try:
+        rows = [row for record in records for row in record_rows(record)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{args.results}: malformed record ({exc})") from exc
     if args.format == "csv":
-        import csv as _csv
-
-        target = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            writer = _csv.DictWriter(target, fieldnames=_CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-        finally:
-            if args.out:
-                target.close()
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                write_rows_csv(fh, rows)
+        else:
+            write_rows_csv(sys.stdout, rows)
         return
     header = (
         f"{'kappa':>6} {'n_b':>6} {'pi':>8} {'procedure':<16} {'sided':<5} "

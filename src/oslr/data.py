@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,17 +32,6 @@ class Observation:
             raise ValueError(f"time must be positive, got {self.time!r}")
         if self.event not in (0, 1):
             raise ValueError(f"event must be 0 or 1, got {self.event!r}")
-
-
-@dataclass(frozen=True)
-class StudyHorizon:
-    """Maximum analysis time; all analysis times must lie in (0, t_max]."""
-
-    t_max: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
 
 
 class Cohort:
@@ -115,13 +104,6 @@ class Cohort:
     def max_time(self) -> float:
         return float(self._times.max())
 
-    def check_horizon(self, horizon: StudyHorizon) -> None:
-        if self._times.max() > horizon.t_max:
-            raise ValueError(
-                f"cohort {self.label!r} has observations beyond the horizon "
-                f"{horizon.t_max}"
-            )
-
     def __len__(self) -> int:
         return self.n
 
@@ -142,13 +124,6 @@ def counting_process(cohort: Cohort, t: float) -> tuple[int, int]:
     events_by_t = int(cohort.events[cohort.times <= t].sum())
     at_risk = int((cohort.times >= t).sum())
     return events_by_t, at_risk
-
-
-def default_horizon(*cohorts: Cohort) -> StudyHorizon:
-    """Horizon defaulting to the maximum observed time across cohorts."""
-    if not cohorts:
-        raise UsageError("at least one cohort is required")
-    return StudyHorizon(max(c.max_time() for c in cohorts))
 
 
 def ingest_csv(

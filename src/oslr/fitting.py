@@ -1,7 +1,7 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
-Fitting divides the times by their median and runs damped Newton on the
-log-parameters with the analytic gradient and Hessian, stopping when the
+Fitting divides the times by their upper median and runs damped Newton on
+the log-parameters with the analytic gradient and Hessian, stopping when the
 log-scale gradient of the mean log-likelihood is small. Neither the stopping
 rule nor the parameter bounds depend on the time unit, so every fit is
 scale-equivariant. The reported information matrix is the per-observation
@@ -74,8 +74,8 @@ def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
 def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
     """Fit one family by censored maximum likelihood.
 
-    Times are divided by their median, ``init`` is mapped to that unit and
-    the estimate back from it. Damped Newton on the log-parameters converges
+    Times are divided by their upper median, ``init`` is mapped to that unit
+    and the estimate back from it. Damped Newton on the log-parameters converges
     when the gradient of the mean log-likelihood with respect to the
     log-parameters has norm <= GRAD_TOL; that gradient is the same in every
     time unit. Raises FitError (carrying the last iterate) on degenerate
@@ -84,11 +84,14 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
-    unit = float(np.median(cohort.times))
+    # the unit only has to be a typical time; a partial sort finds the upper
+    # median without sorting everything
+    n = cohort.n
+    unit = float(np.partition(cohort.times, n // 2)[n // 2])
     times = cohort.times / unit
     if init is None:
         # rate = events / exposure for the exponential; shape 1 and scale
-        # = the median time otherwise
+        # = the time unit otherwise
         x0 = math.log(cohort.n_events / float(times.sum())) if fam.q == 1 else 0.0
         x1 = 0.0
     else:

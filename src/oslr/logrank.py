@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -21,6 +21,7 @@ from .data import Cohort
 from .errors import DegenerateTestError, UsageError
 from .families import FamilyDescriptor, _ab, check_theta, family
 from .fitting import FitResult, pseudo_inverse
+from .nonparametric import _event_table
 
 
 def normal_cdf(z: float) -> float:
@@ -60,13 +61,18 @@ class ReferenceCurve:
     """Cumulative-hazard curve the experimental cohort is tested against.
 
     Either fitted (carries the information matrix and control sample size
-    needed for the corrected test) or fixed (a known parametric truth).
+    needed for the corrected test) or fixed (a known parametric truth). A
+    fitted curve computes the pseudo-inverse of its information matrix once,
+    as ``info_pinv``.
     """
 
     family: FamilyDescriptor
     theta: np.ndarray
     info_matrix: np.ndarray | None = None
     n_a: int | None = None
+    info_pinv: np.ndarray | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         fam = family(self.family)
@@ -80,6 +86,7 @@ class ReferenceCurve:
                     f"information matrix shape {info.shape} does not match q={fam.q}"
                 )
             object.__setattr__(self, "info_matrix", info)
+            object.__setattr__(self, "info_pinv", pseudo_inverse(info))
 
     @classmethod
     def from_fit(cls, fit: FitResult) -> "ReferenceCurve":
@@ -146,44 +153,56 @@ class TestReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _components(ref: ReferenceCurve, cohort_b: Cohort, t: float):
+def _statistics(
+    ref: ReferenceCurve,
+    cohort_b: Cohort,
+    t: float,
+    w: float = 0.0,
+    pi: float | None = None,
+):
+    """(N_B(t), E_B(t), M(t), V1(w, t), V2(t)) from one kernel pass over the
+    cohort; V2 is None unless the allocation ratio pi is given."""
     if not np.isfinite(t) or t <= 0.0:
         raise UsageError(f"analysis time must be positive and finite, got {t}")
+    if not 0.0 <= w <= 1.0:
+        raise UsageError(f"w must be in [0, 1], got {w}")
+    if pi is not None:
+        if not ref.fitted:
+            raise UsageError("corrected variance needs a fitted reference curve")
+        if pi <= 0.0:
+            raise UsageError(f"allocation ratio pi must be positive, got {pi}")
     a, b = _ab(ref.family, ref.theta)
-    return _kernels.oslr_components(
+    n_events, expected, g0, g1 = _kernels.oslr_components(
         ref.family.code, a, b, cohort_b.times, cohort_b.events, t
     )
+    m = (n_events - expected) / math.sqrt(cohort_b.n)
+    v1 = (w * n_events + (1.0 - w) * expected) / cohort_b.n
+    v2 = None
+    if pi is not None:
+        gbar = np.array([g0, g1][: ref.family.q])
+        v2 = float(pi * gbar @ ref.info_pinv @ gbar)
+    return n_events, expected, m, v1, v2
 
 
 def expected_events(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
     """E_B(t) = sum over the cohort of Lambda_ref(min(X_i, t))."""
-    return float(_components(ref, cohort_b, t)[1])
+    return float(_statistics(ref, cohort_b, t)[1])
 
 
 def compensated_process(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
     """M(t) = n_B^{-1/2} (N_B(t) - E_B(t))."""
-    n_events, expected, _, _ = _components(ref, cohort_b, t)
-    return (n_events - expected) / math.sqrt(cohort_b.n)
+    return _statistics(ref, cohort_b, t)[2]
 
 
 def v1_hat(cohort_b: Cohort, ref: ReferenceCurve, w: float, t: float) -> float:
     """(w N_B(t) + (1-w) E_B(t)) / n_B for w in [0, 1]."""
-    if not 0.0 <= w <= 1.0:
-        raise UsageError(f"w must be in [0, 1], got {w}")
-    n_events, expected, _, _ = _components(ref, cohort_b, t)
-    return (w * n_events + (1.0 - w) * expected) / cohort_b.n
+    return _statistics(ref, cohort_b, t, w)[3]
 
 
 def v2_hat(ref: ReferenceCurve, cohort_b: Cohort, t: float, pi: float) -> float:
     """Reference-uncertainty variance pi * gbar' J(theta)^+ gbar where gbar
     averages the cumulative-hazard gradient at min(X_i, t) over the cohort."""
-    if not ref.fitted:
-        raise UsageError("corrected variance needs a fitted reference curve")
-    if pi <= 0.0:
-        raise UsageError(f"allocation ratio pi must be positive, got {pi}")
-    _, _, g0, g1 = _components(ref, cohort_b, t)
-    gbar = np.array([g0, g1][: ref.family.q])
-    return float(pi * gbar @ pseudo_inverse(ref.info_matrix) @ gbar)
+    return _statistics(ref, cohort_b, t, pi=pi)[4]
 
 
 def oslr_test(
@@ -201,19 +220,13 @@ def oslr_test(
     """
     if t is None:
         t = cohort_b.max_time()
-    if corrected:
-        if pi is None:
-            if ref.n_a is None:
-                raise UsageError(
-                    "corrected test needs pi or a reference fitted from data"
-                )
-            pi = cohort_b.n / ref.n_a
-        v2 = v2_hat(ref, cohort_b, t, pi)
-    else:
-        v2, pi = None, None
-    n_events, expected, _, _ = _components(ref, cohort_b, t)
-    m = (n_events - expected) / math.sqrt(cohort_b.n)
-    v1 = v1_hat(cohort_b, ref, w, t)
+    if not corrected:
+        pi = None
+    elif pi is None:
+        if ref.n_a is None:
+            raise UsageError("corrected test needs pi or a reference fitted from data")
+        pi = cohort_b.n / ref.n_a
+    n_events, expected, m, v1, v2 = _statistics(ref, cohort_b, t, w, pi)
     z = zscore(m, v1, v2 if corrected else 0.0)
     return TestReport(
         t=float(t),
@@ -237,14 +250,22 @@ def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:
     Reported on the same scale as the one-sample reports: m_oslr = U/sqrt(n_B)
     and v1 = V/n_B, so z = U/sqrt(V).
     """
-    u, v = _kernels.two_sample_terms(
-        cohort_a.times, cohort_a.events, cohort_b.times, cohort_b.events
+    n_a, n_b = cohort_a.n, cohort_b.n
+    _, d, y, d_b, y_b = _event_table(
+        np.concatenate((cohort_a.times, cohort_b.times)),
+        np.concatenate((cohort_a.events, cohort_b.events)),
+        np.concatenate((np.zeros(n_a), np.ones(n_b))),
     )
+    frac = y_b / y
+    u = float((d_b - d * frac).sum())
+    # the hypergeometric variance term needs Y_j > 1; mask before dividing
+    m = y > 1
+    d, y, frac = d[m], y[m], frac[m]
+    v = float((d * frac * (1.0 - frac) * (y - d) / (y - 1.0)).sum())
     if v <= 0.0:
         raise DegenerateTestError(
             "two-sample log-rank variance is zero: no comparable events"
         )
-    n_b = cohort_b.n
     n_events = cohort_b.n_events
     z = u / math.sqrt(v)
     return TestReport(

@@ -1,4 +1,9 @@
-"""Kaplan-Meier and Nelson-Aalen estimators for diagnostics and plot data."""
+"""Event tables of right-censored data and the estimators built on them.
+
+One vectorized event table serves the Kaplan-Meier and Nelson-Aalen curves
+(diagnostics and plot data) and the two-sample log-rank comparator in
+:mod:`oslr.logrank`.
+"""
 
 from __future__ import annotations
 
@@ -50,29 +55,37 @@ class StepCurve:
                 writer.writerow([repr(float(t)), repr(float(v))])
 
 
-def _event_table(cohort: Cohort):
-    """Distinct event times with tied-event counts d_j and at-risk sizes Y_j."""
-    order = np.argsort(cohort.times, kind="stable")
-    times = cohort.times[order]
-    events = cohort.events[order]
-    distinct, start = np.unique(times, return_index=True)
+def _event_table(times, events, in_b=None):
+    """Distinct event times t_j with tied-event counts d_j and at-risk sizes Y_j.
+
+    With a 0/1 group marker ``in_b`` the marked group's d_j and Y_j follow.
+    """
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    events = events[order]
+    start = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
     d = np.add.reduceat(events, start)
-    # Y_j counts everyone still under observation at t_j^-
-    removed = np.add.reduceat(np.ones_like(times), start)
-    at_risk = cohort.n - np.concatenate(([0.0], np.cumsum(removed)[:-1]))
+    # Y_j counts everyone still under observation at t_j^-: all from start_j on
+    at_risk = times.shape[0] - start
     keep = d > 0
-    return distinct[keep], d[keep], at_risk[keep]
+    table = (times[start[keep]], d[keep], at_risk[keep])
+    if in_b is None:
+        return table
+    in_b = in_b[order]
+    d_b = np.add.reduceat(events * in_b, start)
+    at_risk_b = np.cumsum(in_b[::-1])[::-1][start]
+    return table + (d_b[keep], at_risk_b[keep])
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:
     """Product-limit survival estimate; jumps only at event times."""
-    t, d, y = _event_table(cohort)
+    t, d, y = _event_table(cohort.times, cohort.events)
     surv = np.cumprod(1.0 - d / y)
     return StepCurve(times=t, values=surv, initial_value=1.0)
 
 
 def nelson_aalen(cohort: Cohort) -> StepCurve:
     """Cumulative-hazard estimate, sum of d_j / Y_j over event times <= t."""
-    t, d, y = _event_table(cohort)
+    t, d, y = _event_table(cohort.times, cohort.events)
     cumhaz = np.cumsum(d / y)
     return StepCurve(times=t, values=cumhaz, initial_value=0.0)

@@ -10,6 +10,7 @@ bit-identical across runs and across worker counts.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -40,6 +41,9 @@ PROCEDURES = (
     "two_sample",
 )
 _N_PROC = len(PROCEDURES)
+
+# columns of the flat results CSV, one row per procedure and sidedness
+CSV_FIELDS = ("kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff")
 
 
 @dataclass(frozen=True)
@@ -206,32 +210,39 @@ class SimulationResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def csv_rows(self) -> list[dict]:
-        """Flat rows (kappa,n_b,pi,procedure,sided,rate,lo,hi,n_eff) for plotting."""
-        rows = []
-        s = self.scenario
-        for name in PROCEDURES:
-            n = self.n_evaluated(name)
-            for sided, rate in (
-                ("two", self.two_sided_rate(name)),
-                ("one", self.one_sided_rate(name)),
-            ):
-                lo, hi = (
-                    mc_error_interval(rate, n) if n else (float("nan"), float("nan"))
-                )
-                rows.append(
-                    {
-                        "kappa": s.kappa,
-                        "n_b": s.n_b,
-                        "pi": s.pi,
-                        "procedure": name,
-                        "sided": sided,
-                        "rate": rate,
-                        "lo": lo,
-                        "hi": hi,
-                        "n_eff": n,
-                    }
-                )
-        return rows
+        """Flat rows (CSV_FIELDS) for plotting."""
+        return record_rows(self.to_json_dict())
+
+
+def record_rows(record: dict) -> list[dict]:
+    """CSV rows, one per procedure and sidedness, from a result's JSON record
+    (``SimulationResult.to_json_dict()`` or a record read back from disk)."""
+    s = record["scenario"]
+    rows = []
+    for name, stats in record["procedures"].items():
+        for sided in ("two", "one"):
+            lo, hi = stats[f"{sided}_sided_interval"]
+            rows.append(
+                {
+                    "kappa": s["kappa"],
+                    "n_b": s["n_b"],
+                    "pi": s["pi"],
+                    "procedure": name,
+                    "sided": sided,
+                    "rate": stats[f"{sided}_sided_rate"],
+                    "lo": lo,
+                    "hi": hi,
+                    "n_eff": stats["n_evaluated"],
+                }
+            )
+    return rows
+
+
+def write_rows_csv(fh, rows) -> None:
+    """Header plus rows, in CSV_FIELDS order, to an open text file."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def mc_error_interval(p: float, n: int, level: float = 0.95):
@@ -359,16 +370,5 @@ def load_scenarios(source) -> list[Scenario]:
 
 
 def write_results_csv(path, results) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "kappa", "n_b", "pi", "procedure", "sided",
-                "rate", "lo", "hi", "n_eff",
-            ],
-        )
-        writer.writeheader()
-        for result in results:
-            writer.writerows(result.csv_rows())
+        write_rows_csv(fh, [row for result in results for row in result.csv_rows()])

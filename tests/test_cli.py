@@ -231,13 +231,14 @@ def test_km_golden_rows(tmp_path, capsys):
     km_path = f"{prefix}_control_km.csv"
     na_path = f"{prefix}_control_na.csv"
     assert printed == [km_path, na_path]
-    rows = [line.split(",") for line in open(km_path).read().strip().splitlines()[1:]]
+    lines = pathlib.Path(km_path).read_text().strip().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
     assert [float(t) for t, _ in rows] == [0.0, 1.0, 3.0]
     values = [float(v) for _, v in rows]
     assert values[0] == 1.0
     assert values[1] == pytest.approx(2.0 / 3.0)
     assert values[2] == 0.0
-    na_rows = open(na_path).read().strip().splitlines()
+    na_rows = pathlib.Path(na_path).read_text().strip().splitlines()
     assert na_rows[1] == "0.0,0.0"
 
 
@@ -245,7 +246,7 @@ def test_km_all_censored(tmp_path):
     path = _write(tmp_path / "c.csv", [(1, 0), (2, 0)])
     prefix = tmp_path / "cens"
     assert main(["km", "--control", path, "--out", str(prefix)]) == 0
-    lines = open(f"{prefix}_control_km.csv").read().strip().splitlines()
+    lines = pathlib.Path(f"{prefix}_control_km.csv").read_text().splitlines()
     # just the header and the baseline anchor row
     assert lines == ["time,value", "0.0,1.0"]
 
@@ -270,10 +271,10 @@ def test_km_grouped_input_and_overlay(tmp_path, capsys):
         for suffix in ("km.csv", "na.csv", "fit.csv"):
             assert f"{prefix}_{label}_{suffix}" in printed
         assert f"{prefix}_{label}.svg" in printed
-    fit_lines = open(f"{prefix}_control_fit.csv").read().strip().splitlines()
+    fit_lines = pathlib.Path(f"{prefix}_control_fit.csv").read_text().splitlines()
     assert fit_lines[0] == "time,value"
     assert len(fit_lines) == 1 + 200
-    svg = open(f"{prefix}_control.svg").read()
+    svg = pathlib.Path(f"{prefix}_control.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     # overlay survival starts at 1 and decreases
     first = float(fit_lines[1].split(",")[1])
@@ -357,9 +358,14 @@ def test_report_roundtrip(tmp_path, capsys):
     assert len(table) == 2 + 7 * 2
     assert table[0].split()[:3] == ["kappa", "n_b", "pi"]
     assert main(["report", str(out) + ".json", "--format", "csv"]) == 0
-    csv_out = capsys.readouterr().out.strip().splitlines()
+    report_csv = capsys.readouterr().out
+    csv_out = report_csv.strip().splitlines()
     assert csv_out[0] == "kappa,n_b,pi,procedure,sided,rate,lo,hi,n_eff"
     assert len(csv_out) == 1 + 7 * 2
+    # rows read back from the JSON equal the rows of the run itself
+    assert main(["simulate", scenario, "--workers", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == report_csv
+    assert (tmp_path / "run.csv").read_bytes() == report_csv.encode()
 
 
 def test_report_malformed_input_exits_one(tmp_path, capsys):

@@ -7,9 +7,7 @@ from numpy.testing import assert_array_equal
 from oslr.data import (
     Cohort,
     Observation,
-    StudyHorizon,
     counting_process,
-    default_horizon,
     ingest_csv,
     write_csv,
 )
@@ -83,18 +81,6 @@ def test_counting_process():
     assert counting_process(c, 10.0) == (2, 0)
     with pytest.raises(UsageError):
         counting_process(c, -1.0)
-
-
-def test_horizon():
-    c1 = Cohort([(1.0, 1)])
-    c2 = Cohort([(4.0, 0)])
-    h = default_horizon(c1, c2)
-    assert h.t_max == 4.0
-    c2.check_horizon(h)
-    with pytest.raises(ValueError):
-        StudyHorizon(0.0)
-    with pytest.raises(ValueError):
-        c2.check_horizon(StudyHorizon(3.0))
 
 
 def test_ingest_plain(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oslr import _kernels
 from oslr.data import Cohort, ingest_csv
 from oslr.errors import DomainError, FitError, SelectionError
 from oslr.families import family
@@ -105,11 +106,15 @@ def test_fit_errors():
     censored = Cohort([(1.0, 0), (2.0, 0)])
     with pytest.raises(FitError, match="no events"):
         fit_mle("weibull", censored)
-    # all events at one identical time drives the Weibull shape to +inf
-    degenerate = Cohort.from_arrays(np.full(20, 2.0), np.ones(20))
-    with pytest.raises(FitError, match="boundary") as err:
-        fit_mle("weibull", degenerate)
-    assert err.value.last_theta is not None
+    # all events at one identical time drives the Weibull shape to +inf; the
+    # error carries the last iterate inside the bounds, not the trial that
+    # overshot them
+    for n in (6, 20):
+        degenerate = Cohort.from_arrays(np.full(n, 2.0), np.ones(n))
+        with pytest.raises(FitError, match="boundary") as err:
+            fit_mle("weibull", degenerate)
+        last = err.value.last_theta
+        assert np.all(np.isfinite(last)) and last[0] <= math.exp(_kernels._LOG_BOUND)
     with pytest.raises(DomainError):
         fit_mle("weibull", degenerate, init=[-1.0, 2.0])
 

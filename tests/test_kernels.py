@@ -76,17 +76,6 @@ def test_jit_fit_driver_matches_python_source():
         assert_allclose(jit[:2], py[:2], rtol=1e-12)
 
 
-@needs_numba
-def test_jit_two_sample_matches_python_source():
-    ta, da = _sample(MASTER_SEED + 1, 40)
-    tb, db = _sample(MASTER_SEED + 2, 30)
-    assert_allclose(
-        _kernels.two_sample_terms(ta, da, tb, db),
-        _kernels.two_sample_terms.py_func(ta, da, tb, db),
-        rtol=1e-13,
-    )
-
-
 def test_kernels_agree_with_family_wrappers():
     """The family-name API routes into the same coded kernels."""
     t_grid = np.array([0.5, 1.0, 3.0])

@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from oslr import _kernels, logrank
 from oslr.data import Cohort
 from oslr.errors import DegenerateTestError, DomainError, UsageError
 from oslr.fitting import fit_mle
@@ -272,8 +273,7 @@ def test_two_sample_degenerate():
         two_sample_logrank(Cohort([(1.0, 0)]), Cohort([(2.0, 0)]))
 
 
-def test_two_sample_matches_naive_oracle():
-    """100 random tied/censored datasets agree with the per-time sums."""
+def _two_sample_cases():
     rng = np.random.default_rng(MASTER_SEED + 4)
     for _ in range(100):
         na, nb = rng.integers(5, 40, size=2)
@@ -281,6 +281,27 @@ def test_two_sample_matches_naive_oracle():
         tb = rng.integers(1, 15, size=nb) / 2.0
         da = (rng.random(na) < 0.7).astype(np.int64)
         db = (rng.random(nb) < 0.7).astype(np.int64)
+        yield ta, da, tb, db
+    # every time tied, with a censored subject in the tie
+    yield np.full(7, 3.0), np.array([1, 1, 0, 1, 1, 1, 0]), np.full(5, 3.0), np.ones(5)
+    # a single subject, with an event, is at risk at the last event time (Y = 1)
+    yield (
+        np.array([1.0, 2.0, 3.0, 4.0]),
+        np.array([1, 0, 1, 1]),
+        np.array([1.5, 2.0, 2.5]),
+        np.array([1, 1, 0]),
+    )
+    # 2 x 2,000 with heavy ties
+    ta, tb = rng.integers(1, 400, size=(2, 2000)) / 8.0
+    da, db = (rng.random((2, 2000)) < 0.6).astype(np.int64)
+    yield ta, da, tb, db
+
+
+def test_two_sample_matches_naive_oracle():
+    """Random tied/censored datasets, all-tied times, Y = 1 at the last event
+    time and a 2 x 2,000 case agree with the per-time sums."""
+    for ta, da, tb, db in _two_sample_cases():
+        nb = len(tb)
         u, v = _naive_two_sample(ta, da, tb, db)
         if v <= 0.0:
             with pytest.raises(DegenerateTestError):
@@ -289,9 +310,38 @@ def test_two_sample_matches_naive_oracle():
                 )
             continue
         rep = two_sample_logrank(Cohort.from_arrays(ta, da), Cohort.from_arrays(tb, db))
-        assert_allclose(rep.z, u / math.sqrt(v), rtol=1e-8)
-        assert_allclose(rep.m_oslr * math.sqrt(nb), u, rtol=1e-8, atol=1e-12)
-        assert_allclose(rep.v1 * nb, v, rtol=1e-8)
+        assert_allclose(rep.z, u / math.sqrt(v), rtol=1e-12)
+        assert_allclose(rep.m_oslr * math.sqrt(nb), u, rtol=1e-12, atol=1e-12)
+        assert_allclose(rep.v1 * nb, v, rtol=1e-12)
+
+
+def test_one_kernel_pass_and_one_pseudo_inverse(monkeypatch):
+    """A corrected test evaluates the components once; the pseudo-inverse is
+    computed once per fitted reference curve, not once per test."""
+    calls = {"kernel": 0, "pinv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        _kernels, "oslr_components", counted("kernel", _kernels.oslr_components)
+    )
+    monkeypatch.setattr(
+        logrank, "pseudo_inverse", counted("pinv", logrank.pseudo_inverse)
+    )
+    rng = np.random.default_rng(MASTER_SEED + 5)
+    cohort_a = Cohort.from_arrays(rng.weibull(1.3, 40) + 0.01, np.ones(40))
+    cohort_b = Cohort.from_arrays(rng.weibull(1.3, 30) + 0.01, np.ones(30))
+    ref = ReferenceCurve.from_fit(fit_mle("weibull", cohort_a))
+    assert calls == {"kernel": 0, "pinv": 1}
+    oslr_test(ref, cohort_b, w=0.0, corrected=True)
+    assert calls == {"kernel": 1, "pinv": 1}
+    oslr_test(ref, cohort_b, w=0.5, corrected=True)
+    assert calls == {"kernel": 2, "pinv": 1}
 
 
 def test_w_choice_vanishes_at_large_n(truth_z_sample):
