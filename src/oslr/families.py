@@ -69,10 +69,11 @@ def check_theta(fam: FamilyDescriptor, theta) -> np.ndarray:
     return theta
 
 
-def _ab(fam: FamilyDescriptor, theta: np.ndarray) -> tuple[float, float]:
-    # kernels take two scalars; the exponential ignores the second
-    a = float(theta[0])
-    b = float(theta[1]) if fam.q == 2 else 1.0
+def _ab(fam: FamilyDescriptor, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # kernels take one (a, b) per row; this is one row, and the exponential
+    # ignores b
+    a = theta[:1]
+    b = theta[1:2] if fam.q == 2 else np.ones(1)
     return a, b
 
 
@@ -143,7 +144,7 @@ def grad_cumulative_hazard(fam, theta, t):
     if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
         raise UsageError(f"gradient requires finite t > 0, got {t!r}")
     a, b = _ab(fam, theta)
-    g = _kernels.cumhaz_grad(fam.code, a, b, t_arr)[:, : fam.q]
+    g = np.stack(_kernels.cumhaz_grad(fam.code, a, b, t_arr), axis=-1)[:, : fam.q]
     return g if np.ndim(t) else g[0]
 
 
@@ -155,10 +156,12 @@ def loglik_derivatives(fam, theta, obs: Observation):
     """
     fam = family(fam)
     theta = check_theta(fam, theta)
-    times = np.array([obs.time], dtype=np.float64)
-    events = np.array([float(obs.event)], dtype=np.float64)
+    times = np.array([[obs.time]], dtype=np.float64)
+    events = np.array([[float(obs.event)]], dtype=np.float64)
     a, b = _ab(fam, theta)
-    value, g0, g1, h00, h01, h11 = _kernels.loglik_derivs(fam.code, a, b, times, events)
+    value, g0, g1, h00, h01, h11 = (
+        x[0] for x in _kernels.loglik_derivs(fam.code, a, b, times, events)
+    )
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]
     return float(value), grad, hess
@@ -169,4 +172,5 @@ def total_loglik(fam, theta, cohort) -> float:
     fam = family(fam)
     theta = check_theta(fam, theta)
     a, b = _ab(fam, theta)
-    return float(_kernels.loglik_derivs(fam.code, a, b, cohort.times, cohort.events)[0])
+    value = _kernels.loglik_derivs(fam.code, a, b, cohort.times[None], cohort.events[None])[0]
+    return float(value[0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,24 @@ GRAD_TOL = 1e-8
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+def _fields_equal(self, other) -> bool:
+    """Field-wise equality for frozen dataclasses with array fields: arrays
+    compare by value, and fields declared with ``compare=False`` are skipped."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        x, y = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Converged MLE for one family on one cohort."""
 
@@ -39,6 +56,10 @@ class FitResult:
     n: int
     converged: bool
     iterations: int
+    # norm of the log-scale gradient of the mean log-likelihood at theta_hat
+    grad_norm: float
+
+    __eq__ = _fields_equal
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,25 +71,26 @@ class FitResult:
             "n": self.n,
             "converged": self.converged,
             "iterations": self.iterations,
+            "grad_norm": self.grad_norm,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _loglik_and_information(fam, theta, cohort: Cohort) -> tuple[float, np.ndarray]:
-    a, b = _ab(fam, theta)
-    value, _, _, h00, h01, h11 = _kernels.loglik_derivs(
-        fam.code, a, b, cohort.times, cohort.events
-    )
-    full = np.array([[h00, h01], [h01, h11]])
-    return float(value), -full[: fam.q, : fam.q] / cohort.n
+def _loglik_and_information(fam, a, b, times, events):
+    """Total log-likelihood (R,) and average negated Hessian (R, q, q) of
+    each row of (R, n) times and events at natural parameters (a, b)."""
+    value, _, _, h00, h01, h11 = _kernels.loglik_derivs(fam.code, a, b, times, events)
+    full = np.stack((np.stack((h00, h01), axis=-1), np.stack((h01, h11), axis=-1)), axis=-2)
+    return value, -full[:, : fam.q, : fam.q] / times.shape[-1]
 
 
 def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
     """Average negated log-likelihood Hessian, -(1/n) * sum_i H_i(theta)."""
     fam = family(fam)
-    return _loglik_and_information(fam, check_theta(fam, theta), cohort)[1]
+    a, b = _ab(fam, check_theta(fam, theta))
+    return _loglik_and_information(fam, a, b, cohort.times[None], cohort.events[None])[1][0]
 
 
 def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
@@ -95,16 +117,22 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
         x0 = math.log(cohort.n_events / float(times.sum())) if fam.q == 1 else 0.0
         x1 = 0.0
     else:
-        a0, b0 = _ab(fam, check_theta(fam, init))
+        a0, b0 = (float(v[0]) for v in _ab(fam, check_theta(fam, init)))
         # in time units of `unit` a rate scales up and a scale down
         x0 = math.log(a0 * unit) if fam.q == 1 else math.log(a0)
         x1 = math.log(b0 / unit) if fam.q == 2 else 0.0
-    # overflow at rejected trial points is expected and handled; keep the
-    # pure-numpy kernel path quiet about it
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a, b, iters, status = _kernels.fit_newton(
-            fam.code, times, cohort.events, x0, x1, GRAD_TOL, MAX_ITER
+    a, b, grad_norm, iters, status = (
+        v[0]
+        for v in _kernels.fit_newton(
+            fam.code,
+            times[None],
+            cohort.events[None],
+            np.array([x0]),
+            np.array([x1]),
+            GRAD_TOL,
+            MAX_ITER,
         )
+    )
     theta_hat = np.array([a / unit]) if fam.q == 1 else np.array([a, b * unit])
     if status == _kernels.FIT_BOUNDARY or not np.all(
         np.isfinite(theta_hat) & (theta_hat > 0)
@@ -123,16 +151,21 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
             f"{fam.name} fit did not converge within {MAX_ITER} iterations",
             last_theta=theta_hat,
         )
-    loglik, info = _loglik_and_information(fam, theta_hat, cohort)
+    a, b = _ab(fam, theta_hat)
+    loglik, info = _loglik_and_information(
+        fam, a, b, cohort.times[None], cohort.events[None]
+    )
+    loglik = float(loglik[0])
     return FitResult(
         family=fam,
         theta_hat=theta_hat,
-        info_matrix=info,
+        info_matrix=info[0],
         loglik=loglik,
         aic=2.0 * fam.q - 2.0 * loglik,
         n=cohort.n,
         converged=True,
         iterations=int(iters),
+        grad_norm=float(grad_norm),
     )
 
 
@@ -153,22 +186,23 @@ def select_model(fits) -> FitResult:
 
 
 def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via SVD.
+    """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
+    (..., q, q) stack, via SVD.
 
     Singular values below tol * s_max count as zero; tol defaults to
-    1e-12 * q for a q x q input.
+    1e-12 * q for q x q matrices.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1e-10 * scale:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10")
     if tol is None:
-        tol = 1e-12 * m.shape[0]
+        tol = 1e-12 * m.shape[-1]
     u, s, vt = np.linalg.svd(m)
-    cutoff = tol * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)
-    keep = s > cutoff
+    keep = s > tol * s[..., :1]
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)

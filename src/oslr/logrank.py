@@ -20,7 +20,7 @@ from . import _kernels
 from .data import Cohort
 from .errors import DegenerateTestError, UsageError
 from .families import FamilyDescriptor, _ab, check_theta, family
-from .fitting import FitResult, pseudo_inverse
+from .fitting import FitResult, _fields_equal, pseudo_inverse
 from .nonparametric import _event_table
 
 
@@ -56,7 +56,7 @@ def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
     return m_oslr / math.sqrt(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceCurve:
     """Cumulative-hazard curve the experimental cohort is tested against.
 
@@ -73,6 +73,8 @@ class ReferenceCurve:
     info_pinv: np.ndarray | None = field(
         init=False, default=None, repr=False, compare=False
     )
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         fam = family(self.family)
@@ -153,6 +155,26 @@ class TestReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _compensated_and_v1(n_events, expected, n, w):
+    """M(t) = n^{-1/2} (N(t) - E(t)) and V1(w, t) = (w N(t) + (1-w) E(t)) / n,
+    for scalars or rows alike."""
+    return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
+
+
+def _v2(pi, g0, g1, info_pinv):
+    """V2 = pi * gbar' J^+ gbar for gbar = (g0, g1)[:q], written out
+    elementwise so that a row of a (R, q, q) stack is computed alike in any
+    block."""
+    p = info_pinv
+    h0 = pi * g0
+    if p.shape[-1] == 1:
+        return h0 * p[..., 0, 0] * g0
+    h1 = pi * g1
+    return (h0 * p[..., 0, 0] + h1 * p[..., 1, 0]) * g0 + (
+        h0 * p[..., 0, 1] + h1 * p[..., 1, 1]
+    ) * g1
+
+
 def _statistics(
     ref: ReferenceCurve,
     cohort_b: Cohort,
@@ -172,15 +194,21 @@ def _statistics(
         if pi <= 0.0:
             raise UsageError(f"allocation ratio pi must be positive, got {pi}")
     a, b = _ab(ref.family, ref.theta)
-    n_events, expected, g0, g1 = _kernels.oslr_components(
-        ref.family.code, a, b, cohort_b.times, cohort_b.events, t
+    n_events, expected, g0, g1 = (
+        float(v[0])
+        for v in _kernels.oslr_components(
+            ref.family.code,
+            a,
+            b,
+            cohort_b.times[None],
+            cohort_b.events[None],
+            np.array([t], dtype=np.float64),
+        )
     )
-    m = (n_events - expected) / math.sqrt(cohort_b.n)
-    v1 = (w * n_events + (1.0 - w) * expected) / cohort_b.n
+    m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     v2 = None
     if pi is not None:
-        gbar = np.array([g0, g1][: ref.family.q])
-        v2 = float(pi * gbar @ ref.info_pinv @ gbar)
+        v2 = float(_v2(pi, g0, g1, ref.info_pinv))
     return n_events, expected, m, v1, v2
 
 
@@ -244,6 +272,21 @@ def oslr_test(
     )
 
 
+def _two_sample_scores(times, events, in_b):
+    """Log-rank score U = sum_j (d_Bj - d_j Y_Bj / Y_j) and its
+    hypergeometric variance V for each row of (R, n) pooled times, events
+    and 0/1 group-B markers; each is (R,)."""
+    row, _, d, y, d_b, y_b = _event_table(times, events, in_b)
+    n_rows = times.shape[0]
+    frac = y_b / y
+    u = np.bincount(row, d_b - d * frac, minlength=n_rows)
+    # the variance term needs Y_j > 1; mask before dividing
+    m = y > 1
+    row, d, y, frac = row[m], d[m], y[m], frac[m]
+    v = np.bincount(row, d * frac * (1.0 - frac) * (y - d) / (y - 1.0), minlength=n_rows)
+    return u, v
+
+
 def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:
     """Standard unweighted two-sample log-rank test.
 
@@ -251,17 +294,14 @@ def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:
     and v1 = V/n_B, so z = U/sqrt(V).
     """
     n_a, n_b = cohort_a.n, cohort_b.n
-    _, d, y, d_b, y_b = _event_table(
-        np.concatenate((cohort_a.times, cohort_b.times)),
-        np.concatenate((cohort_a.events, cohort_b.events)),
-        np.concatenate((np.zeros(n_a), np.ones(n_b))),
+    u, v = (
+        float(x[0])
+        for x in _two_sample_scores(
+            np.concatenate((cohort_a.times, cohort_b.times))[None],
+            np.concatenate((cohort_a.events, cohort_b.events))[None],
+            np.concatenate((np.zeros(n_a), np.ones(n_b)))[None],
+        )
     )
-    frac = y_b / y
-    u = float((d_b - d * frac).sum())
-    # the hypergeometric variance term needs Y_j > 1; mask before dividing
-    m = y > 1
-    d, y, frac = d[m], y[m], frac[m]
-    v = float((d * frac * (1.0 - frac) * (y - d) / (y - 1.0)).sum())
     if v <= 0.0:
         raise DegenerateTestError(
             "two-sample log-rank variance is zero: no comparable events"

@@ -56,36 +56,45 @@ class StepCurve:
 
 
 def _event_table(times, events, in_b=None):
-    """Distinct event times t_j with tied-event counts d_j and at-risk sizes Y_j.
+    """Event table of each row of (R, n) times and 0/1 events.
 
-    With a 0/1 group marker ``in_b`` the marked group's d_j and Y_j follow.
+    Returns (row_j, t_j, d_j, Y_j) over the distinct event times of every
+    row, row after row in time order: the row t_j belongs to, the tied
+    events d_j and the row's subjects at risk Y_j at t_j^-. With a 0/1
+    group marker ``in_b`` (also (R, n)) the marked group's d_j and Y_j
+    follow. The default sort is enough: a tie group needs only to be
+    contiguous, and its counts do not depend on the order inside it.
     """
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    events = events[order]
-    start = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
-    d = np.add.reduceat(events, start)
-    # Y_j counts everyone still under observation at t_j^-: all from start_j on
-    at_risk = times.shape[0] - start
+    n = times.shape[-1]
+    order = np.argsort(times, axis=-1)
+    times = np.take_along_axis(times, order, axis=-1)
+    events = np.take_along_axis(events, order, axis=-1)
+    first = np.ones(times.shape, dtype=bool)
+    first[:, 1:] = times[:, 1:] != times[:, :-1]
+    start = np.flatnonzero(first)
+    d = np.add.reduceat(events.ravel(), start)
     keep = d > 0
-    table = (times[start[keep]], d[keep], at_risk[keep])
+    row, col = np.divmod(start[keep], n)
+    # Y_j counts the row's subjects still under observation at t_j^-: all
+    # from the tie group's start on
+    table = (row, times[row, col], d[keep], n - col)
     if in_b is None:
         return table
-    in_b = in_b[order]
-    d_b = np.add.reduceat(events * in_b, start)
-    at_risk_b = np.cumsum(in_b[::-1])[::-1][start]
-    return table + (d_b[keep], at_risk_b[keep])
+    in_b = np.take_along_axis(in_b, order, axis=-1)
+    d_b = np.add.reduceat((events * in_b).ravel(), start)
+    at_risk_b = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1]
+    return table + (d_b[keep], at_risk_b[row, col])
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:
     """Product-limit survival estimate; jumps only at event times."""
-    t, d, y = _event_table(cohort.times, cohort.events)
+    _, t, d, y = _event_table(cohort.times[None], cohort.events[None])
     surv = np.cumprod(1.0 - d / y)
     return StepCurve(times=t, values=surv, initial_value=1.0)
 
 
 def nelson_aalen(cohort: Cohort) -> StepCurve:
     """Cumulative-hazard estimate, sum of d_j / Y_j over event times <= t."""
-    t, d, y = _event_table(cohort.times, cohort.events)
+    _, t, d, y = _event_table(cohort.times[None], cohort.events[None])
     cumhaz = np.cumsum(d / y)
     return StepCurve(times=t, values=cumhaz, initial_value=0.0)

@@ -6,6 +6,13 @@ without correction (w = 0 and w = 0.5), the corrected test (w = 0 and
 w = 0.5), and a two-sample log-rank comparator. Replicates draw from
 counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
+
+The unit of work is a block of replicates held as (R, n) arrays, one
+replicate per row: the block is drawn, fitted (one batched Newton run),
+tested against both reference curves (one component pass each, from which
+all six one-sample z-values follow arithmetically) and compared two-sample
+(one event table) at once. A row's z-values do not depend on the other rows
+of its block, so the counts are the same for any chunking and worker count.
 """
 
 from __future__ import annotations
@@ -20,15 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .data import Cohort
-from .errors import DegenerateTestError, FitError, UsageError
-from .fitting import fit_mle
+from .errors import UsageError
+from .families import WEIBULL
+from .fitting import GRAD_TOL, MAX_ITER, _loglik_and_information, pseudo_inverse
 from .logrank import (
-    ReferenceCurve,
+    _compensated_and_v1,
+    _two_sample_scores,
+    _v2,
     critical_value,
     normal_quantile,
-    oslr_test,
-    two_sample_logrank,
 )
 
 PROCEDURES = (
@@ -41,6 +50,9 @@ PROCEDURES = (
     "two_sample",
 )
 _N_PROC = len(PROCEDURES)
+
+# a block of R replicates holds at most this many observations, R * (n_a + n_b)
+_BLOCK_ELEMENTS = 2**15
 
 # columns of the flat results CSV, one row per procedure and sidedness
 CSV_FIELDS = ("kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff")
@@ -100,16 +112,121 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
+def _uniforms(scenario: Scenario, start: int, stop: int) -> np.ndarray:
+    """Uniforms of replicates start..stop-1, one row each from its own stream."""
+    u = np.empty((stop - start, 2 * (scenario.n_a + scenario.n_b)))
+    for row, index in enumerate(range(start, stop)):
+        replicate_rng(scenario.seed, index).random(out=u[row])
+    return u
+
+
+def _observe(scenario: Scenario, u_event, u_censor):
+    """Observed times and 0/1 event flags from uniforms: Weibull event times
+    by inversion, t = sigma (-log u)^(1/kappa), and censoring times
+    c = followup + accrual * u, uniform on [followup, accrual + followup]."""
+    with np.errstate(divide="ignore"):
+        t = scenario.sigma * (-np.log(u_event)) ** (1.0 / scenario.kappa)
+    c = scenario.followup_years + scenario.accrual_years * u_censor
+    return np.minimum(t, c), (t <= c).astype(np.float64)
+
+
 def generate_cohort(scenario: Scenario, group: str, rng: np.random.Generator) -> Cohort:
-    """Draw one arm: Weibull event times by inversion, censoring uniform on
-    [followup, accrual + followup]."""
+    """Draw one arm of n subjects from ``rng``: n event-time uniforms, then n
+    censoring uniforms (see ``_observe``)."""
     if group not in ("A", "B"):
         raise UsageError(f"group must be 'A' or 'B', got {group!r}")
     n = scenario.n_a if group == "A" else scenario.n_b
-    with np.errstate(divide="ignore"):
-        t = scenario.sigma * (-np.log(rng.random(n))) ** (1.0 / scenario.kappa)
-    c = scenario.followup_years + scenario.accrual_years * rng.random(n)
-    return Cohort.from_arrays(np.minimum(t, c), (t <= c).astype(np.float64), group)
+    times, events = _observe(scenario, rng.random(n), rng.random(n))
+    return Cohort.from_arrays(times, events, group)
+
+
+def _z_or_nan(m, total):
+    """m / sqrt(total) where total > 0; NaN (not evaluated) elsewhere."""
+    z = np.full(m.shape, np.nan)
+    ok = total > 0.0
+    z[ok] = m[ok] / np.sqrt(total[ok])
+    return z
+
+
+def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
+    """z-values of the seven procedures, (R, 7), for a block of replicates.
+
+    Row i of ``u`` holds replicate i's 2 n_a + 2 n_b uniforms in the order
+    two ``generate_cohort`` calls draw them (arm A, then arm B). A z is NaN
+    where its procedure is not evaluated: a failed fit, or a test whose
+    variance is not positive.
+    """
+    n_a, n_b = scenario.n_a, scenario.n_b
+    times_a, events_a = _observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a])
+    times_b, events_b = _observe(
+        scenario, u[:, 2 * n_a : 2 * n_a + n_b], u[:, 2 * n_a + n_b :]
+    )
+    times = np.concatenate((times_a, times_b), axis=1)
+    if not np.all(np.isfinite(times) & (times > 0)):
+        raise ValueError("times must be finite and positive")
+    n_rows = u.shape[0]
+    z = np.full((n_rows, _N_PROC), np.nan)
+    # the analysis time of every one-sample test: arm B's largest time
+    t_end = times_b.max(axis=1)
+
+    def one_sample(slots, rows, a, b, pi=None, pinv=None):
+        n_events, expected, g0, g1 = _kernels.oslr_components(
+            WEIBULL.code, a, b, times_b[rows], events_b[rows], t_end[rows]
+        )
+        v2 = 0.0 if pi is None else _v2(pi, g0, g1, pinv)
+        for slot, w in zip(slots, (0.0, 0.5)):
+            m, v1 = _compensated_and_v1(n_events, expected, n_b, w)
+            z[rows, slot] = _z_or_nan(m, v1 + v2)
+
+    one_sample(
+        (0, 1),
+        np.arange(n_rows),
+        np.full(n_rows, scenario.kappa),
+        np.full(n_rows, scenario.sigma),
+    )
+
+    # Weibull fit to arm A as fit_mle does it: rows without events fail, the
+    # others start at shape 1 and scale 1 in units of their upper median
+    fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
+    unit = np.partition(times_a[fitted], n_a // 2, axis=1)[:, n_a // 2]
+    start = np.zeros(fitted.size)
+    a, b, _, _, status = _kernels.fit_newton(
+        WEIBULL.code,
+        times_a[fitted] / unit[:, None],
+        events_a[fitted],
+        start,
+        start,
+        GRAD_TOL,
+        MAX_ITER,
+    )
+    b = b * unit
+    ok = (status == _kernels.FIT_OK) & np.isfinite(a) & (a > 0) & np.isfinite(b) & (b > 0)
+    fitted, a, b = fitted[ok], a[ok], b[ok]
+    _, info = _loglik_and_information(WEIBULL, a, b, times_a[fitted], events_a[fitted])
+    one_sample((2, 3), fitted, a, b)
+    one_sample((4, 5), fitted, a, b, pi=n_b / n_a, pinv=pseudo_inverse(info))
+
+    in_b = np.concatenate((np.zeros(n_a), np.ones(n_b)))
+    u_score, v_score = _two_sample_scores(
+        times,
+        np.concatenate((events_a, events_b), axis=1),
+        np.broadcast_to(in_b, times.shape),
+    )
+    z[:, 6] = _z_or_nan(u_score, v_score)
+    return z
+
+
+def _tally(z: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows (evaluated, two-sided rejections, one-sided rejections), each
+    per procedure and summed over the rows of a (R, 7) z block."""
+    crit = critical_value(alpha)
+    return np.stack(
+        (
+            np.isfinite(z).sum(axis=0),
+            (np.abs(z) >= crit).sum(axis=0),
+            (z <= -crit).sum(axis=0),
+        )
+    )
 
 
 def run_replicate(scenario: Scenario, rng: np.random.Generator):
@@ -119,45 +236,8 @@ def run_replicate(scenario: Scenario, rng: np.random.Generator):
     PROCEDURES. A failed fit marks only the fit-based procedures as not
     evaluated; degenerate tests mark their own procedure.
     """
-    evaluated = np.zeros(_N_PROC, dtype=np.int64)
-    rej_two = np.zeros(_N_PROC, dtype=np.int64)
-    rej_one = np.zeros(_N_PROC, dtype=np.int64)
-    cohort_a = generate_cohort(scenario, "A", rng)
-    cohort_b = generate_cohort(scenario, "B", rng)
-    true_ref = ReferenceCurve.fixed("weibull", [scenario.kappa, scenario.sigma])
-    try:
-        fitted_ref = ReferenceCurve.from_fit(fit_mle("weibull", cohort_a))
-    except FitError:
-        fitted_ref = None
-    crit = critical_value(scenario.alpha)
-
-    def record(slot: int, z: float) -> None:
-        if not math.isfinite(z):
-            return
-        evaluated[slot] = 1
-        rej_two[slot] = abs(z) >= crit
-        rej_one[slot] = z <= -crit
-
-    for slot, (ref, w, corrected) in enumerate(
-        (
-            (true_ref, 0.0, False),
-            (true_ref, 0.5, False),
-            (fitted_ref, 0.0, False),
-            (fitted_ref, 0.5, False),
-            (fitted_ref, 0.0, True),
-            (fitted_ref, 0.5, True),
-        )
-    ):
-        if ref is None:
-            continue
-        try:
-            record(slot, oslr_test(ref, cohort_b, w=w, corrected=corrected).z)
-        except DegenerateTestError:
-            pass
-    try:
-        record(6, two_sample_logrank(cohort_a, cohort_b).z)
-    except DegenerateTestError:
-        pass
+    u = rng.random(2 * (scenario.n_a + scenario.n_b))
+    evaluated, rej_two, rej_one = _tally(_block_z(scenario, u[None]), scenario.alpha)
     return evaluated, rej_two, rej_one
 
 
@@ -257,17 +337,15 @@ def mc_error_interval(p: float, n: int, level: float = 0.95):
     return max(0.0, p - half), min(1.0, p + half)
 
 
-def _chunk_counts(args):
+def _chunk_counts(args) -> np.ndarray:
+    """Counts (see ``_tally``) of replicates start..stop-1, block by block."""
     scenario, start, stop = args
-    evaluated = np.zeros(_N_PROC, dtype=np.int64)
-    rej_two = np.zeros(_N_PROC, dtype=np.int64)
-    rej_one = np.zeros(_N_PROC, dtype=np.int64)
-    for index in range(start, stop):
-        e, r2, r1 = run_replicate(scenario, replicate_rng(scenario.seed, index))
-        evaluated += e
-        rej_two += r2
-        rej_one += r1
-    return evaluated, rej_two, rej_one
+    counts = np.zeros((3, _N_PROC), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b))
+    for first in range(start, stop, step):
+        u = _uniforms(scenario, first, min(first + step, stop))
+        counts += _tally(_block_z(scenario, u), scenario.alpha)
+    return counts
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -294,18 +372,13 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationRe
     workers = resolve_workers(workers)
     n = scenario.replicates
     if workers == 1 or n < 4:
-        evaluated, rej_two, rej_one = _chunk_counts((scenario, 0, n))
+        counts = _chunk_counts((scenario, 0, n))
     else:
         step = max(1, math.ceil(n / (workers * 4)))
         chunks = [(scenario, s, min(s + step, n)) for s in range(0, n, step)]
-        evaluated = np.zeros(_N_PROC, dtype=np.int64)
-        rej_two = np.zeros(_N_PROC, dtype=np.int64)
-        rej_one = np.zeros(_N_PROC, dtype=np.int64)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for e, r2, r1 in pool.map(_chunk_counts, chunks):
-                evaluated += e
-                rej_two += r2
-                rej_one += r1
+            counts = sum(pool.map(_chunk_counts, chunks))
+    evaluated, rej_two, rej_one = counts
     return SimulationResult(
         scenario=scenario,
         evaluated=evaluated,

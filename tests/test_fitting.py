@@ -15,6 +15,7 @@ from oslr.data import Cohort, ingest_csv
 from oslr.errors import DomainError, FitError, SelectionError
 from oslr.families import family
 from oslr.fitting import (
+    GRAD_TOL,
     FitResult,
     aic,
     empirical_information,
@@ -197,10 +198,43 @@ def test_fit_result_json():
     d = fit.to_json_dict()
     assert set(d) == {
         "family", "theta_hat", "info_matrix", "loglik", "aic", "n",
-        "converged", "iterations",
+        "converged", "iterations", "grad_norm",
     }
     assert d["family"] == "exponential"
     assert d["info_matrix"] == [4.0]
+    assert d["grad_norm"] == fit.grad_norm
+
+
+def test_fit_reports_final_gradient_norm():
+    """A converged fit stopped on the gradient rule, so its reported norm is
+    within the tolerance, in every family."""
+    cohort = ingest_csv(DATA_CONTROL)
+    for name in ("exponential", "weibull", "loglogistic"):
+        fit = fit_mle(name, cohort)
+        assert 0.0 <= fit.grad_norm <= GRAD_TOL
+
+
+def test_fit_result_equality():
+    """Array fields compare by value, so equal fits are equal."""
+    cohort = ingest_csv(DATA_CONTROL)
+    first = fit_mle("weibull", cohort)
+    assert first == fit_mle("weibull", cohort)
+    assert first != fit_mle("loglogistic", cohort)
+    assert first != fit_mle("weibull", Cohort.from_arrays(cohort.times * 2.0, cohort.events))
+
+
+def test_fit_survives_overflowing_trial():
+    """A trial step whose Hessian divides by an underflowed scale squared
+    backtracks instead of raising ZeroDivisionError (replicate 140 of this
+    cell sends the scale's log-parameter to about -699)."""
+    scenario = Scenario(kappa=0.5, n_b=25, pi=2.0, replicates=300, seed=7)
+    cohort = generate_cohort(scenario, "A", replicate_rng(7, 140))
+    assert cohort.n == 12
+    try:
+        fit = fit_mle("weibull", cohort)
+    except FitError:
+        return
+    assert fit.grad_norm <= GRAD_TOL
 
 
 def test_info_matrix_psd_and_symmetric():
@@ -233,6 +267,7 @@ def _dummy_fit(name, q, value):
         n=10,
         converged=True,
         iterations=1,
+        grad_norm=0.0,
     )
 
 

@@ -75,6 +75,25 @@ def test_reference_curve_construction():
         ReferenceCurve(family="weibull", theta=[1.0, 1.0], info_matrix=np.eye(1))
 
 
+def test_reference_curve_equality():
+    """Array fields compare by value; the derived pseudo-inverse is left out."""
+    assert ReferenceCurve.fixed("weibull", [1.0, 2.0]) == ReferenceCurve.fixed(
+        "weibull", [1.0, 2.0]
+    )
+    assert ReferenceCurve.fixed("weibull", [1.0, 2.0]) != ReferenceCurve.fixed(
+        "weibull", [1.0, 2.5]
+    )
+    assert ReferenceCurve.fixed("weibull", [1.0, 2.0]) != ReferenceCurve.fixed(
+        "loglogistic", [1.0, 2.0]
+    )
+    rng = np.random.default_rng(MASTER_SEED + 3)
+    cohort = Cohort.from_arrays(rng.weibull(1.3, 40) + 0.01, np.ones(40))
+    fitted = ReferenceCurve.from_fit(fit_mle("weibull", cohort))
+    fixed = ReferenceCurve.fixed("weibull", fitted.theta)
+    assert fitted != fixed and fixed != fitted
+    assert fitted == ReferenceCurve.from_fit(fit_mle("weibull", cohort))
+
+
 def test_expected_events_hand_examples():
     """Unit exponential has Lambda(t) = t, so E is a sum of truncated times."""
     ref = ReferenceCurve.fixed("exponential", [1.0])

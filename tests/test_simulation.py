@@ -14,11 +14,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oslr.errors import UsageError
+from oslr.errors import DegenerateTestError, FitError, UsageError
+from oslr.fitting import fit_mle
+from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
+from oslr.nonparametric import _event_table
 from oslr.simulation import (
     PROCEDURES,
     Scenario,
     SimulationResult,
+    _block_z,
+    _uniforms,
     generate_cohort,
     load_scenarios,
     mc_error_interval,
@@ -145,6 +150,92 @@ def test_run_scenario_worker_invariance():
     assert np.array_equal(serial.evaluated, parallel.evaluated)
     assert np.array_equal(serial.rejected_two, parallel.rejected_two)
     assert np.array_equal(serial.rejected_one, parallel.rejected_one)
+
+
+def _single_cohort_z(scenario, index):
+    """The seven z-values of one replicate from the single-cohort API:
+    generate_cohort, fit_mle, oslr_test and two_sample_logrank; NaN where a
+    procedure is not evaluated."""
+    rng = replicate_rng(scenario.seed, index)
+    cohort_a = generate_cohort(scenario, "A", rng)
+    cohort_b = generate_cohort(scenario, "B", rng)
+    z = np.full(len(PROCEDURES), np.nan)
+    true_ref = ReferenceCurve.fixed("weibull", [scenario.kappa, scenario.sigma])
+    try:
+        fitted_ref = ReferenceCurve.from_fit(fit_mle("weibull", cohort_a))
+    except FitError:
+        fitted_ref = None
+    runs = [
+        (true_ref, 0.0, False),
+        (true_ref, 0.5, False),
+        (fitted_ref, 0.0, False),
+        (fitted_ref, 0.5, False),
+        (fitted_ref, 0.0, True),
+        (fitted_ref, 0.5, True),
+    ]
+    for slot, (ref, w, corrected) in enumerate(runs):
+        if ref is not None:
+            try:
+                z[slot] = oslr_test(ref, cohort_b, w=w, corrected=corrected).z
+            except DegenerateTestError:
+                pass
+    try:
+        z[6] = two_sample_logrank(cohort_a, cohort_b).z
+    except DegenerateTestError:
+        pass
+    return z
+
+
+ENGINE_CELLS = [(1.0, 50, 1.0), (2.0, 50, 0.5), (0.5, 50, 2.0), (1.0, 10, 1.0)]
+
+
+@pytest.mark.parametrize("kappa, n_b, pi", ENGINE_CELLS)
+def test_block_engine_matches_single_cohort_api(kappa, n_b, pi):
+    """Per replicate, the block engine's z-values and evaluated procedures
+    equal those of the single-cohort API."""
+    s = _scenario(kappa=kappa, n_b=n_b, pi=pi, replicates=300)
+    engine = _block_z(s, _uniforms(s, 0, s.replicates))
+    oracle = np.array([_single_cohort_z(s, i) for i in range(s.replicates)])
+    assert np.array_equal(np.isfinite(engine), np.isfinite(oracle))
+    assert_allclose(engine, oracle, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("kappa, n_b, pi", ENGINE_CELLS)
+def test_block_composition_invariance(kappa, n_b, pi):
+    """Each row's z-values are bitwise the same in one block of R, in blocks
+    of 1 and in blocks of 37: counts cannot depend on chunking or workers."""
+    s = _scenario(kappa=kappa, n_b=n_b, pi=pi, replicates=300)
+    u = _uniforms(s, 0, s.replicates)
+    whole = _block_z(s, u).tobytes()
+    for size in (1, 37):
+        parts = [_block_z(s, u[i : i + size]) for i in range(0, s.replicates, size)]
+        assert np.concatenate(parts).tobytes() == whole, f"blocks of {size}"
+
+
+def test_event_table_rows_match_single_rows():
+    """A multi-row, tie-heavy event table equals its rows' own tables."""
+    rng = np.random.default_rng(MASTER_SEED + 11)
+    times = rng.integers(1, 6, size=(9, 40)).astype(np.float64)
+    events = (rng.random((9, 40)) < 0.6).astype(np.float64)
+    events[4] = 0.0  # a row with no events at all
+    times[5] = 3.0  # a row tied throughout
+    in_b = (rng.random((9, 40)) < 0.5).astype(np.float64)
+    row, *block = _event_table(times, events, in_b)
+    assert np.all(np.diff(row) >= 0)
+    for r in range(9):
+        one_row, *single = _event_table(times[r : r + 1], events[r : r + 1], in_b[r : r + 1])
+        assert np.all(one_row == 0)
+        for got, want in zip(block, single):
+            assert np.array_equal(got[row == r], want)
+    assert not np.any(row == 4)
+
+
+def test_run_scenario_survives_overflowing_fit_trial():
+    """Replicate 140 of this cell sent a Weibull fit trial into a division
+    by an underflowed scale squared, which used to crash the run."""
+    s = Scenario(kappa=0.5, n_b=25, pi=2.0, replicates=141, seed=7)
+    result = run_scenario(s, workers=1)
+    assert result.evaluated.sum() > 0
 
 
 def test_resolve_workers(monkeypatch):
