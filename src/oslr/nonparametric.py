@@ -64,26 +64,37 @@ def _event_table(times, events, in_b=None):
     group marker ``in_b`` (also (R, n)) the marked group's d_j and Y_j
     follow. The default sort is enough: a tie group needs only to be
     contiguous, and its counts do not depend on the order inside it.
+
+    The rows are sorted, then laid end to end and read through flat
+    indices, ``order + row * n``; every row boundary starts a tie group, so
+    equal times in adjacent rows stay apart.
     """
-    n = times.shape[-1]
-    order = np.argsort(times, axis=-1)
-    times = np.take_along_axis(times, order, axis=-1)
-    events = np.take_along_axis(events, order, axis=-1)
-    first = np.ones(times.shape, dtype=bool)
-    first[:, 1:] = times[:, 1:] != times[:, :-1]
+    n_rows, n = times.shape
+    flat = np.argsort(times, axis=-1)
+    flat += np.arange(0, n_rows * n, n)[:, None]
+    flat = flat.ravel()
+    times = times.ravel()[flat]
+    events = events.ravel()[flat]
+    first = np.empty(times.size, dtype=bool)
+    np.not_equal(times[1:], times[:-1], out=first[1:])
+    first[::n] = True
     start = np.flatnonzero(first)
-    d = np.add.reduceat(events.ravel(), start)
+    d = np.add.reduceat(events, start)
     keep = d > 0
-    row, col = np.divmod(start[keep], n)
+    at = start[keep]
+    row = at // n
     # Y_j counts the row's subjects still under observation at t_j^-: all
     # from the tie group's start on
-    table = (row, times[row, col], d[keep], n - col)
+    table = (row, times[at], d[keep], n - (at - row * n))
     if in_b is None:
         return table
-    in_b = np.take_along_axis(in_b, order, axis=-1)
-    d_b = np.add.reduceat((events * in_b).ravel(), start)
-    at_risk_b = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1]
-    return table + (d_b[keep], at_risk_b[row, col])
+    in_b = np.ravel(in_b)[flat]
+    # marked subjects from t_j's group to the row's end, as a difference of
+    # running counts over the rows laid end to end
+    running = np.cumsum(in_b)
+    at_risk_b = running[row * n + n - 1] - running[at] + in_b[at]
+    events *= in_b
+    return table + (np.add.reduceat(events, start)[keep], at_risk_b)
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:

@@ -13,6 +13,12 @@ tested against both reference curves (one component pass each, from which
 all six one-sample z-values follow arithmetically) and compared two-sample
 (one event table) at once. A row's z-values do not depend on the other rows
 of its block, so the counts are the same for any chunking and worker count.
+A block's rows are drawn by resetting one Philox generator to each
+replicate's key rather than building a generator per replicate.
+
+With N workers a cell's replicates split into N equal contiguous shares; the
+calling process computes one share and a pool of N - 1 processes the rest.
+Each share runs as the fewest near-equal blocks that fit the block size.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +87,8 @@ class Scenario:
             raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.accrual_years <= 0 or self.followup_years < 0:
             raise UsageError("accrual_years must be positive, followup_years >= 0")
-        if self.seed < 0:
-            raise UsageError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise UsageError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed}")
 
     @property
     def n_a(self) -> int:
@@ -107,16 +112,42 @@ class Scenario:
         }
 
 
+def _stream_key(seed: int, index: int) -> np.ndarray:
+    """Philox key of one replicate's stream, the 64-bit words (seed, index).
+
+    Built as uint64: numpy reads a list holding an int of 2**63 or more as
+    float64, which would round nearby seeds onto one stream.
+    """
+    return np.array([seed, index], dtype=np.uint64)
+
+
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one replicate; scheduling cannot reorder it."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+
+
+def _streams(seed: int, indices):
+    """For each replicate index in turn, a generator at the start of that
+    replicate's stream: the bits ``replicate_rng(seed, index)`` yields.
+
+    A Philox stream is set by its key and counter alone, so one generator is
+    reset to that key, counter 0 and an empty buffer per replicate instead of
+    building a new one, whose seed sequence the key would discard.
+    """
+    bit_generator = np.random.Philox(key=_stream_key(seed, 0))
+    fresh = bit_generator.state  # counter 0, empty buffer
+    rng = np.random.Generator(bit_generator)
+    for index in indices:
+        fresh["state"]["key"] = _stream_key(seed, index)
+        bit_generator.state = fresh
+        yield rng
 
 
 def _uniforms(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     """Uniforms of replicates start..stop-1, one row each from its own stream."""
     u = np.empty((stop - start, 2 * (scenario.n_a + scenario.n_b)))
-    for row, index in enumerate(range(start, stop)):
-        replicate_rng(scenario.seed, index).random(out=u[row])
+    for row, rng in zip(u, _streams(scenario.seed, range(start, stop))):
+        rng.random(out=row)
     return u
 
 
@@ -337,14 +368,17 @@ def mc_error_interval(p: float, n: int, level: float = 0.95):
     return max(0.0, p - half), min(1.0, p + half)
 
 
-def _chunk_counts(args) -> np.ndarray:
-    """Counts (see ``_tally``) of replicates start..stop-1, block by block."""
-    scenario, start, stop = args
+def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
+    """Counts (see ``_tally``) of replicates start..stop-1, in the fewest
+    blocks of near-equal size that hold at most _BLOCK_ELEMENTS each."""
     counts = np.zeros((3, _N_PROC), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b))
-    for first in range(start, stop, step):
-        u = _uniforms(scenario, first, min(first + step, stop))
-        counts += _tally(_block_z(scenario, u), scenario.alpha)
+    m = stop - start
+    if m == 0:
+        return counts
+    blocks = math.ceil(m / max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b)))
+    bounds = [start + m * j // blocks for j in range(blocks + 1)]
+    for first, last in zip(bounds, bounds[1:]):
+        counts += _tally(_block_z(scenario, _uniforms(scenario, first, last)), scenario.alpha)
     return counts
 
 
@@ -368,16 +402,27 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationResult:
-    """Aggregate all replicates of one cell; independent of worker count."""
-    workers = resolve_workers(workers)
+    """Aggregate all replicates of one cell; independent of worker count.
+
+    With k workers the replicates split into k equal contiguous shares: a
+    pool of k - 1 processes takes shares 1..k-1 while the calling process
+    computes share 0, then the integer counts add up.
+    """
     n = scenario.replicates
-    if workers == 1 or n < 4:
-        counts = _chunk_counts((scenario, 0, n))
+    k = min(resolve_workers(workers), n)
+    if k == 1 or n < 4:
+        counts = _chunk_counts(scenario, 0, n)
     else:
-        step = max(1, math.ceil(n / (workers * 4)))
-        chunks = [(scenario, s, min(s + step, n)) for s in range(0, n, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(_chunk_counts, chunks))
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [n * i // k for i in range(k + 1)]
+        with ProcessPoolExecutor(max_workers=k - 1) as pool:
+            shares = [
+                pool.submit(_chunk_counts, scenario, bounds[i], bounds[i + 1])
+                for i in range(1, k)
+            ]
+            counts = _chunk_counts(scenario, 0, bounds[1])
+            counts += sum(share.result() for share in shares)
     evaluated, rej_two, rej_one = counts
     return SimulationResult(
         scenario=scenario,

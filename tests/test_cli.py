@@ -36,18 +36,30 @@ def test_version_exits_zero(capsys):
     assert "oslr" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_out():
-    """scipy is a test oracle only: a fresh `import oslr.cli` must not load it."""
+def _modules_after_cli_import(*packages):
+    """The modules of the given packages that a fresh interpreter holds
+    after `import oslr.cli`."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oslr.__file__).parents[1]))
-    snippet = (
-        "import sys, oslr.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    snippet = "import json, sys, oslr.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", snippet], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return [
+        m for m in json.loads(out.stdout)
+        if any(m == p or m.startswith(p + ".") for p in packages)
+    ]
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test oracle only: a fresh `import oslr.cli` must not load it."""
+    assert _modules_after_cli_import("scipy") == []
+
+
+def test_cli_import_leaves_process_pool_out():
+    """Only a pooled simulation needs the process pool: a fresh
+    `import oslr.cli` loads neither it nor multiprocessing."""
+    assert _modules_after_cli_import("concurrent.futures.process", "multiprocessing") == []
 
 
 def test_no_command_is_usage_error():
@@ -345,6 +357,18 @@ def test_simulate_invalid_scenario_exits_one(tmp_path, capsys):
     path = _scenario_file(tmp_path, mode="extra")
     assert main(["simulate", path]) == 1
     assert "unknown" in capsys.readouterr().err
+
+
+def test_simulate_seed_past_64_bits_exits_one(tmp_path, capsys):
+    """A seed of 2**64 or more cannot key a replicate stream: usage error,
+    from the scenario file and from --seed alike, not a traceback."""
+    path = _scenario_file(tmp_path, n_b=5, replicates=2, seed=2**64)
+    assert main(["simulate", path, "--workers", "1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    path = _scenario_file(tmp_path, n_b=5, replicates=2)
+    assert main(["simulate", path, "--workers", "1", "--seed", str(2**64)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert main(["simulate", path, "--workers", "1", "--seed", str(2**64 - 1)]) == 0
 
 
 def test_report_roundtrip(tmp_path, capsys):

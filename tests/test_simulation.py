@@ -74,9 +74,11 @@ def test_scenario_validation():
         dict(alpha=1.0),
         dict(accrual_years=0.0),
         dict(seed=-1),
+        dict(seed=2**64),
     ):
         with pytest.raises(UsageError):
             _scenario(**bad)
+    assert _scenario(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_generate_cohort_one_year_survival():
@@ -152,6 +154,68 @@ def test_run_scenario_worker_invariance():
     assert np.array_equal(serial.rejected_one, parallel.rejected_one)
 
 
+@pytest.mark.parametrize("replicates", [4, 5, 7, 200])
+def test_run_scenario_worker_invariance_uneven_shares(replicates):
+    """Counts equal the one-worker counts when the shares are uneven and
+    when there are more workers than half the replicates."""
+    s = _scenario(n_b=10, replicates=replicates)
+    serial = run_scenario(s, workers=1)
+    for workers in (2, 3, 5):
+        parallel = run_scenario(s, workers=workers)
+        for field in ("evaluated", "rejected_two", "rejected_one"):
+            assert np.array_equal(getattr(serial, field), getattr(parallel, field)), (
+                f"workers={workers} {field}"
+            )
+
+
+def test_pool_starts_one_process_fewer_than_workers(monkeypatch):
+    """The calling process computes one share itself, so N workers start a
+    pool of N - 1 processes; a cell with fewer replicates than workers
+    starts one process fewer than it has replicates."""
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for workers, replicates in ((2, 8), (3, 8), (5, 4)):
+        run_scenario(_scenario(n_b=5, replicates=replicates), workers=workers)
+    assert started == [1, 2, 3]
+    run_scenario(_scenario(n_b=5, replicates=8), workers=1)
+    assert started == [1, 2, 3]
+
+
+STREAM_SEEDS = [0, MASTER_SEED, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_uniforms_match_fresh_replicate_streams(seed):
+    """Each row of a chunk, also one that starts past index 0, holds the
+    first draws of its own replicate stream, and no state leaks from one
+    call to the next."""
+    s = _scenario(n_b=7, pi=0.5, seed=seed)
+    width = 2 * (s.n_a + s.n_b)
+    for start, stop in ((0, 6), (13, 20), (13, 20), (3, 4)):
+        u = _uniforms(s, start, stop)
+        assert u.shape == (stop - start, width)
+        for row, index in zip(u, range(start, stop)):
+            assert row.tobytes() == replicate_rng(seed, index).random(width).tobytes()
+
+
+def test_replicate_streams_keep_high_seeds_apart():
+    """Seeds of 2**63 and more key their own streams; none merges with a
+    neighbouring seed."""
+    draws = {
+        replicate_rng(seed, 0).random(4).tobytes()
+        for seed in (0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    }
+    assert len(draws) == 6
+
+
 def _single_cohort_z(scenario, index):
     """The seven z-values of one replicate from the single-cohort API:
     generate_cohort, fit_mle, oslr_test and two_sample_logrank; NaN where a
@@ -219,6 +283,11 @@ def test_event_table_rows_match_single_rows():
     events = (rng.random((9, 40)) < 0.6).astype(np.float64)
     events[4] = 0.0  # a row with no events at all
     times[5] = 3.0  # a row tied throughout
+    # ties across row boundaries: row 6's largest time, 2.0, is every time
+    # of rows 7 and 8, and each row counts only its own tie group
+    times[6] = np.minimum(times[6], 2.0)
+    times[7:] = 2.0
+    events[7:, :3] = 1.0
     in_b = (rng.random((9, 40)) < 0.5).astype(np.float64)
     row, *block = _event_table(times, events, in_b)
     assert np.all(np.diff(row) >= 0)
