@@ -187,22 +187,26 @@ def select_model(fits) -> FitResult:
 
 def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
-    (..., q, q) stack, via SVD.
+    (..., q, q) stack, via its eigendecomposition.
 
-    Singular values below tol * s_max count as zero; tol defaults to
-    1e-12 * q for q x q matrices.
+    The singular values of a symmetric matrix are its eigenvalues' moduli;
+    eigenvalues with |lambda| <= tol * max |lambda| count as zero. tol
+    defaults to 1e-12 * q for q x q matrices.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10")
     if tol is None:
         tol = 1e-12 * m.shape[-1]
-    u, s, vt = np.linalg.svd(m)
-    inv = np.zeros_like(s)
-    keep = s > tol * s[..., :1]
-    inv[keep] = 1.0 / s[keep]
-    return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+    lam, v = np.linalg.eigh(m)
+    size = np.abs(lam)
+    inv = np.zeros_like(lam)
+    keep = size > tol * size.max(axis=-1, keepdims=True)
+    inv[keep] = 1.0 / lam[keep]
+    return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)

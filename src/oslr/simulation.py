@@ -16,9 +16,16 @@ of its block, so the counts are the same for any chunking and worker count.
 A block's rows are drawn by resetting one Philox generator to each
 replicate's key rather than building a generator per replicate.
 
-With N workers a cell's replicates split into N equal contiguous shares; the
-calling process computes one share and a pool of N - 1 processes the rest.
-Each share runs as the fewest near-equal blocks that fit the block size.
+With N workers a cell's replicates split into N equal contiguous shares.
+Where ``os.fork`` exists (POSIX), N - 1 forked children compute shares
+1..N-1 and send their counts back through a pipe while the calling process
+computes share 0; elsewhere the shares run one after another in the calling
+process. Either way the integer counts add up to the same result. Each share
+runs as the fewest near-equal blocks that fit the block size.
+
+A scenario holds at most MAX_OBSERVATIONS observations per replicate
+(n_A + n_B): one replicate's working arrays take about 215 bytes per
+observation, so about 215 MB at that bound.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +68,22 @@ _N_PROC = len(PROCEDURES)
 # a block of R replicates holds at most this many observations, R * (n_a + n_b)
 _BLOCK_ELEMENTS = 2**15
 
+# largest n_a + n_b of one replicate that a Scenario admits
+MAX_OBSERVATIONS = 1_000_000
+
 # columns of the flat results CSV, one row per procedure and sidedness
 CSV_FIELDS = ("kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation cell under the null of equal event-time laws."""
+    """One simulation cell under the null of equal event-time laws.
+
+    n_b, replicates and seed must be integers (not bools), the other fields
+    finite real numbers; they are stored as int and float. A replicate holds
+    n_a + n_b observations, at most MAX_OBSERVATIONS (10^6); larger cells
+    are refused before anything is allocated.
+    """
 
     kappa: float
     n_b: int
@@ -77,6 +95,21 @@ class Scenario:
     alpha: float = 0.05
 
     def __post_init__(self):
+        # refuse what a conversion would round or reinterpret (1.5, True, nan)
+        for name in ("n_b", "replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("kappa", "pi", "alpha", "accrual_years", "followup_years"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise UsageError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.kappa <= 0:
             raise UsageError(f"kappa must be positive, got {self.kappa}")
         if self.n_b < 1 or self.replicates < 1:
@@ -89,6 +122,12 @@ class Scenario:
             raise UsageError("accrual_years must be positive, followup_years >= 0")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed}")
+        # the quotient first: n_b / pi may overflow what round() accepts
+        if self.n_b / self.pi > MAX_OBSERVATIONS or self.n_a + self.n_b > MAX_OBSERVATIONS:
+            raise UsageError(
+                f"n_b = {self.n_b} at pi = {self.pi} needs more than "
+                f"{MAX_OBSERVATIONS} observations per replicate (n_a + n_b)"
+            )
 
     @property
     def n_a(self) -> int:
@@ -132,13 +171,15 @@ def _streams(seed: int, indices):
 
     A Philox stream is set by its key and counter alone, so one generator is
     reset to that key, counter 0 and an empty buffer per replicate instead of
-    building a new one, whose seed sequence the key would discard.
+    building a new one, whose seed sequence the key would discard. The saved
+    state's key array is rewritten in place; the setter copies it.
     """
     bit_generator = np.random.Philox(key=_stream_key(seed, 0))
     fresh = bit_generator.state  # counter 0, empty buffer
+    key = fresh["state"]["key"]  # uint64 words (seed, index)
     rng = np.random.Generator(bit_generator)
     for index in indices:
-        fresh["state"]["key"] = _stream_key(seed, index)
+        key[1] = index
         bit_generator.state = fresh
         yield rng
 
@@ -401,28 +442,106 @@ def resolve_workers(requested: int | None = None) -> int:
     return cpus
 
 
+def _share_child(scenario: Scenario, start: int, stop: int, write_fd: int):
+    """Body of a forked child: pickle (counts, None, None) of replicates
+    start..stop-1, or (None, exception, traceback text) when they raise, into
+    ``write_fd``, then end the process.
+
+    It never returns into the caller's stack: ``os._exit`` runs no atexit
+    handler and flushes no stdio buffer inherited from the parent. Exit code
+    0 means the whole payload was written.
+    """
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((_chunk_counts(scenario, start, stop), None, None))
+        except BaseException as exc:
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                payload = pickle.dumps((None, exc, trace))
+                pickle.loads(payload)  # an exception may not survive the trip
+            except Exception:
+                payload = pickle.dumps((None, None, trace))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _share_result(pid: int, status: int, payload: bytes) -> np.ndarray:
+    """Counts a share child sent, or its exception raised here."""
+    if status != 0 or not payload:
+        raise RuntimeError(
+            f"share process {pid} ended without a result (wait status {status})"
+        )
+    counts, exc, trace = pickle.loads(payload)
+    if counts is not None:
+        return counts
+    failure = RuntimeError(f"share process {pid} failed:\n{trace}")
+    if exc is None:
+        raise failure
+    raise exc from failure
+
+
+def _forked_counts(scenario: Scenario, bounds: list[int]) -> np.ndarray:
+    """Counts of the shares bounds[i]..bounds[i+1]-1: one forked child per
+    share past the first, each writing to its own pipe, while this process
+    computes the first. On any failure here, an interrupt included, every
+    child still running is killed and reaped and every pipe closed."""
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _share_child(scenario, first, last, write_fd)
+            children.append((pid, open(read_fd, "rb")))
+            # closed at once, so later children do not hold it open past EOF
+            os.close(write_fd)
+        counts = _chunk_counts(scenario, bounds[0], bounds[1])
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            counts += _share_result(pid, status, payload)
+        return counts
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped just before the failure
+
+
 def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationResult:
     """Aggregate all replicates of one cell; independent of worker count.
 
-    With k workers the replicates split into k equal contiguous shares: a
-    pool of k - 1 processes takes shares 1..k-1 while the calling process
-    computes share 0, then the integer counts add up.
+    With k workers the replicates split into k equal contiguous shares: k - 1
+    forked children take shares 1..k-1 while the calling process computes
+    share 0, then the integer counts add up. Without ``os.fork`` the cell
+    runs in the calling process, with the same counts.
     """
     n = scenario.replicates
     k = min(resolve_workers(workers), n)
-    if k == 1 or n < 4:
+    if k == 1 or n < 4 or not hasattr(os, "fork"):
         counts = _chunk_counts(scenario, 0, n)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [n * i // k for i in range(k + 1)]
-        with ProcessPoolExecutor(max_workers=k - 1) as pool:
-            shares = [
-                pool.submit(_chunk_counts, scenario, bounds[i], bounds[i + 1])
-                for i in range(1, k)
-            ]
-            counts = _chunk_counts(scenario, 0, bounds[1])
-            counts += sum(share.result() for share in shares)
+        counts = _forked_counts(scenario, [n * i // k for i in range(k + 1)])
     evaluated, rej_two, rej_one = counts
     return SimulationResult(
         scenario=scenario,
@@ -469,22 +588,20 @@ def load_scenarios(source) -> list[Scenario]:
         for key in ("accrual_years", "followup_years", "alpha")
         if key in spec
     }
-    try:
-        return [
-            Scenario(
-                kappa=float(kappa),
-                n_b=int(n_b),
-                pi=float(pi),
-                replicates=int(spec["replicates"]),
-                seed=int(spec["seed"]),
-                **fixed,
-            )
-            for kappa, n_b, pi in itertools.product(
-                listify("kappa"), listify("n_b"), listify("pi")
-            )
-        ]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid scenario value: {exc}") from exc
+    # Scenario checks each value's type and range; nothing is converted here
+    return [
+        Scenario(
+            kappa=kappa,
+            n_b=n_b,
+            pi=pi,
+            replicates=spec["replicates"],
+            seed=spec["seed"],
+            **fixed,
+        )
+        for kappa, n_b, pi in itertools.product(
+            listify("kappa"), listify("n_b"), listify("pi")
+        )
+    ]
 
 
 def write_results_csv(path, results) -> None:

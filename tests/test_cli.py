@@ -329,6 +329,27 @@ def test_simulate_json_deterministic(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"replicates": 2.7},
+        {"n_b": 5.9},
+        {"kappa": "nan"},
+        {"pi": float("inf")},  # written as the JSON token Infinity
+    ],
+    ids=["seed-float", "seed-bool", "replicates-float", "n_b-float", "kappa-nan", "pi-inf"],
+)
+def test_simulate_rejects_coercible_scenario_values(tmp_path, capsys, override):
+    """Values that a conversion would round, reinterpret or let through as
+    non-finite are a usage error, not a silently different cell."""
+    path = _scenario_file(tmp_path, **override)
+    assert main(["simulate", path, "--workers", "1"]) == 1
+    (name,) = override
+    assert name in capsys.readouterr().err
+
+
 def test_simulate_grid_and_outputs(tmp_path, capsys):
     path = _scenario_file(tmp_path, kappa=[0.5, 1.0])
     out = tmp_path / "run"

@@ -310,3 +310,14 @@ def test_pseudo_inverse():
             assert_allclose(plus @ m @ plus, plus, atol=1e-10)
             assert_allclose((m @ plus).T, m @ plus, atol=1e-10)
             assert_allclose((plus @ m).T, plus @ m, atol=1e-10)
+
+
+def test_pseudo_inverse_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        m = np.eye(2)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pseudo_inverse(m)
+        stack = np.stack([np.eye(2), m])
+        with pytest.raises(ValueError, match="finite"):
+            pseudo_inverse(stack)

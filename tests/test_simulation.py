@@ -9,16 +9,23 @@ session-scoped 10,000-replicate cells from conftest.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oslr.errors import DegenerateTestError, FitError, UsageError
+from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
 from oslr.fitting import fit_mle
 from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
+from oslr import simulation
 from oslr.nonparametric import _event_table
 from oslr.simulation import (
+    MAX_OBSERVATIONS,
     PROCEDURES,
     Scenario,
     SimulationResult,
@@ -75,10 +82,33 @@ def test_scenario_validation():
         dict(accrual_years=0.0),
         dict(seed=-1),
         dict(seed=2**64),
+        # refused rather than rounded, reinterpreted or let through
+        dict(n_b=5.0),
+        dict(replicates=np.float64(3)),
+        dict(seed=False),
+        dict(kappa=True),
+        dict(kappa="1.0"),
+        dict(alpha=math.nan),
+        dict(accrual_years=math.inf),
     ):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=next(iter(bad))):
             _scenario(**bad)
     assert _scenario(seed=2**64 - 1).seed == 2**64 - 1
+    s = _scenario(kappa=1, n_b=np.int64(7), pi=np.float64(0.5))
+    assert (type(s.kappa), type(s.n_b), type(s.pi)) == (float, int, float)
+
+
+def test_scenario_bounds_observations_per_replicate():
+    """pi = 1e-9 would ask for n_a = 5e9 observations per replicate (a
+    74.5 GiB block); it is refused before anything is allocated."""
+    with pytest.raises(UsageError, match="observations per replicate"):
+        _scenario(n_b=5, pi=1e-9)
+    with pytest.raises(UsageError, match="observations per replicate"):
+        _scenario(n_b=5, pi=5e-324)  # n_b / pi overflows to inf
+    with pytest.raises(UsageError, match="observations per replicate"):
+        _scenario(n_b=MAX_OBSERVATIONS // 2 + 1, pi=1.0)
+    assert _scenario(n_b=MAX_OBSERVATIONS // 2, pi=1.0).n_a == MAX_OBSERVATIONS // 2
+    assert _scenario(n_b=100000, pi=1.0).n_a == 100000  # tier-1's largest cell
 
 
 def test_generate_cohort_one_year_survival():
@@ -169,24 +199,133 @@ def test_run_scenario_worker_invariance_uneven_shares(replicates):
 
 
 def test_pool_starts_one_process_fewer_than_workers(monkeypatch):
-    """The calling process computes one share itself, so N workers start a
-    pool of N - 1 processes; a cell with fewer replicates than workers
-    starts one process fewer than it has replicates."""
-    import concurrent.futures
+    """The calling process computes one share itself, so N workers fork
+    N - 1 children; a cell with fewer replicates than workers forks one
+    child fewer than it has replicates."""
+    real_fork = os.fork
+    forked = []
 
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     started = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for workers, replicates in ((2, 8), (3, 8), (5, 4)):
+        before = len(forked)
         run_scenario(_scenario(n_b=5, replicates=replicates), workers=workers)
+        started.append(len(forked) - before)
     assert started == [1, 2, 3]
     run_scenario(_scenario(n_b=5, replicates=8), workers=1)
-    assert started == [1, 2, 3]
+    assert len(forked) == 6
+
+
+def _failing_shares(monkeypatch, fail):
+    """Make every share but the caller's (the one starting at 0) call fail()."""
+    real = simulation._chunk_counts
+
+    def chunk_counts(scenario, start, stop):
+        if start > 0:
+            fail()
+        return real(scenario, start, stop)
+
+    monkeypatch.setattr(simulation, "_chunk_counts", chunk_counts)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raiser(exc):
+    def fail():
+        raise exc
+
+    return fail
+
+
+def test_share_exception_propagates(monkeypatch):
+    _failing_shares(monkeypatch, _raiser(FitError("share broke")))
+    with pytest.raises(FitError, match="share broke") as caught:
+        run_scenario(_scenario(n_b=5, replicates=8), workers=3)
+    assert "Traceback" in str(caught.value.__cause__)
+    _assert_no_children()
+
+
+def test_unpicklable_share_exception_carries_its_traceback(monkeypatch):
+    """An exception that cannot be pickled, or not unpickled, arrives as a
+    RuntimeError holding the child's traceback."""
+
+    class LocalError(Exception):
+        pass  # a local class cannot be pickled
+
+    for exc, shown in (
+        (LocalError("no way back"), "LocalError: no way back"),
+        # pickles as RowValidationError("row 3: bad"), which misses an argument
+        (RowValidationError(3, "bad"), "RowValidationError: row 3: bad"),
+    ):
+        _failing_shares(monkeypatch, _raiser(exc))
+        with pytest.raises(RuntimeError, match=shown):
+            run_scenario(_scenario(n_b=5, replicates=8), workers=2)
+    _assert_no_children()
+
+
+def test_share_exiting_without_result_raises(monkeypatch):
+    _failing_shares(monkeypatch, lambda: os._exit(0))
+    with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 0\)"):
+        run_scenario(_scenario(n_b=5, replicates=8), workers=2)
+    _failing_shares(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="wait status 768"):
+        run_scenario(_scenario(n_b=5, replicates=8), workers=2)
+    _assert_no_children()
+
+
+def test_caller_failure_kills_and_reaps_every_child(monkeypatch):
+    """The children would sleep for a minute; the caller's own share fails
+    at once, and the run returns without waiting for them."""
+    real = simulation._chunk_counts
+
+    def chunk_counts(scenario, start, stop):
+        if start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real(scenario, start, stop)
+
+    monkeypatch.setattr(simulation, "_chunk_counts", chunk_counts)
+    begin = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(_scenario(n_b=5, replicates=8), workers=4)
+    assert time.monotonic() - begin < 30
+    _assert_no_children()
+
+
+def test_counts_without_fork_match_one_worker(monkeypatch):
+    s = _scenario(n_b=5, replicates=9)
+    serial = run_scenario(s, workers=1)
+    monkeypatch.delattr(os, "fork")
+    unforked = run_scenario(s, workers=3)
+    assert unforked.to_json() == serial.to_json()
+
+
+def test_pooled_run_imports_no_executor():
+    """A pooled run forks directly; it loads neither concurrent.futures nor
+    multiprocessing."""
+    code = (
+        "import sys\n"
+        "from oslr.simulation import Scenario, run_scenario\n"
+        "s = Scenario(kappa=1.0, n_b=5, pi=1.0, replicates=8, seed=1)\n"
+        "run_scenario(s, workers=2)\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    src = str(pathlib.Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 STREAM_SEEDS = [0, MASTER_SEED, 2**63, 2**64 - 1]
