@@ -10,6 +10,12 @@ Monte Carlo engine in :mod:`oslr.simulation` with a block of replicates. A
 row's results never depend on the other rows of its block: sums run along
 the row and the 2 x 2 algebra is written out elementwise.
 
+The kernels read log-times. A fit takes logs, and the row sums free of the
+parameters, once per call, so an evaluation needs log u = log t - log b and
+one exp per element; it returns its last evaluation, whose log-scale Hessian
+gives the information at the estimate. The test components make one fused
+pass per reference curve over capped log-times that the curves share.
+
 Families are dispatched by integer code. Parameters are two values
 ``(a, b)``: rate for the exponential (``b`` unused), (shape, scale) for
 Weibull and log-logistic. The fit driver works on log-parameters of
@@ -35,47 +41,57 @@ FIT_LINE_SEARCH = 2
 FIT_BOUNDARY = 3
 
 
+def cumhaz_terms(code, a, b, t, logu):
+    """(Lambda, dLambda/da, dLambda/db) at each time ``t`` given
+    logu = log(t / b), all broadcast, with one exp per element."""
+    if code == EXPONENTIAL:
+        lam = a * t
+        return lam, np.broadcast_to(t, lam.shape), np.zeros(lam.shape)
+    alogu = a * logu
+    if code == WEIBULL:
+        p = np.exp(alogu)
+        return p, p * logu, -(a / b) * p
+    r = np.logaddexp(0.0, alogu)
+    # q = u^a / (1 + u^a), computed in log space to survive large u^a
+    q = np.exp(alogu - r)
+    return r, q * logu, -(a / b) * q
+
+
 def cumhaz(code, a, b, t):
     """Cumulative hazard at each time in ``t``; a, b and t broadcast."""
-    if code == EXPONENTIAL:
-        return a * t
-    alogu = a * np.log(t / b)
-    if code == WEIBULL:
-        return np.exp(alogu)
-    return np.logaddexp(0.0, alogu)
+    return cumhaz_terms(code, a, b, t, np.log(t / b))[0]
 
 
 def cumhaz_grad(code, a, b, t):
     """Parameter gradient (dLambda/da, dLambda/db) at each time in ``t``."""
-    if code == EXPONENTIAL:
-        shape = np.broadcast(a, t).shape
-        return np.broadcast_to(t, shape), np.zeros(shape)
-    logu = np.log(t / b)
-    if code == WEIBULL:
-        p = np.exp(a * logu)
-        return p * logu, -(a / b) * p
-    # q = u^a / (1 + u^a), computed in log space to survive large u^a
-    q = np.exp(a * logu - np.logaddexp(0.0, a * logu))
-    return q * logu, -(a / b) * q
+    return cumhaz_terms(code, a, b, t, np.log(t / b))[1:]
 
 
-def loglik_derivs(code, a, b, times, events):
-    """Total censored log-likelihood of each row with its natural-scale
-    derivatives.
-
-    ``a``, ``b`` are (R,) and ``times``, ``events`` (R, n). Returns
-    (f, g0, g1, h00, h01, h11), each (R,): the value, the gradient and the
-    Hessian entries, all summed over the row in one pass.
-    """
+def _log_data(code, times, events):
+    """What the likelihood kernels read of (R, n) times and events:
+    (log-times, events, d, s) with the parameter-free row sums d = sum of
+    events and s = sum of times (exponential) or of events x log-times. An
+    array the family does not read is None: the exponential reads neither,
+    the Weibull no events."""
     d = events.sum(axis=-1)
     if code == EXPONENTIAL:
-        sx = times.sum(axis=-1)
+        return None, None, d, times.sum(axis=-1)
+    logt = np.log(times)
+    return logt, events if code == LOGLOGISTIC else None, d, (events * logt).sum(axis=-1)
+
+
+def _loglik_terms(code, a, b, logb, data):
+    """Total censored log-likelihood of each row with its natural-scale
+    derivatives, (f, g0, g1, h00, h01, h11), each (R,), at (R,) parameters
+    ``a``, ``b`` with logb = log b, from ``_log_data`` output."""
+    logt, events, d, s = data
+    if code == EXPONENTIAL:
         zero = np.zeros_like(d)
-        return d * np.log(a) - a * sx, d / a - sx, zero, -d / (a * a), zero, zero
+        return d * np.log(a) - a * s, d / a - s, zero, -d / (a * a), zero, zero
     ac = a[:, None]
-    logu = np.log(times / b[:, None])
-    dlogu = (events * logu).sum(axis=-1)
-    f = d * (np.log(a) - np.log(b)) + (a - 1.0) * dlogu
+    logu = logt - logb[:, None]
+    dlogu = s - d * logb  # sum of events x log u
+    f = d * (np.log(a) - logb) + (a - 1.0) * dlogu
     if code == WEIBULL:
         p = np.exp(ac * logu)
         pl = p * logu
@@ -105,18 +121,29 @@ def loglik_derivs(code, a, b, times, events):
     return f, g0, g1, h00, h01, h11
 
 
-def _mean_loglik_log_scale(code, x0, x1, times, events):
+def loglik_derivs(code, a, b, times, events):
+    """Total censored log-likelihood of each row with its natural-scale
+    derivatives.
+
+    ``a``, ``b`` are (R,) and ``times``, ``events`` (R, n). Returns
+    (f, g0, g1, h00, h01, h11), each (R,): the value, the gradient and the
+    Hessian entries, all summed over the row in one pass.
+    """
+    return _loglik_terms(code, a, b, np.log(b), _log_data(code, times, events))
+
+
+def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
     """Mean log-likelihood of each row at log-parameters (x0, x1) with its
-    gradient and negated Hessian with respect to those log-parameters.
+    gradient and negated Hessian with respect to those log-parameters, from
+    ``_log_data`` output of rows of n = 1 / inv_n observations.
 
     Returns (f, g0, g1, m00, m01, m11), each (R,). The exponential's unused
     second coordinate gets unit curvature and zero gradient, so it never
     moves.
     """
-    inv_n = 1.0 / times.shape[-1]
     a = np.exp(x0)
     b = np.exp(x1)
-    f, ga, gb, haa, hab, hbb = loglik_derivs(code, a, b, times, events)
+    f, ga, gb, haa, hab, hbb = _loglik_terms(code, a, b, x1, data)
     # chain rule for theta = exp(x): d/dx_i = theta_i d/dtheta_i, and the
     # second derivative picks up the first-derivative term on the diagonal
     g0 = a * ga * inv_n
@@ -130,6 +157,11 @@ def _mean_loglik_log_scale(code, x0, x1, times, events):
 
 
 def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
+    """``fit_newton_last`` without its last evaluation."""
+    return fit_newton_last(code, times, events, x0, x1, grad_tol, max_iter)[:5]
+
+
+def fit_newton_last(code, times, events, x0, x1, grad_tol, max_iter):
     """Damped Newton ascent of each row's mean log-likelihood on
     log-parameters.
 
@@ -147,15 +179,20 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
     median), so both the tolerance and the parameter bounds are free of the
     time unit.
 
-    Returns (a, b, grad_norm, iterations, status), each (R,); on failure
-    (a, b) is the row's last iterate inside the working bounds and
-    grad_norm the gradient norm there.
+    Returns (a, b, grad_norm, iterations, status, last), the first five
+    each (R,); on failure (a, b) is the row's last iterate inside the
+    working bounds and grad_norm the gradient norm there. ``last`` is the
+    ``_mean_loglik_log_scale`` evaluation at (log a, log b):
+    (f, g0, g1, m00, m01, m11), each (R,).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x0 = np.array(x0, dtype=np.float64)
         x1 = np.array(x1, dtype=np.float64)
         n_rows = times.shape[0]
-        f, g0, g1, m00, m01, m11 = _mean_loglik_log_scale(code, x0, x1, times, events)
+        data = _log_data(code, times, events)
+        inv_n = 1.0 / times.shape[-1]
+        last = _mean_loglik_log_scale(code, x0, x1, data, inv_n)
+        f, g0, g1, m00, m01, m11 = last
         grad_norm = np.sqrt(g0 * g0 + g1 * g1)
         iterations = np.zeros(n_rows, dtype=np.int64)
         status = np.full(n_rows, -1, dtype=np.int64)
@@ -174,7 +211,7 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
                 g0[rows], g1[rows], m00[rows], m01[rows], m11[rows]
             )
             accepted, t0, t1, trial = _line_search(
-                code, times, events, rows, x0[rows], x1[rows], f[rows], d0, d1
+                code, data, inv_n, rows, x0[rows], x1[rows], f[rows], d0, d1
             )
             status[rows[~accepted]] = FIT_LINE_SEARCH
             outside = accepted & ((np.abs(t0) > _LOG_BOUND) | (np.abs(t1) > _LOG_BOUND))
@@ -183,10 +220,10 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
             rows = rows[moved]
             x0[rows] = t0[moved]
             x1[rows] = t1[moved]
-            for state, value in zip((f, g0, g1, m00, m01, m11), trial):
+            for state, value in zip(last, trial):
                 state[rows] = value[moved]
             grad_norm[rows] = np.sqrt(g0[rows] * g0[rows] + g1[rows] * g1[rows])
-        return np.exp(x0), np.exp(x1), grad_norm, iterations, status
+        return np.exp(x0), np.exp(x1), grad_norm, iterations, status, last
 
 
 def _newton_direction(g0, g1, m00, m01, m11):
@@ -207,7 +244,7 @@ def _newton_direction(g0, g1, m00, m01, m11):
     return (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
 
 
-def _line_search(code, times, events, rows, x0, x1, f, d0, d1):
+def _line_search(code, data, inv_n, rows, x0, x1, f, d0, d1):
     """Halve each row's step from 1 until its trial is accepted, at most 60
     trials. Returns (accepted, t0, t1, trial values), aligned with ``rows``."""
     k = rows.size
@@ -225,9 +262,8 @@ def _line_search(code, times, events, rows, x0, x1, f, d0, d1):
         ok = np.zeros(pending.size, dtype=bool)
         if live.any():
             at = pending[live]
-            values = _mean_loglik_log_scale(
-                code, p0[live], p1[live], times[rows[at]], events[rows[at]]
-            )
+            trial_data = tuple(None if v is None else v[rows[at]] for v in data)
+            values = _mean_loglik_log_scale(code, p0[live], p1[live], trial_data, inv_n)
             # a NaN or infinite trial fails this test and backtracks; the
             # allowance is float rounding of f, which near the optimum
             # exceeds the true gain of a full Newton step
@@ -248,20 +284,24 @@ def _line_search(code, times, events, rows, x0, x1, f, d0, d1):
     return accepted, t0, t1, trial
 
 
-def oslr_components(code, a, b, times, events, t):
-    """Observed events, expected events and mean hazard gradient by time t,
-    for each row.
-
-    ``a``, ``b`` and ``t`` are (R,), ``times`` and ``events`` (R, n).
-    Returns (n_events, expected, gbar0, gbar1), each (R,), for each row's
-    cohort against the reference cumulative hazard of the coded family.
-    """
+def at_time(times, events, t):
+    """Each row's events observed by its analysis time t, (R,), with its
+    (R, n) times capped at t and their logs, which every reference curve
+    the rows are tested against shares (see ``oslr_components``)."""
     t = t[:, None]
-    a = a[:, None]
-    b = b[:, None]
     capped = np.minimum(times, t)
-    n_events = (events * (times <= t)).sum(axis=-1)
-    expected = cumhaz(code, a, b, capped).sum(axis=-1)
-    g0, g1 = cumhaz_grad(code, a, b, capped)
-    n = times.shape[-1]
-    return n_events, expected, g0.sum(axis=-1) / n, g1.sum(axis=-1) / n
+    return (events * (times <= t)).sum(axis=-1), capped, np.log(capped)
+
+
+def oslr_components(code, a, b, capped, log_capped):
+    """Expected events and mean hazard gradient of each row by its analysis
+    time, in one fused pass over the reference cumulative hazard of the
+    coded family.
+
+    ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n), from
+    ``at_time``. Returns (expected, gbar0, gbar1), each (R,).
+    """
+    b = b[:, None]
+    lam, g0, g1 = cumhaz_terms(code, a[:, None], b, capped, log_capped - np.log(b))
+    n = capped.shape[-1]
+    return lam.sum(axis=-1), g0.sum(axis=-1) / n, g1.sum(axis=-1) / n

@@ -5,7 +5,8 @@ the log-parameters with the analytic gradient and Hessian, stopping when the
 log-scale gradient of the mean log-likelihood is small. Neither the stopping
 rule nor the parameter bounds depend on the time unit, so every fit is
 scale-equivariant. The reported information matrix is the per-observation
-average of negated analytic log-likelihood Hessians at the estimate.
+average of negated analytic log-likelihood Hessians at the estimate, taken
+from the fit's last Newton evaluation rather than from another pass.
 """
 
 from __future__ import annotations
@@ -82,8 +83,12 @@ def _loglik_and_information(fam, a, b, times, events):
     """Total log-likelihood (R,) and average negated Hessian (R, q, q) of
     each row of (R, n) times and events at natural parameters (a, b)."""
     value, _, _, h00, h01, h11 = _kernels.loglik_derivs(fam.code, a, b, times, events)
-    full = np.stack((np.stack((h00, h01), axis=-1), np.stack((h01, h11), axis=-1)), axis=-2)
-    return value, -full[:, : fam.q, : fam.q] / times.shape[-1]
+    return value, -_symmetric(h00, h01, h11)[:, : fam.q, : fam.q] / times.shape[-1]
+
+
+def _symmetric(x00, x01, x11):
+    """(R, 2, 2) symmetric matrices from their (R,) entries."""
+    return np.stack((np.stack((x00, x01), axis=-1), np.stack((x01, x11), axis=-1)), axis=-2)
 
 
 def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
@@ -91,6 +96,44 @@ def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
     fam = family(fam)
     a, b = _ab(fam, check_theta(fam, theta))
     return _loglik_and_information(fam, a, b, cohort.times[None], cohort.events[None])[1][0]
+
+
+def _fit_rows(fam, times, events, init=None):
+    """``fit_mle`` for each row of (R, n) times and events, every row holding
+    an event, from one ``init`` for all rows. A row whose estimate is not
+    finite and positive gets FIT_BOUNDARY. Returns (theta (R, q), status,
+    iterations, grad_norm, loglik (R,), info (R, q, q)), the last two from
+    the fit's last evaluation, which is at theta for a converged row."""
+    n_rows, n = times.shape
+    # the unit only has to be a typical time; a partial sort finds the upper
+    # median without sorting everything
+    unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
+    times = times / unit[:, None]
+    d = events.sum(axis=-1)
+    x0 = np.zeros(n_rows)
+    x1 = np.zeros(n_rows)
+    if init is not None:
+        a0, b0 = (float(v[0]) for v in _ab(fam, check_theta(fam, init)))
+        # in time units of `unit` a rate scales up and a scale down
+        x0 = np.log(a0 * unit) if fam.q == 1 else x0 + math.log(a0)
+        x1 = np.log(b0 / unit) if fam.q == 2 else x1
+    elif fam.q == 1:
+        x0 = np.log(d / times.sum(axis=-1))  # rate = events / exposure
+    a, b, grad_norm, iterations, status, last = _kernels.fit_newton_last(
+        fam.code, times, events, x0, x1, GRAD_TOL, MAX_ITER
+    )
+    # back to the caller's unit; the exponential's second value is unused
+    ab = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)
+    theta = ab[:, : fam.q]
+    positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
+    status = np.where(positive, status, _kernels.FIT_BOUNDARY)
+    # chain rule from the mean log-scale Hessian M on standardized times:
+    # J_ij = (M_ij + delta_ij g_i) / (theta_i theta_j), meaningless if failed
+    f, g0, g1, m00, m01, m11 = last
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        info = _symmetric(m00 + g0, m01, m11 + g1) / (ab[:, :, None] * ab[:, None, :])
+        loglik = n * f - d * np.log(unit)
+    return theta, status, iterations, grad_norm, loglik, info[:, : fam.q, : fam.q]
 
 
 def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
@@ -106,37 +149,10 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
-    # the unit only has to be a typical time; a partial sort finds the upper
-    # median without sorting everything
-    n = cohort.n
-    unit = float(np.partition(cohort.times, n // 2)[n // 2])
-    times = cohort.times / unit
-    if init is None:
-        # rate = events / exposure for the exponential; shape 1 and scale
-        # = the time unit otherwise
-        x0 = math.log(cohort.n_events / float(times.sum())) if fam.q == 1 else 0.0
-        x1 = 0.0
-    else:
-        a0, b0 = (float(v[0]) for v in _ab(fam, check_theta(fam, init)))
-        # in time units of `unit` a rate scales up and a scale down
-        x0 = math.log(a0 * unit) if fam.q == 1 else math.log(a0)
-        x1 = math.log(b0 / unit) if fam.q == 2 else 0.0
-    a, b, grad_norm, iters, status = (
-        v[0]
-        for v in _kernels.fit_newton(
-            fam.code,
-            times[None],
-            cohort.events[None],
-            np.array([x0]),
-            np.array([x1]),
-            GRAD_TOL,
-            MAX_ITER,
-        )
+    theta_hat, status, iters, grad_norm, loglik, info = (
+        v[0] for v in _fit_rows(fam, cohort.times[None], cohort.events[None], init)
     )
-    theta_hat = np.array([a / unit]) if fam.q == 1 else np.array([a, b * unit])
-    if status == _kernels.FIT_BOUNDARY or not np.all(
-        np.isfinite(theta_hat) & (theta_hat > 0)
-    ):
+    if status == _kernels.FIT_BOUNDARY:
         raise FitError(
             f"{fam.name} fit drifted to the parameter-space boundary",
             last_theta=theta_hat,
@@ -151,15 +167,11 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
             f"{fam.name} fit did not converge within {MAX_ITER} iterations",
             last_theta=theta_hat,
         )
-    a, b = _ab(fam, theta_hat)
-    loglik, info = _loglik_and_information(
-        fam, a, b, cohort.times[None], cohort.events[None]
-    )
-    loglik = float(loglik[0])
+    loglik = float(loglik)
     return FitResult(
         family=fam,
         theta_hat=theta_hat,
-        info_matrix=info[0],
+        info_matrix=info,
         loglik=loglik,
         aic=2.0 * fam.q - 2.0 * loglik,
         n=cohort.n,

@@ -194,16 +194,13 @@ def _statistics(
         if pi <= 0.0:
             raise UsageError(f"allocation ratio pi must be positive, got {pi}")
     a, b = _ab(ref.family, ref.theta)
-    n_events, expected, g0, g1 = (
+    n_events, capped, log_capped = _kernels.at_time(
+        cohort_b.times[None], cohort_b.events[None], np.array([t], dtype=np.float64)
+    )
+    n_events = float(n_events[0])
+    expected, g0, g1 = (
         float(v[0])
-        for v in _kernels.oslr_components(
-            ref.family.code,
-            a,
-            b,
-            cohort_b.times[None],
-            cohort_b.events[None],
-            np.array([t], dtype=np.float64),
-        )
+        for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
     )
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     v2 = None

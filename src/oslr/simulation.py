@@ -8,13 +8,14 @@ counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
 
 The unit of work is a block of replicates held as (R, n) arrays, one
-replicate per row: the block is drawn, fitted (one batched Newton run),
-tested against both reference curves (one component pass each, from which
-all six one-sample z-values follow arithmetically) and compared two-sample
-(one event table) at once. A row's z-values do not depend on the other rows
-of its block, so the counts are the same for any chunking and worker count.
-A block's rows are drawn by resetting one Philox generator to each
-replicate's key rather than building a generator per replicate.
+replicate per row: the block is drawn, fitted (one batched Newton run, whose
+last evaluation also gives the information J), tested against both reference
+curves (two component passes, one per curve, over arm B's capped log-times
+taken once; all six one-sample z-values follow from them arithmetically) and
+compared two-sample (one event table) at once. A row's z-values do not
+depend on the other rows of its block, so the counts are the same for any
+chunking and worker count. A block's rows are drawn by resetting one Philox
+generator to each replicate's key, not by building one per replicate.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 forked children compute shares
@@ -37,6 +38,7 @@ import math
 import numbers
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,7 @@ from . import _kernels
 from .data import Cohort
 from .errors import UsageError
 from .families import WEIBULL
-from .fitting import GRAD_TOL, MAX_ITER, _loglik_and_information, pseudo_inverse
+from .fitting import _fit_rows, pseudo_inverse
 from .logrank import (
     _compensated_and_v1,
     _two_sample_scores,
@@ -71,6 +73,18 @@ _BLOCK_ELEMENTS = 2**15
 # largest n_a + n_b of one replicate that a Scenario admits
 MAX_OBSERVATIONS = 1_000_000
 
+# closed range of each real Scenario field. Below kappa = 0.05 the smallest
+# event times, sigma (-log u)^(1/kappa) at u = 1 - 2^-53, underflow to zero;
+# far above 100 they all collapse onto sigma. Below alpha = 2^-52 the critical
+# value's 1 - alpha / 2 rounds to 1. Censoring times stay positive and finite.
+RANGES = {
+    "kappa": (0.05, 100.0),
+    "pi": (math.ulp(0.0), sys.float_info.max),
+    "alpha": (2.0**-52, 1.0 - 2.0**-53),
+    "accrual_years": (1e-6, 1e6),
+    "followup_years": (0.0, 1e6),
+}
+
 # columns of the flat results CSV, one row per procedure and sidedness
 CSV_FIELDS = ("kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff")
 
@@ -80,9 +94,9 @@ class Scenario:
     """One simulation cell under the null of equal event-time laws.
 
     n_b, replicates and seed must be integers (not bools), the other fields
-    finite real numbers; they are stored as int and float. A replicate holds
-    n_a + n_b observations, at most MAX_OBSERVATIONS (10^6); larger cells
-    are refused before anything is allocated.
+    real numbers within their RANGES; they are stored as int and float. A
+    replicate holds n_a + n_b observations, at most MAX_OBSERVATIONS (10^6);
+    larger cells are refused before anything is allocated.
     """
 
     kappa: float
@@ -101,25 +115,18 @@ class Scenario:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        for name in ("kappa", "pi", "alpha", "accrual_years", "followup_years"):
+        for name, (lo, hi) in RANGES.items():
             value = getattr(self, name)
+            # refuses nan, inf and, without overflowing, an int past float range
             if (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
+                or not lo <= value <= hi
             ):
-                raise UsageError(f"{name} must be a finite number, got {value!r}")
+                raise UsageError(f"{name} must be a number in [{lo}, {hi}], got {value!r}")
             object.__setattr__(self, name, float(value))
-        if self.kappa <= 0:
-            raise UsageError(f"kappa must be positive, got {self.kappa}")
-        if self.n_b < 1 or self.replicates < 1:
-            raise UsageError("n_b and replicates must be at least 1")
-        if self.pi <= 0:
-            raise UsageError(f"pi must be positive, got {self.pi}")
-        if not 0.0 < self.alpha < 1.0:
-            raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.accrual_years <= 0 or self.followup_years < 0:
-            raise UsageError("accrual_years must be positive, followup_years >= 0")
+        if not 1 <= self.n_b <= MAX_OBSERVATIONS or self.replicates < 1:
+            raise UsageError(f"n_b must be in [1, {MAX_OBSERVATIONS}], replicates at least 1")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed}")
         # the quotient first: n_b / pi may overflow what round() accepts
@@ -238,45 +245,29 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
         raise ValueError("times must be finite and positive")
     n_rows = u.shape[0]
     z = np.full((n_rows, _N_PROC), np.nan)
-    # the analysis time of every one-sample test: arm B's largest time
-    t_end = times_b.max(axis=1)
+    # the analysis time of every one-sample test: arm B's largest time; the
+    # capped log-times serve both reference curves
+    n_events, capped, log_capped = _kernels.at_time(times_b, events_b, times_b.max(axis=1))
 
-    def one_sample(slots, rows, a, b, pi=None, pinv=None):
-        n_events, expected, g0, g1 = _kernels.oslr_components(
-            WEIBULL.code, a, b, times_b[rows], events_b[rows], t_end[rows]
-        )
-        v2 = 0.0 if pi is None else _v2(pi, g0, g1, pinv)
+    def one_sample(slots, rows, expected, v2=0.0):
         for slot, w in zip(slots, (0.0, 0.5)):
-            m, v1 = _compensated_and_v1(n_events, expected, n_b, w)
+            m, v1 = _compensated_and_v1(n_events[rows], expected, n_b, w)
             z[rows, slot] = _z_or_nan(m, v1 + v2)
 
-    one_sample(
-        (0, 1),
-        np.arange(n_rows),
-        np.full(n_rows, scenario.kappa),
-        np.full(n_rows, scenario.sigma),
-    )
+    kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
+    expected, _, _ = _kernels.oslr_components(WEIBULL.code, kappa, sigma, capped, log_capped)
+    one_sample((0, 1), slice(None), expected)
 
-    # Weibull fit to arm A as fit_mle does it: rows without events fail, the
-    # others start at shape 1 and scale 1 in units of their upper median
+    # rows without events have no fit; the information comes with the fit
     fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
-    unit = np.partition(times_a[fitted], n_a // 2, axis=1)[:, n_a // 2]
-    start = np.zeros(fitted.size)
-    a, b, _, _, status = _kernels.fit_newton(
-        WEIBULL.code,
-        times_a[fitted] / unit[:, None],
-        events_a[fitted],
-        start,
-        start,
-        GRAD_TOL,
-        MAX_ITER,
+    theta, status, _, _, _, info = _fit_rows(WEIBULL, times_a[fitted], events_a[fitted])
+    ok = status == _kernels.FIT_OK
+    fitted, theta = fitted[ok], theta[ok]
+    expected, g0, g1 = _kernels.oslr_components(
+        WEIBULL.code, theta[:, 0], theta[:, 1], capped[fitted], log_capped[fitted]
     )
-    b = b * unit
-    ok = (status == _kernels.FIT_OK) & np.isfinite(a) & (a > 0) & np.isfinite(b) & (b > 0)
-    fitted, a, b = fitted[ok], a[ok], b[ok]
-    _, info = _loglik_and_information(WEIBULL, a, b, times_a[fitted], events_a[fitted])
-    one_sample((2, 3), fitted, a, b)
-    one_sample((4, 5), fitted, a, b, pi=n_b / n_a, pinv=pseudo_inverse(info))
+    one_sample((2, 3), fitted, expected)
+    one_sample((4, 5), fitted, expected, _v2(n_b / n_a, g0, g1, pseudo_inverse(info[ok])))
 
     in_b = np.concatenate((np.zeros(n_a), np.ones(n_b)))
     u_score, v_score = _two_sample_scores(

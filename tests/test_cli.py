@@ -6,7 +6,10 @@ used by the library tests (exponential MLE D / sum(X), hand product-limit
 values, zero compensated process at a calibrated horizon).
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -14,6 +17,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oslr
 from oslr.cli import main
@@ -348,6 +353,102 @@ def test_simulate_rejects_coercible_scenario_values(tmp_path, capsys, override):
     assert main(["simulate", path, "--workers", "1"]) == 1
     (name,) = override
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.001, 1e-300, 1e308])
+def test_simulate_refuses_kappa_outside_its_range(tmp_path, capsys, kappa):
+    """Shapes outside [0.05, 100] used to end in a traceback (event times
+    underflowing to zero, an overflowing scale) or leak an overflow warning;
+    they are a usage error."""
+    path = _scenario_file(tmp_path, kappa=kappa)
+    assert main(["simulate", path, "--workers", "1"]) == 1
+    assert "kappa must be a number in [0.05, 100.0]" in capsys.readouterr().err
+
+
+# JSON values a hand-written scenario may hold. Only values a Scenario
+# refuses may make a cell large, so every accepted cell stays small: at most
+# 3 replicates of n_b <= 12 and pi >= 0.25 (n_a <= 48), times 8 cells.
+_NON_NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_HUGE_INTS = st.integers(2**1024, 2**1100)  # past float range
+_CELL = {"kappa": 1.0, "n_b": 5, "pi": 1.0, "replicates": 2, "seed": 1}
+_JUNK = st.one_of(_NON_NUMBERS, st.integers(-(2**70), 2**70), _HUGE_INTS, st.floats())
+_REFUSED_COUNT = st.one_of(_NON_NUMBERS, st.integers(max_value=0), st.floats())
+
+
+def _field(valid, refused):
+    """A scalar or a list of up to two, as kappa, n_b and pi may be."""
+    value = st.one_of(valid, refused)
+    return st.one_of(value, st.lists(value, max_size=2))
+
+
+_SCENARIO_DICTS = st.fixed_dictionaries(
+    {
+        "kappa": _field(st.one_of(st.floats(), st.integers()), _JUNK),
+        "n_b": _field(
+            st.integers(1, 12),
+            st.one_of(_REFUSED_COUNT, st.integers(min_value=10**6), _HUGE_INTS),
+        ),
+        "pi": _field(
+            st.floats(min_value=0.25),
+            st.one_of(_NON_NUMBERS, _HUGE_INTS, st.floats(max_value=1e-6), st.just(math.nan)),
+        ),
+        "replicates": st.one_of(st.integers(1, 3), _REFUSED_COUNT),
+        "seed": st.one_of(st.integers(0, 2**64 - 1), _JUNK),
+    },
+    optional={
+        "alpha": _JUNK,
+        "accrual_years": _JUNK,
+        "followup_years": _JUNK,
+        "mode": _JUNK,
+    },
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    spec=st.one_of(_SCENARIO_DICTS, _JUNK),
+    extra=st.lists(
+        st.one_of(
+            st.tuples(st.just("--seed"), st.text(max_size=4)),
+            st.tuples(st.just("--alpha"), st.text(max_size=4)),
+            st.tuples(st.just("--seed"), st.integers(-5, 2**65).map(str)),
+            st.tuples(st.just("--alpha"), st.floats().map(repr)),
+        ),
+        max_size=2,
+    ),
+)
+# tracebacks the property found before the scenario ranges existed
+@example(spec={**_CELL, "kappa": 2**1100}, extra=[])
+@example(spec={**_CELL, "alpha": 5e-324}, extra=[])
+@example(spec={**_CELL, "accrual_years": 5e-324, "followup_years": 0.0}, extra=[])
+@example(spec={**_CELL, "accrual_years": 1e308, "followup_years": 1e308}, extra=[])
+def test_simulate_never_ends_in_a_traceback(tmp_path, spec, extra):
+    """Whatever JSON a scenario file holds, and whatever --seed / --alpha
+    strings come with it, simulate exits 0 to 3 with its message on stderr;
+    an exception escaping main (a leaked numpy warning included, which the
+    suite turns into an error) fails the property."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    argv = ["simulate", str(path), "--workers", "1"]
+    for flag, value in extra:
+        argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue()), list)
 
 
 def test_simulate_grid_and_outputs(tmp_path, capsys):

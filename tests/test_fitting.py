@@ -13,10 +13,12 @@ from numpy.testing import assert_allclose
 from oslr import _kernels
 from oslr.data import Cohort, ingest_csv
 from oslr.errors import DomainError, FitError, SelectionError
-from oslr.families import family
+from oslr.families import _ab, family
 from oslr.fitting import (
     GRAD_TOL,
     FitResult,
+    _fit_rows,
+    _loglik_and_information,
     aic,
     empirical_information,
     fit_mle,
@@ -212,6 +214,32 @@ def test_fit_reports_final_gradient_norm():
     for name in ("exponential", "weibull", "loglogistic"):
         fit = fit_mle(name, cohort)
         assert 0.0 <= fit.grad_norm <= GRAD_TOL
+
+
+@pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
+def test_information_from_the_fit_is_the_information_at_the_estimate(name):
+    """The log-likelihood and information a fit reports come from its last
+    Newton evaluation, on standardized times and log-parameters; mapped back
+    they equal a natural-scale pass at theta_hat, for the bundled control arm
+    and for each row of a random block."""
+    fam = family(name)
+    cohort = ingest_csv(DATA_CONTROL)
+    fit = fit_mle(fam, cohort)
+    a, b = _ab(fam, fit.theta_hat)
+    loglik, info = _loglik_and_information(fam, a, b, cohort.times[None], cohort.events[None])
+    assert_allclose(fit.loglik, loglik[0], rtol=1e-10)
+    assert_allclose(fit.info_matrix, info[0], rtol=1e-10)
+
+    rng = np.random.default_rng(MASTER_SEED + 3)
+    times = rng.weibull(1.4, (40, 60)) * 5.0 + 1e-3
+    events = (rng.random((40, 60)) < 0.7).astype(np.float64)
+    events[:, 0] = 1.0
+    theta, status, _, _, loglik, info = _fit_rows(fam, times, events)
+    assert np.all(status == _kernels.FIT_OK)
+    b = theta[:, 1] if fam.q == 2 else np.ones(len(theta))
+    want_loglik, want_info = _loglik_and_information(fam, theta[:, 0], b, times, events)
+    assert_allclose(loglik, want_loglik, rtol=1e-10)
+    assert_allclose(info, want_info, rtol=1e-10)
 
 
 def test_fit_result_equality():

@@ -95,3 +95,31 @@ def test_exponential_kernel_closed_forms():
     assert g1 == 0.0
     assert_allclose(h00, -2 / 0.16, rtol=1e-14)
     assert h01 == 0.0 and h11 == 0.0
+
+
+def test_log_time_evaluation_matches_finite_differences():
+    """The fit's log-time evaluation: its gradient and negated Hessian in the
+    log-parameters match central differences of its value and gradient, in
+    every family, on a block of two rows."""
+    times, events = _sample()
+    block_t = np.stack((times, times[::-1] * 1.7))
+    block_e = np.stack((events, events[::-1]))
+    for code in (_kernels.EXPONENTIAL, _kernels.WEIBULL, _kernels.LOGLOGISTIC):
+        q = 1 if code == _kernels.EXPONENTIAL else 2
+        data = _kernels._log_data(code, block_t, block_e)
+
+        def evaluate(x):
+            return _kernels._mean_loglik_log_scale(code, x[0], x[1], data, 1.0 / times.size)
+
+        x = np.array([[0.3, -0.2], [-0.1, 0.4]])
+        f, g0, g1, m00, m01, m11 = evaluate(x)
+        grad = np.stack((g0, g1))
+        hess = np.stack((np.stack((m00, m01)), np.stack((m01, m11))))
+        for j in range(q):
+            h = np.zeros((2, 1))
+            h[j] = 1e-5
+            up, down = evaluate(x + h), evaluate(x - h)
+            assert_allclose(grad[j], (up[0] - down[0]) / 2e-5, rtol=1e-7)
+            for k in range(q):
+                fd = -(up[1 + k] - down[1 + k]) / 2e-5
+                assert_allclose(hess[k, j], fd, rtol=1e-6, atol=1e-9)

@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
 from oslr.fitting import fit_mle
 from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
-from oslr import simulation
+from oslr import _kernels, simulation
 from oslr.nonparametric import _event_table
 from oslr.simulation import (
     MAX_OBSERVATIONS,
@@ -90,10 +90,18 @@ def test_scenario_validation():
         dict(kappa="1.0"),
         dict(alpha=math.nan),
         dict(accrual_years=math.inf),
+        # outside the documented ranges
+        dict(kappa=0.049),
+        dict(kappa=100.5),
+        dict(kappa=10**400),  # an int past float range
+        dict(alpha=1e-17),
+        dict(accrual_years=1e-7),
+        dict(followup_years=2e6),
     ):
         with pytest.raises(UsageError, match=next(iter(bad))):
             _scenario(**bad)
     assert _scenario(seed=2**64 - 1).seed == 2**64 - 1
+    assert [_scenario(kappa=k).kappa for k in (0.05, 100)] == [0.05, 100.0]
     s = _scenario(kappa=1, n_b=np.int64(7), pi=np.float64(0.5))
     assert (type(s.kappa), type(s.n_b), type(s.pi)) == (float, int, float)
 
@@ -105,6 +113,8 @@ def test_scenario_bounds_observations_per_replicate():
         _scenario(n_b=5, pi=1e-9)
     with pytest.raises(UsageError, match="observations per replicate"):
         _scenario(n_b=5, pi=5e-324)  # n_b / pi overflows to inf
+    with pytest.raises(UsageError, match="n_b must be in"):
+        _scenario(n_b=10**400, pi=1.0)  # n_b / pi would raise OverflowError
     with pytest.raises(UsageError, match="observations per replicate"):
         _scenario(n_b=MAX_OBSERVATIONS // 2 + 1, pi=1.0)
     assert _scenario(n_b=MAX_OBSERVATIONS // 2, pi=1.0).n_a == MAX_OBSERVATIONS // 2
@@ -413,6 +423,28 @@ def test_block_composition_invariance(kappa, n_b, pi):
     for size in (1, 37):
         parts = [_block_z(s, u[i : i + size]) for i in range(0, s.replicates, size)]
         assert np.concatenate(parts).tobytes() == whole, f"blocks of {size}"
+
+
+def test_one_component_pass_per_reference_curve(monkeypatch):
+    """A block makes one component pass for the true curve and one for the
+    fitted curve, which serves both the uncorrected and the corrected tests,
+    and takes the information from the fit: no natural-scale likelihood
+    pass (``loglik_derivs``, which ``_loglik_and_information`` runs)."""
+    calls = {"oslr_components": 0, "loglik_derivs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+    s = _scenario(replicates=40)
+    z = _block_z(s, _uniforms(s, 0, s.replicates))
+    assert np.isfinite(z[:, 4]).all()
+    assert calls == {"oslr_components": 2, "loglik_derivs": 0}
 
 
 def test_event_table_rows_match_single_rows():
