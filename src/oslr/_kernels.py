@@ -13,8 +13,10 @@ the row and the 2 x 2 algebra is written out elementwise.
 The kernels read log-times. A fit takes logs, and the row sums free of the
 parameters, once per call, so an evaluation needs log u = log t - log b and
 one exp per element; it returns its last evaluation, whose log-scale Hessian
-gives the information at the estimate. The test components make one fused
-pass per reference curve over capped log-times that the curves share.
+gives the information at the estimate. The test components make one pass
+per reference curve over capped log-times that the curves share: fused with
+the hazard gradient where the corrected variance needs it, the cumulative
+hazard alone otherwise.
 
 Families are dispatched by integer code. Parameters are two values
 ``(a, b)``: rate for the exponential (``b`` unused), (shape, scale) for
@@ -41,25 +43,32 @@ FIT_LINE_SEARCH = 2
 FIT_BOUNDARY = 3
 
 
+def cumhaz_at(code, a, t, logu):
+    """Cumulative hazard at each time ``t`` given logu = log(t / b), all
+    broadcast, with one exp (or log-add-exp) per element."""
+    if code == EXPONENTIAL:
+        return a * t
+    if code == WEIBULL:
+        return np.exp(a * logu)
+    return np.logaddexp(0.0, a * logu)
+
+
 def cumhaz_terms(code, a, b, t, logu):
     """(Lambda, dLambda/da, dLambda/db) at each time ``t`` given
     logu = log(t / b), all broadcast, with one exp per element."""
+    lam = cumhaz_at(code, a, t, logu)
     if code == EXPONENTIAL:
-        lam = a * t
         return lam, np.broadcast_to(t, lam.shape), np.zeros(lam.shape)
-    alogu = a * logu
     if code == WEIBULL:
-        p = np.exp(alogu)
-        return p, p * logu, -(a / b) * p
-    r = np.logaddexp(0.0, alogu)
+        return lam, lam * logu, -(a / b) * lam
     # q = u^a / (1 + u^a), computed in log space to survive large u^a
-    q = np.exp(alogu - r)
-    return r, q * logu, -(a / b) * q
+    q = np.exp(a * logu - lam)
+    return lam, q * logu, -(a / b) * q
 
 
 def cumhaz(code, a, b, t):
     """Cumulative hazard at each time in ``t``; a, b and t broadcast."""
-    return cumhaz_terms(code, a, b, t, np.log(t / b))[0]
+    return cumhaz_at(code, a, t, np.log(t / b))
 
 
 def cumhaz_grad(code, a, b, t):
@@ -291,6 +300,13 @@ def at_time(times, events, t):
     t = t[:, None]
     capped = np.minimum(times, t)
     return (events * (times <= t)).sum(axis=-1), capped, np.log(capped)
+
+
+def expected_events(code, a, b, capped, log_capped):
+    """Expected events of each row by its analysis time, (R,): the row sum
+    of the reference cumulative hazard, ``oslr_components`` without the
+    hazard gradient. Arguments as for ``oslr_components``."""
+    return cumhaz_at(code, a[:, None], capped, log_capped - np.log(b)[:, None]).sum(axis=-1)
 
 
 def oslr_components(code, a, b, capped, log_capped):

@@ -31,6 +31,7 @@ from .nonparametric import kaplan_meier, nelson_aalen
 from .render import render_curves
 from .simulation import (
     load_scenarios,
+    read_json,
     record_rows,
     run_scenario,
     write_results_csv,
@@ -223,8 +224,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_report(args) -> None:
-    with open(args.results) as fh:
-        records = json.load(fh)
+    records = read_json(args.results)
     if not isinstance(records, list):
         raise UsageError(f"{args.results}: expected a JSON list of result records")
     try:
@@ -334,7 +334,6 @@ def main(argv=None) -> int:
         SchemaError,
         RowValidationError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

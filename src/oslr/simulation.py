@@ -10,8 +10,9 @@ bit-identical across runs and across worker counts.
 The unit of work is a block of replicates held as (R, n) arrays, one
 replicate per row: the block is drawn, fitted (one batched Newton run, whose
 last evaluation also gives the information J), tested against both reference
-curves (two component passes, one per curve, over arm B's capped log-times
-taken once; all six one-sample z-values follow from them arithmetically) and
+curves over arm B's capped log-times taken once (the expected events alone
+for the true curve, one fused pass with the hazard gradient for the fitted
+curve; all six one-sample z-values follow from them arithmetically) and
 compared two-sample (one event table) at once. A row's z-values do not
 depend on the other rows of its block, so the counts are the same for any
 chunking and worker count. A block's rows are drawn by resetting one Philox
@@ -254,8 +255,9 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
             m, v1 = _compensated_and_v1(n_events[rows], expected, n_b, w)
             z[rows, slot] = _z_or_nan(m, v1 + v2)
 
+    # the true curve's tests need no hazard gradient
     kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
-    expected, _, _ = _kernels.oslr_components(WEIBULL.code, kappa, sigma, capped, log_capped)
+    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, capped, log_capped)
     one_sample((0, 1), slice(None), expected)
 
     # rows without events have no fit; the information comes with the fit
@@ -542,14 +544,24 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationRe
     )
 
 
+def read_json(path):
+    """The JSON document in a file. Text that does not decode or parse,
+    including an integer literal past Python's int string limit (a plain
+    ValueError, not a JSONDecodeError), raises UsageError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: not a readable JSON document ({exc})") from exc
+
+
 def load_scenarios(source) -> list[Scenario]:
     """Expand a scenario dict or JSON file into cells.
 
     kappa, n_b and pi may be lists; the grid is their cartesian product.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            spec = json.load(fh)
+        spec = read_json(source)
     else:
         spec = dict(source)
     if not isinstance(spec, dict):

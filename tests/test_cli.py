@@ -493,6 +493,18 @@ def test_simulate_seed_past_64_bits_exits_one(tmp_path, capsys):
     assert main(["simulate", path, "--workers", "1", "--seed", str(2**64 - 1)]) == 0
 
 
+def test_simulate_oversize_json_integer_exits_one(tmp_path, capsys):
+    """An integer literal past Python's int string limit (4,300 digits) makes
+    json raise a plain ValueError, not a JSONDecodeError: usage error, not a
+    traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        '{"kappa": 1.0, "n_b": 5, "pi": 1.0, "replicates": 2, "seed": ' + "1" * 5000 + "}"
+    )
+    assert main(["simulate", str(path), "--workers", "1"]) == 1
+    assert "JSON" in capsys.readouterr().err
+
+
 def test_report_roundtrip(tmp_path, capsys):
     scenario = _scenario_file(tmp_path)
     out = tmp_path / "run"
@@ -524,3 +536,10 @@ def test_report_malformed_input_exits_one(tmp_path, capsys):
     missing_keys = tmp_path / "missing.json"
     missing_keys.write_text('[{"scenario": {}}]')
     assert main(["report", str(missing_keys)]) == 1
+
+
+def test_report_oversize_json_integer_exits_one(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text("[" + "7" * 5000 + "]")
+    assert main(["report", str(huge)]) == 1
+    assert "JSON" in capsys.readouterr().err

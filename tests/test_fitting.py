@@ -141,6 +141,35 @@ def _assert_scaled(name, fit0, fit1, factor):
         assert_allclose(fit1.theta_hat[1], fit0.theta_hat[1] * factor, rtol=1e-9)
 
 
+def test_weibull_fit_starts_at_the_exponential_mle():
+    """With no init a Weibull fit starts at shape 1 and the scale MLE there,
+    exposure over events. It reaches the estimates of the former start
+    (shape 1, scale the upper median) in fewer Newton steps: 3.265 per row
+    on this block, against 4.575 from the former start."""
+    scenario = Scenario(kappa=1.0, n_b=50, pi=1.0, replicates=200, seed=MASTER_SEED)
+    cohorts = [
+        generate_cohort(scenario, "A", replicate_rng(MASTER_SEED, i)) for i in range(200)
+    ]
+    times = np.stack([c.times for c in cohorts])
+    events = np.stack([c.events for c in cohorts])
+    assert times.shape == (200, 50) and events.sum(axis=1).min() > 0
+    _, status, iterations, _, _, _ = _fit_rows(family("weibull"), times, events)
+    assert np.all(status == _kernels.FIT_OK)
+    assert iterations.mean() <= 3.5
+    for cohort in cohorts:
+        upper_median = np.sort(cohort.times)[cohort.n // 2]
+        fits = []
+        for init in (None, [1.0, upper_median]):
+            try:
+                fits.append(fit_mle("weibull", cohort, init=init).theta_hat)
+            except FitError:
+                fits.append(None)
+        if fits[0] is None or fits[1] is None:
+            assert fits[0] is fits[1]
+        else:
+            assert_allclose(fits[0], fits[1], rtol=1e-7)
+
+
 @pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
 @settings(max_examples=25, deadline=None)
 @given(log10_factor=st.floats(-6.0, 6.0))
@@ -338,6 +367,33 @@ def test_pseudo_inverse():
             assert_allclose(plus @ m @ plus, plus, atol=1e-10)
             assert_allclose((m @ plus).T, m @ plus, atol=1e-10)
             assert_allclose((plus @ m).T, plus @ m, atol=1e-10)
+        # the closed-form 2 x 2 path over (..., 2, 2) stacks, and eigh for 3 x 3
+        a = rng.normal(size=(4, 30, 2, 3))
+        general = a @ np.swapaxes(a, -1, -2)
+        v = rng.normal(size=(30, 2))
+        special = np.concatenate(
+            [
+                v[:, :, None] * v[:, None, :],  # exactly rank 1
+                np.zeros((1, 2, 2)),
+                np.array([np.diag(d) for d in [(3.0, -2.0), (-2.0, 3.0), (-5.0, 1e-3),
+                                               (-1.0, -4.0), (0.0, -2.0), (-7.0, 0.0)]]),
+                np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [2.0, -1.0]]]),
+            ]
+        )
+        for scale in (1e-12, 1.0, 1e12):
+            for m in (scale * general, scale * special):
+                expected = np.linalg.pinv(m, rtol=1e-12 * 2, hermitian=True)
+                size = np.abs(expected).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(pseudo_inverse(m) - expected) <= 1e-10 * size)
+        # badly scaled, as an information matrix in a large time unit: every
+        # entry to rtol 1e-9, which the small eigenvalue as mid - radius misses
+        d = np.array([1.0, 1e-3])
+        m = general[0] * d[:, None] * d[None, :]
+        assert_allclose(pseudo_inverse(m), np.linalg.pinv(m, hermitian=True), rtol=1e-9)
+        b = rng.normal(size=(20, 3, 2))
+        m = b @ np.swapaxes(b, -1, -2)  # rank 2 of 3
+        expected = np.linalg.pinv(m, rtol=1e-12 * 3, hermitian=True)
+        assert_allclose(pseudo_inverse(m), expected, atol=1e-10 * np.abs(expected).max())
 
 
 def test_pseudo_inverse_rejects_non_finite_input():

@@ -426,11 +426,12 @@ def test_block_composition_invariance(kappa, n_b, pi):
 
 
 def test_one_component_pass_per_reference_curve(monkeypatch):
-    """A block makes one component pass for the true curve and one for the
-    fitted curve, which serves both the uncorrected and the corrected tests,
-    and takes the information from the fit: no natural-scale likelihood
-    pass (``loglik_derivs``, which ``_loglik_and_information`` runs)."""
-    calls = {"oslr_components": 0, "loglik_derivs": 0}
+    """A block makes one fused component pass for the fitted curve, which
+    serves both the uncorrected and the corrected tests, and one Λ-only
+    evaluation for the true curve, whose tests need no hazard gradient. It
+    takes the information from the fit: no natural-scale likelihood pass
+    (``loglik_derivs``, which ``_loglik_and_information`` runs)."""
+    calls = {"oslr_components": 0, "expected_events": 0, "cumhaz_terms": 0, "loglik_derivs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -444,7 +445,12 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
     s = _scenario(replicates=40)
     z = _block_z(s, _uniforms(s, 0, s.replicates))
     assert np.isfinite(z[:, 4]).all()
-    assert calls == {"oslr_components": 2, "loglik_derivs": 0}
+    assert calls == {
+        "oslr_components": 1,
+        "expected_events": 1,
+        "cumhaz_terms": 1,
+        "loglik_derivs": 0,
+    }
 
 
 def test_event_table_rows_match_single_rows():
