@@ -4,7 +4,9 @@ Workflow: ingest right-censored cohorts, fit a reference cumulative hazard to
 historic control data by censored maximum likelihood, then test an
 experimental cohort against that curve, with an optional variance correction
 for the uncertainty the fitting step introduces. A Monte Carlo engine
-measures type-I-error behaviour of the procedures.
+measures type-I-error behaviour of the procedures; its names are exported
+here but ``oslr.simulation`` is imported only when one of them is first used,
+so the analysis path never loads it.
 """
 
 __version__ = "0.1.0"
@@ -66,17 +68,6 @@ from .logrank import (
     zscore,
 )
 from .nonparametric import StepCurve, kaplan_meier, nelson_aalen
-from .simulation import (
-    PROCEDURES,
-    Scenario,
-    SimulationResult,
-    generate_cohort,
-    load_scenarios,
-    mc_error_interval,
-    replicate_rng,
-    run_replicate,
-    run_scenario,
-)
 
 __all__ = [
     "__version__",
@@ -139,3 +130,32 @@ __all__ = [
     "mc_error_interval",
     "load_scenarios",
 ]
+
+# the Monte Carlo engine's exports, imported on first access (PEP 562)
+_SIMULATION_NAMES = frozenset(
+    (
+        "PROCEDURES",
+        "Scenario",
+        "SimulationResult",
+        "generate_cohort",
+        "load_scenarios",
+        "mc_error_interval",
+        "replicate_rng",
+        "run_replicate",
+        "run_scenario",
+    )
+)
+
+
+def __getattr__(name):
+    if name not in _SIMULATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulation
+
+    value = getattr(simulation, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIMULATION_NAMES)

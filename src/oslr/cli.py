@@ -29,14 +29,6 @@ from .fitting import fit_mle, select_model
 from .logrank import ReferenceCurve, critical_value, oslr_test
 from .nonparametric import kaplan_meier, nelson_aalen
 from .render import render_curves
-from .simulation import (
-    load_scenarios,
-    read_json,
-    record_rows,
-    run_scenario,
-    write_results_csv,
-    write_rows_csv,
-)
 
 EXIT_OK, EXIT_USAGE, EXIT_FIT, EXIT_DEGENERATE = 0, 1, 2, 3
 
@@ -74,15 +66,18 @@ def _select_fit(cohort, family_name: str):
     if family_name != "auto":
         return fit_mle(family_name, cohort)
     fits = []
-    lines = ["family        aic          loglik       status"]
+    lines = [f"{'family':<13} {'aic':<12} {'loglik':<12} {'iterations':<10} grad_norm"]
     for name in FAMILIES:
         try:
             fit = fit_mle(name, cohort)
         except FitError as exc:
-            lines.append(f"{name:<13} {'-':<12} {'-':<12} failed: {exc}")
+            lines.append(f"{name:<13} failed: {exc}")
             continue
         fits.append(fit)
-        lines.append(f"{name:<13} {fit.aic:<12.4f} {fit.loglik:<12.4f} converged")
+        lines.append(
+            f"{name:<13} {fit.aic:<12.4f} {fit.loglik:<12.4f} {fit.iterations:<10d} "
+            f"{fit.grad_norm:.2e}"
+        )
     print("\n".join(lines), file=sys.stderr)
     return select_model(fits)
 
@@ -202,6 +197,16 @@ def cmd_km(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    # the engine is imported by the commands that run it, so the analysis
+    # commands never load it
+    from .simulation import (
+        load_scenarios,
+        record_rows,
+        run_scenario,
+        write_results_csv,
+        write_rows_csv,
+    )
+
     scenarios = load_scenarios(args.scenario)
     overrides = {}
     if args.seed is not None:
@@ -224,6 +229,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_report(args) -> None:
+    from .simulation import read_json, record_rows, write_rows_csv
+
     records = read_json(args.results)
     if not isinstance(records, list):
         raise UsageError(f"{args.results}: expected a JSON list of result records")

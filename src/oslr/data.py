@@ -153,7 +153,8 @@ def ingest_csv(
                 f"found in header {fields}"
             )
         has_group = group_col in fields
-        groups: dict[str, list[Observation]] = {}
+        # label -> (times, events), filled row by row
+        groups: dict[str, tuple[list[float], list[int]]] = {}
         for row_number, row in enumerate(reader, start=1):
             raw_time = (row.get(time_col) or "").strip()
             raw_event = (row.get(event_col) or "").strip()
@@ -172,13 +173,18 @@ def ingest_csv(
                     row_number, f"event must be 0 or 1, got {raw_event!r}"
                 )
             key = (row.get(group_col) or "").strip() if has_group else ""
-            groups.setdefault(key, []).append(Observation(time, int(raw_event)))
+            times, events = groups.setdefault(key, ([], []))
+            times.append(time)
+            events.append(int(raw_event))
     if not groups:
         raise SchemaError(f"{path}: no data rows")
     if has_group:
-        return {label: Cohort(obs, label=label) for label, obs in groups.items()}
-    (observations,) = groups.values()
-    return Cohort(observations)
+        return {
+            label: Cohort.from_arrays(times, events, label=label)
+            for label, (times, events) in groups.items()
+        }
+    ((times, events),) = groups.values()
+    return Cohort.from_arrays(times, events)
 
 
 def write_csv(path, cohorts) -> None:

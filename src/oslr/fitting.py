@@ -9,7 +9,9 @@ rule nor the parameter bounds depend on the time unit, so every fit is
 scale-equivariant. The reported information matrix is the per-observation
 average of negated analytic log-likelihood Hessians at the estimate, taken
 from the fit's last Newton evaluation rather than from another pass. Its
-pseudo-inverse is in closed form for 2 x 2 matrices, elementwise over a stack.
+pseudo-inverse is in closed form for 2 x 2 matrices, elementwise over a stack,
+and is taken in log-parameter coordinates when the estimate is given, which
+keeps the corrected test free of the time unit.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def select_model(fits) -> FitResult:
     return min(enumerate(candidates), key=lambda kv: (kv[1].aic, kv[1].family.q, kv[0]))[1]
 
 
-def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
+def pseudo_inverse(m, tol: float | None = None, scale=None) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
     (..., q, q) stack, via its eigendecomposition: in closed form for
     q = 2, elementwise over the stack, and through LAPACK otherwise.
@@ -219,22 +221,35 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
     The singular values of a symmetric matrix are its eigenvalues' moduli;
     eigenvalues with |lambda| <= tol * max |lambda| count as zero. tol
     defaults to 1e-12 * q for q x q matrices.
+
+    With ``scale``, positive parameters theta of shape (..., q), the result
+    is D pinv(D m D) D for D = diag(theta): the pseudo-inverse of an
+    information matrix m taken in the coordinates log theta, where m has no
+    time unit, so the cutoff does not depend on the unit either. It equals
+    m^-1 when m is invertible.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    outer = 1.0
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise ValueError("scale must be finite and positive")
+        outer = scale[..., :, None] * scale[..., None, :]
+        m = m * outer
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale):
+    size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * size):
         raise ValueError("matrix is not symmetric within 1e-10")
     q = m.shape[-1]
     if tol is None:
         tol = 1e-12 * q
     if q != 2:
         lam, v = np.linalg.eigh(m)
-        return (v * _kept_inverse(lam, tol)[..., None, :]) @ np.swapaxes(v, -1, -2)
+        return outer * ((v * _kept_inverse(lam, tol)[..., None, :]) @ np.swapaxes(v, -1, -2))
     # [[a, b], [b, c]] has eigenvalues mid +- hypot(half, b). The one of larger
     # modulus, big, takes the sign of mid, which avoids cancellation; the other
     # is the determinant over big, computed without cancellation or overflow as
@@ -250,7 +265,7 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
     inv = _kept_inverse(lam, tol)
     phi = 0.5 * np.arctan2(sign * b, sign * half)
     cos, sin = np.cos(phi), np.sin(phi)
-    return _symmetric(
+    return outer * _symmetric(
         inv[..., 0] * cos * cos + inv[..., 1] * sin * sin,
         (inv[..., 0] - inv[..., 1]) * cos * sin,
         inv[..., 0] * sin * sin + inv[..., 1] * cos * cos,

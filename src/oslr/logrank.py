@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -29,6 +28,9 @@ def normal_cdf(z: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
+    # statistics (with fractions, decimal and random) loads on first use
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(p)
 
 
@@ -63,7 +65,8 @@ class ReferenceCurve:
     Either fitted (carries the information matrix and control sample size
     needed for the corrected test) or fixed (a known parametric truth). A
     fitted curve computes the pseudo-inverse of its information matrix once,
-    as ``info_pinv``.
+    as ``info_pinv``, in log-parameter coordinates so that the corrected
+    test does not depend on the time unit.
     """
 
     family: FamilyDescriptor
@@ -88,7 +91,7 @@ class ReferenceCurve:
                     f"information matrix shape {info.shape} does not match q={fam.q}"
                 )
             object.__setattr__(self, "info_matrix", info)
-            object.__setattr__(self, "info_pinv", pseudo_inverse(info))
+            object.__setattr__(self, "info_pinv", pseudo_inverse(info, scale=theta))
 
     @classmethod
     def from_fit(cls, fit: FitResult) -> "ReferenceCurve":

@@ -269,7 +269,8 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
         WEIBULL.code, theta[:, 0], theta[:, 1], capped[fitted], log_capped[fitted]
     )
     one_sample((2, 3), fitted, expected)
-    one_sample((4, 5), fitted, expected, _v2(n_b / n_a, g0, g1, pseudo_inverse(info[ok])))
+    pinv = pseudo_inverse(info[ok], scale=theta)
+    one_sample((4, 5), fitted, expected, _v2(n_b / n_a, g0, g1, pinv))
 
     in_b = np.concatenate((np.zeros(n_a), np.ones(n_b)))
     u_score, v_score = _two_sample_scores(

@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line interface.
 
-Every test but the import guard drives ``oslr.cli.main(argv)`` in process and
+Every test but the import guards drives ``oslr.cli.main(argv)`` in process and
 inspects exit codes, stdout/stderr and written files. Numeric oracles are the same closed forms
 used by the library tests (exponential MLE D / sum(X), hand product-limit
 values, zero compensated process at a calibrated horizon).
@@ -41,19 +41,81 @@ def test_version_exits_zero(capsys):
     assert "oslr" in capsys.readouterr().out
 
 
-def _modules_after_cli_import(*packages):
-    """The modules of the given packages that a fresh interpreter holds
-    after `import oslr.cli`."""
+def _fresh_interpreter(snippet):
+    """stdout of `snippet` run by a fresh interpreter on this oslr."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oslr.__file__).parents[1]))
-    snippet = "import json, sys, oslr.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", snippet], capture_output=True, text=True, env=env,
         check=True,
     )
+    return out.stdout
+
+
+def _modules_after(statement, *packages):
+    """The modules of the given packages that a fresh interpreter holds
+    after `statement`."""
+    snippet = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
     return [
-        m for m in json.loads(out.stdout)
+        m for m in json.loads(_fresh_interpreter(snippet))
         if any(m == p or m.startswith(p + ".") for p in packages)
     ]
+
+
+def _modules_after_cli_import(*packages):
+    """The modules of the given packages that a fresh interpreter holds
+    after `import oslr.cli`."""
+    return _modules_after("import oslr.cli", *packages)
+
+
+def test_cli_import_loads_only_the_analysis_modules():
+    """The analysis commands run no simulation and no statistics: a fresh
+    `import oslr.cli` loads neither the engine nor `statistics`."""
+    assert _modules_after_cli_import("oslr") == [
+        "oslr", "oslr._kernels", "oslr.cli", "oslr.data", "oslr.errors",
+        "oslr.families", "oslr.fitting", "oslr.logrank", "oslr.nonparametric",
+        "oslr.render",
+    ]
+    assert _modules_after_cli_import("statistics") == []
+
+
+def test_package_import_leaves_simulation_out():
+    assert _modules_after("import oslr", "oslr.simulation", "statistics") == []
+
+
+def test_simulation_exports_load_on_first_use():
+    """The engine's names are exported lazily: listed by dir(), bound by a
+    star import, and the engine's own objects once loaded."""
+    snippet = """
+import json, sys
+import oslr
+lazy = ["PROCEDURES", "Scenario", "SimulationResult", "generate_cohort",
+        "load_scenarios", "mc_error_interval", "replicate_rng", "run_replicate",
+        "run_scenario"]
+report = {"listed": all(name in dir(oslr) for name in lazy),
+          "loaded_by_dir": "oslr.simulation" in sys.modules}
+report["same"] = oslr.run_scenario is sys.modules["oslr.simulation"].run_scenario
+report["cached"] = "run_scenario" in vars(oslr)
+namespace = {}
+exec("from oslr import *", namespace)
+report["unbound"] = [name for name in oslr.__all__ if name not in namespace]
+print(json.dumps(report))
+"""
+    assert json.loads(_fresh_interpreter(snippet)) == {
+        "listed": True, "loaded_by_dir": False, "same": True, "cached": True,
+        "unbound": [],
+    }
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oslr.no_such_name
+
+
+def test_critical_value_loads_statistics_on_first_use():
+    snippet = """
+import json, sys
+from oslr.logrank import critical_value
+before = "statistics" in sys.modules
+print(json.dumps([before, critical_value(0.05), "statistics" in sys.modules]))
+"""
+    assert json.loads(_fresh_interpreter(snippet)) == [False, 1.9599639845400536, True]
 
 
 def test_cli_import_leaves_scipy_out():
@@ -96,6 +158,19 @@ def test_fit_auto_prints_aic_table_and_selects(tmp_path, capsys):
     for name in ("exponential", "weibull", "loglogistic"):
         assert name in captured.err
     assert "aic" in captured.err
+
+
+def test_fit_auto_table_reports_fit_diagnostics(capsys):
+    """Each row of the auto table carries its fit's Newton iterations and
+    the gradient norm it stopped at."""
+    assert main(["fit", "--control", DATA_CONTROL]) == 0
+    header, *rows = capsys.readouterr().err.splitlines()
+    assert header.split() == ["family", "aic", "loglik", "iterations", "grad_norm"]
+    assert [row.split()[0] for row in rows] == ["exponential", "weibull", "loglogistic"]
+    for row in rows:
+        iterations, grad_norm = row.split()[3:]
+        assert int(iterations) >= 0
+        assert 0.0 <= float(grad_norm) <= 1e-8
 
 
 def test_fit_empty_file_exits_two(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Cohort construction, counting processes and CSV ingestion."""
 
+import csv
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from oslr import data
 from oslr.data import (
     Cohort,
     Observation,
@@ -12,6 +16,8 @@ from oslr.data import (
     write_csv,
 )
 from oslr.errors import RowValidationError, SchemaError, UsageError
+
+DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def test_observation_validation():
@@ -102,6 +108,25 @@ def test_ingest_grouped(tmp_path):
     assert groups["control"].n == 2
     assert groups["control"].label == "control"
     assert groups["experimental"].n == 1
+
+
+@pytest.mark.parametrize("name", ["control.csv", "experimental.csv"])
+def test_ingest_builds_arrays_without_observations(monkeypatch, name):
+    """The bundled CSVs ingest to float64 arrays bit-identical to their
+    rows parsed by float(), with no Observation built per row."""
+    with open(DATA_DIR / name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    times = np.array([float(r["time"]) for r in rows])
+    events = np.array([float(r["event"]) for r in rows])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ingest_csv built an Observation")
+
+    monkeypatch.setattr(data, "Observation", refuse)
+    cohort = ingest_csv(DATA_DIR / name)
+    assert cohort.times.dtype == cohort.events.dtype == np.float64
+    assert cohort.times.tobytes() == times.tobytes()
+    assert cohort.events.tobytes() == events.tobytes()
 
 
 def test_ingest_schema_errors(tmp_path):

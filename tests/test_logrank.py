@@ -7,6 +7,7 @@ pieces against closed-form compositions of the exponential family.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from oslr import _kernels, logrank
-from oslr.data import Cohort
+from oslr.data import Cohort, ingest_csv
 from oslr.errors import DegenerateTestError, DomainError, UsageError
 from oslr.fitting import fit_mle
 from oslr.logrank import (
@@ -34,6 +35,10 @@ from oslr.logrank import (
 )
 
 MASTER_SEED = 20260815
+
+_DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
+DATA_CONTROL = _DATA_DIR / "control.csv"
+DATA_EXPERIMENTAL = _DATA_DIR / "experimental.csv"
 
 
 def test_normal_helpers_match_scipy():
@@ -361,6 +366,21 @@ def test_one_kernel_pass_and_one_pseudo_inverse(monkeypatch):
     assert calls == {"kernel": 1, "pinv": 1}
     oslr_test(ref, cohort_b, w=0.5, corrected=True)
     assert calls == {"kernel": 2, "pinv": 1}
+
+
+@pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
+def test_corrected_z_does_not_depend_on_the_time_unit(name):
+    """The bundled cohorts give one corrected z in years, days, seconds and
+    a unit 1e9 times smaller: the variance correction is unit-free."""
+    cohort_a = ingest_csv(DATA_CONTROL)
+    cohort_b = ingest_csv(DATA_EXPERIMENTAL)
+    z = []
+    for factor in (1.0, 365.25, 31_557_600.0, 1e9):
+        a = Cohort.from_arrays(cohort_a.times * factor, cohort_a.events)
+        b = Cohort.from_arrays(cohort_b.times * factor, cohort_b.events)
+        ref = ReferenceCurve.from_fit(fit_mle(name, a))
+        z.append([oslr_test(ref, b, w=w, corrected=True).z for w in (0.0, 0.5)])
+    assert_allclose(z[1:], [z[0]] * 3, rtol=1e-9)
 
 
 def test_w_choice_vanishes_at_large_n(truth_z_sample):
