@@ -66,16 +66,6 @@ def cumhaz_terms(code, a, b, t, logu):
     return lam, q * logu, -(a / b) * q
 
 
-def cumhaz(code, a, b, t):
-    """Cumulative hazard at each time in ``t``; a, b and t broadcast."""
-    return cumhaz_at(code, a, t, np.log(t / b))
-
-
-def cumhaz_grad(code, a, b, t):
-    """Parameter gradient (dLambda/da, dLambda/db) at each time in ``t``."""
-    return cumhaz_terms(code, a, b, t, np.log(t / b))[1:]
-
-
 def _log_data(code, times, events):
     """What the likelihood kernels read of (R, n) times and events:
     (log-times, events, d, s) with the parameter-free row sums d = sum of
@@ -166,11 +156,6 @@ def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
 
 
 def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
-    """``fit_newton_last`` without its last evaluation."""
-    return fit_newton_last(code, times, events, x0, x1, grad_tol, max_iter)[:5]
-
-
-def fit_newton_last(code, times, events, x0, x1, grad_tol, max_iter):
     """Damped Newton ascent of each row's mean log-likelihood on
     log-parameters.
 

@@ -24,7 +24,7 @@ from .errors import (
     SelectionError,
     UsageError,
 )
-from .families import FAMILIES, family, survival
+from .families import FAMILIES, survival
 from .fitting import fit_mle, select_model
 from .logrank import ReferenceCurve, critical_value, oslr_test
 from .nonparametric import kaplan_meier, nelson_aalen
@@ -199,13 +199,7 @@ def cmd_km(args) -> None:
 def cmd_simulate(args) -> None:
     # the engine is imported by the commands that run it, so the analysis
     # commands never load it
-    from .simulation import (
-        load_scenarios,
-        record_rows,
-        run_scenario,
-        write_results_csv,
-        write_rows_csv,
-    )
+    from .simulation import load_scenarios, record_rows, run_scenario, write_rows_csv
 
     scenarios = load_scenarios(args.scenario)
     overrides = {}
@@ -217,13 +211,15 @@ def cmd_simulate(args) -> None:
         scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
     results = [run_scenario(s, workers=args.workers) for s in scenarios]
     records = [r.to_json_dict() for r in results]
+    rows = [row for record in records for row in record_rows(record)]
     if args.out:
         with open(f"{args.out}.json", "w") as fh:
             json.dump(records, fh, indent=2)
             fh.write("\n")
-        write_results_csv(f"{args.out}.csv", results)
+        with open(f"{args.out}.csv", "w", newline="") as fh:
+            write_rows_csv(fh, rows)
     if args.format == "csv":
-        write_rows_csv(sys.stdout, [row for rec in records for row in record_rows(rec)])
+        write_rows_csv(sys.stdout, rows)
     else:
         print(json.dumps(records, indent=2))
 

@@ -126,12 +126,7 @@ def counting_process(cohort: Cohort, t: float) -> tuple[int, int]:
     return events_by_t, at_risk
 
 
-def ingest_csv(
-    path,
-    time_col: str = "time",
-    event_col: str = "event",
-    group_col: str = "group",
-):
+def ingest_csv(path):
     """Read a cohort CSV (header row required, UTF-8, comma-separated).
 
     Columns ``time`` (decimal) and ``event`` (0/1) are required. When the
@@ -147,17 +142,17 @@ def ingest_csv(
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file, header row required")
         fields = [name.strip() for name in reader.fieldnames]
-        if time_col not in fields or event_col not in fields:
+        if "time" not in fields or "event" not in fields:
             raise SchemaError(
-                f"{path}: required columns {time_col!r} and {event_col!r} not "
-                f"found in header {fields}"
+                f"{path}: required columns 'time' and 'event' not found in "
+                f"header {fields}"
             )
-        has_group = group_col in fields
+        has_group = "group" in fields
         # label -> (times, events), filled row by row
         groups: dict[str, tuple[list[float], list[int]]] = {}
         for row_number, row in enumerate(reader, start=1):
-            raw_time = (row.get(time_col) or "").strip()
-            raw_event = (row.get(event_col) or "").strip()
+            raw_time = (row.get("time") or "").strip()
+            raw_event = (row.get("event") or "").strip()
             try:
                 time = float(raw_time)
             except ValueError:
@@ -172,7 +167,7 @@ def ingest_csv(
                 raise RowValidationError(
                     row_number, f"event must be 0 or 1, got {raw_event!r}"
                 )
-            key = (row.get(group_col) or "").strip() if has_group else ""
+            key = (row.get("group") or "").strip() if has_group else ""
             times, events = groups.setdefault(key, ([], []))
             times.append(time)
             events.append(int(raw_event))

@@ -6,6 +6,11 @@ Parametrizations (all parameters strictly positive):
 * weibull(shape, scale):    Lambda(t) = (t / scale) ** shape
 * loglogistic(shape, scale): Lambda(t) = log(1 + (t / scale) ** shape)
 
+Lambda and its gradient come from the coded kernels in :mod:`oslr._kernels`;
+S = exp(-Lambda) and f = lambda * S follow from them, so each family's
+formula has one home. The hazard lambda keeps the power form
+(shape / scale) * (t / scale) ** (shape - 1), times S for the log-logistic.
+
 Times are continuous and nonnegative; the cumulative hazard gradients are
 defined for t > 0 (their t -> 0 limits are zero for the shipped families).
 Log-likelihood contributions are ``log f(theta, X)`` for events and
@@ -84,56 +89,47 @@ def _eval(fam, theta, t, func):
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise UsageError(f"times must be finite and >= 0, got {t!r}")
     a, b = _ab(fam, theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = func(fam, a, b, t_arr)
+    # t = 0 gives log 0 and 0 ** negative, huge t an infinite Lambda: their
+    # limits (0, inf, S = 0) are the values
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = func(fam.code, a, b, t_arr)
     return out if np.ndim(t) else float(out[0])
+
+
+def _cumhaz(code, a, b, x):
+    return _kernels.cumhaz_at(code, a, x, np.log(x / b))
+
+
+def _survival(code, a, b, x):
+    return np.exp(-_cumhaz(code, a, b, x))
+
+
+def _hazard(code, a, b, x):
+    # the power form keeps h(0) exact: inf, 1 / scale or 0 by the shape
+    if code == _kernels.EXPONENTIAL:
+        return a * np.ones_like(x)
+    h = (a / b) * (x / b) ** (a - 1.0)
+    return h * _survival(code, a, b, x) if code == _kernels.LOGLOGISTIC else h
 
 
 def cumulative_hazard(fam, theta, t):
     """Cumulative hazard Lambda(theta, t); scalar in, scalar out."""
-    return _eval(fam, theta, t, lambda f, a, b, x: _kernels.cumhaz(f.code, a, b, x))
+    return _eval(fam, theta, t, _cumhaz)
 
 
 def survival(fam, theta, t):
-    """Survival function S(theta, t), each family's closed form."""
-
-    def _surv(f, a, b, x):
-        u = x / b
-        if f.code == _kernels.EXPONENTIAL:
-            return np.exp(-a * x)
-        if f.code == _kernels.WEIBULL:
-            return np.exp(-(u**a))
-        return 1.0 / (1.0 + u**a)
-
-    return _eval(fam, theta, t, _surv)
+    """Survival function S(theta, t) = exp(-Lambda(theta, t))."""
+    return _eval(fam, theta, t, _survival)
 
 
 def density(fam, theta, t):
-    """Density f(theta, t), each family's closed form."""
-
-    def _dens(f, a, b, x):
-        u = x / b
-        if f.code == _kernels.EXPONENTIAL:
-            return a * np.exp(-a * x)
-        if f.code == _kernels.WEIBULL:
-            return (a / b) * u ** (a - 1.0) * np.exp(-(u**a))
-        return (a / b) * u ** (a - 1.0) / (1.0 + u**a) ** 2
-
-    return _eval(fam, theta, t, _dens)
+    """Density f(theta, t) = lambda(theta, t) S(theta, t)."""
+    return _eval(fam, theta, t, lambda *args: _hazard(*args) * _survival(*args))
 
 
 def hazard(fam, theta, t):
-    """Hazard rate lambda(theta, t) = f / S in each family's closed form."""
-
-    def _haz(f, a, b, x):
-        u = x / b
-        if f.code == _kernels.EXPONENTIAL:
-            return a * np.ones_like(x)
-        if f.code == _kernels.WEIBULL:
-            return (a / b) * u ** (a - 1.0)
-        return (a / b) * u ** (a - 1.0) / (1.0 + u**a)
-
-    return _eval(fam, theta, t, _haz)
+    """Hazard rate lambda(theta, t)."""
+    return _eval(fam, theta, t, _hazard)
 
 
 def grad_cumulative_hazard(fam, theta, t):
@@ -144,7 +140,9 @@ def grad_cumulative_hazard(fam, theta, t):
     if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
         raise UsageError(f"gradient requires finite t > 0, got {t!r}")
     a, b = _ab(fam, theta)
-    g = np.stack(_kernels.cumhaz_grad(fam.code, a, b, t_arr), axis=-1)[:, : fam.q]
+    with np.errstate(over="ignore"):
+        terms = _kernels.cumhaz_terms(fam.code, a, b, t_arr, np.log(t_arr / b))
+    g = np.stack(terms[1:], axis=-1)[:, : fam.q]
     return g if np.ndim(t) else g[0]
 
 

@@ -6,18 +6,19 @@ log-scale gradient of the mean log-likelihood is small. The exponential and
 the Weibull start at their closed-form MLE at shape 1 (events over exposure),
 the log-logistic at shape 1 and the median. Neither the start, the stopping
 rule nor the parameter bounds depend on the time unit, so every fit is
-scale-equivariant. The reported information matrix is the per-observation
-average of negated analytic log-likelihood Hessians at the estimate, taken
-from the fit's last Newton evaluation rather than from another pass. Its
-pseudo-inverse is in closed form for 2 x 2 matrices, elementwise over a stack,
-and is taken in log-parameter coordinates when the estimate is given, which
-keeps the corrected test free of the time unit.
+scale-equivariant; no start is taken from the caller. A fit that stops on
+any status but converged raises FitError with that status's reason from
+FAILURES, the one table of them. The reported information matrix is the
+per-observation average of negated analytic log-likelihood Hessians at the
+estimate, taken from the fit's last Newton evaluation rather than from
+another pass. Its pseudo-inverse is in closed form for 2 x 2 matrices,
+elementwise over a stack, and is taken in log-parameter coordinates when the
+estimate is given, which keeps the corrected test free of the time unit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +32,13 @@ from .families import FamilyDescriptor, _ab, check_theta, family
 # applies to the log-scale gradient of the mean log-likelihood
 GRAD_TOL = 1e-8
 MAX_ITER = 200
+
+# why a fit failed, by the Newton driver's status
+FAILURES = {
+    _kernels.FIT_MAX_ITER: f"did not converge within {MAX_ITER} iterations",
+    _kernels.FIT_LINE_SEARCH: "stalled: no step improved the likelihood",
+    _kernels.FIT_BOUNDARY: "drifted to the parameter-space boundary",
+}
 
 
 def _fields_equal(self, other) -> bool:
@@ -60,7 +68,6 @@ class FitResult:
     loglik: float
     aic: float
     n: int
-    converged: bool
     iterations: int
     # norm of the log-scale gradient of the mean log-likelihood at theta_hat
     grad_norm: float
@@ -75,7 +82,8 @@ class FitResult:
             "loglik": self.loglik,
             "aic": self.aic,
             "n": self.n,
-            "converged": self.converged,
+            # fit_mle raises on every other status
+            "converged": True,
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
         }
@@ -103,16 +111,15 @@ def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
     return _loglik_and_information(fam, a, b, cohort.times[None], cohort.events[None])[1][0]
 
 
-def _fit_rows(fam, times, events, init=None):
+def _fit_rows(fam, times, events):
     """``fit_mle`` for each row of (R, n) times and events, every row holding
-    an event, from one ``init`` for all rows. Without ``init`` a row starts
-    at shape 1 and its exposure start: the rate d / sum(t) for the
-    exponential, the scale sum(t) / d for the Weibull (both the MLE at shape
-    1), and the scale 1, the upper median, for the log-logistic. A row whose
-    estimate is not finite and positive gets FIT_BOUNDARY. Returns
-    (theta (R, q), status, iterations, grad_norm, loglik (R,),
-    info (R, q, q)), the last two from the fit's last evaluation, which is at
-    theta for a converged row."""
+    an event. A row starts at shape 1 and its exposure start: the rate
+    d / sum(t) for the exponential, the scale sum(t) / d for the Weibull
+    (both the MLE at shape 1), and the scale 1, the upper median, for the
+    log-logistic. A row whose estimate is not finite and positive gets
+    FIT_BOUNDARY. Returns (theta (R, q), status, iterations, grad_norm,
+    loglik (R,), info (R, q, q)), the last two from the fit's last
+    evaluation, which is at theta for a converged row."""
     n_rows, n = times.shape
     # the unit only has to be a typical time; a partial sort finds the upper
     # median without sorting everything
@@ -121,12 +128,7 @@ def _fit_rows(fam, times, events, init=None):
     d = events.sum(axis=-1)
     x0 = np.zeros(n_rows)
     x1 = np.zeros(n_rows)
-    if init is not None:
-        a0, b0 = (float(v[0]) for v in _ab(fam, check_theta(fam, init)))
-        # in time units of `unit` a rate scales up and a scale down
-        x0 = np.log(a0 * unit) if fam.q == 1 else x0 + math.log(a0)
-        x1 = np.log(b0 / unit) if fam.q == 2 else x1
-    elif fam.code != _kernels.LOGLOGISTIC:
+    if fam.code != _kernels.LOGLOGISTIC:
         # the log-logistic's scale is its median at any shape; on
         # log-logistic rows of n = 800 an exposure start took 4.9 Newton
         # steps per row against 4.0 from the median at shape 1, 5.0 at shape 2
@@ -135,7 +137,7 @@ def _fit_rows(fam, times, events, init=None):
             x0 = np.log(d / exposure)
         else:
             x1 = np.log(exposure / d)
-    a, b, grad_norm, iterations, status, last = _kernels.fit_newton_last(
+    a, b, grad_norm, iterations, status, last = _kernels.fit_newton(
         fam.code, times, events, x0, x1, GRAD_TOL, MAX_ITER
     )
     # back to the caller's unit; the exponential's second value is unused
@@ -152,37 +154,24 @@ def _fit_rows(fam, times, events, init=None):
     return theta, status, iterations, grad_norm, loglik, info[:, : fam.q, : fam.q]
 
 
-def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
+def fit_mle(fam, cohort: Cohort) -> FitResult:
     """Fit one family by censored maximum likelihood.
 
-    Times are divided by their upper median, ``init`` is mapped to that unit
-    and the estimate back from it. Damped Newton on the log-parameters converges
-    when the gradient of the mean log-likelihood with respect to the
-    log-parameters has norm <= GRAD_TOL; that gradient is the same in every
-    time unit. Raises FitError (carrying the last iterate) on degenerate
-    data, boundary drift, a stalled search or an exhausted budget.
+    Times are divided by their upper median and the estimate mapped back
+    from that unit. Damped Newton on the log-parameters converges when the
+    gradient of the mean log-likelihood with respect to the log-parameters
+    has norm <= GRAD_TOL; that gradient is the same in every time unit.
+    Raises FitError on data without events, and with the reason from
+    FAILURES (carrying the last iterate) on any other status.
     """
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
     theta_hat, status, iters, grad_norm, loglik, info = (
-        v[0] for v in _fit_rows(fam, cohort.times[None], cohort.events[None], init)
+        v[0] for v in _fit_rows(fam, cohort.times[None], cohort.events[None])
     )
-    if status == _kernels.FIT_BOUNDARY:
-        raise FitError(
-            f"{fam.name} fit drifted to the parameter-space boundary",
-            last_theta=theta_hat,
-        )
-    if status == _kernels.FIT_LINE_SEARCH:
-        raise FitError(
-            f"{fam.name} fit stalled: no step improved the likelihood",
-            last_theta=theta_hat,
-        )
     if status != _kernels.FIT_OK:
-        raise FitError(
-            f"{fam.name} fit did not converge within {MAX_ITER} iterations",
-            last_theta=theta_hat,
-        )
+        raise FitError(f"{fam.name} fit {FAILURES[int(status)]}", last_theta=theta_hat)
     loglik = float(loglik)
     return FitResult(
         family=fam,
@@ -191,7 +180,6 @@ def fit_mle(fam, cohort: Cohort, init=None) -> FitResult:
         loglik=loglik,
         aic=2.0 * fam.q - 2.0 * loglik,
         n=cohort.n,
-        converged=True,
         iterations=int(iters),
         grad_norm=float(grad_norm),
     )
@@ -203,24 +191,24 @@ def aic(fit: FitResult) -> float:
 
 
 def select_model(fits) -> FitResult:
-    """Pick the converged fit with lowest AIC.
+    """Pick the fit with lowest AIC.
 
     Ties resolve to the fewest parameters, then first declaration.
     """
-    candidates = [f for f in fits if f is not None and f.converged]
+    candidates = [f for f in fits if f is not None]
     if not candidates:
         raise SelectionError("no converged fits to select from")
     return min(enumerate(candidates), key=lambda kv: (kv[1].aic, kv[1].family.q, kv[0]))[1]
 
 
-def pseudo_inverse(m, tol: float | None = None, scale=None) -> np.ndarray:
+def pseudo_inverse(m, scale=None) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
     (..., q, q) stack, via its eigendecomposition: in closed form for
     q = 2, elementwise over the stack, and through LAPACK otherwise.
 
     The singular values of a symmetric matrix are its eigenvalues' moduli;
-    eigenvalues with |lambda| <= tol * max |lambda| count as zero. tol
-    defaults to 1e-12 * q for q x q matrices.
+    eigenvalues with |lambda| <= 1e-12 * q * max |lambda| count as zero for
+    q x q matrices.
 
     With ``scale``, positive parameters theta of shape (..., q), the result
     is D pinv(D m D) D for D = diag(theta): the pseudo-inverse of an
@@ -244,12 +232,9 @@ def pseudo_inverse(m, tol: float | None = None, scale=None) -> np.ndarray:
     size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * size):
         raise ValueError("matrix is not symmetric within 1e-10")
-    q = m.shape[-1]
-    if tol is None:
-        tol = 1e-12 * q
-    if q != 2:
+    if m.shape[-1] != 2:
         lam, v = np.linalg.eigh(m)
-        return outer * ((v * _kept_inverse(lam, tol)[..., None, :]) @ np.swapaxes(v, -1, -2))
+        return outer * ((v * _kept_inverse(lam)[..., None, :]) @ np.swapaxes(v, -1, -2))
     # [[a, b], [b, c]] has eigenvalues mid +- hypot(half, b). The one of larger
     # modulus, big, takes the sign of mid, which avoids cancellation; the other
     # is the determinant over big, computed without cancellation or overflow as
@@ -262,7 +247,7 @@ def pseudo_inverse(m, tol: float | None = None, scale=None) -> np.ndarray:
     big = mid + sign * np.hypot(half, b)
     safe = np.where(big == 0.0, 1.0, big)
     lam = np.stack((big, (a / safe) * c - (b / safe) * b), axis=-1)
-    inv = _kept_inverse(lam, tol)
+    inv = _kept_inverse(lam)
     phi = 0.5 * np.arctan2(sign * b, sign * half)
     cos, sin = np.cos(phi), np.sin(phi)
     return outer * _symmetric(
@@ -272,9 +257,9 @@ def pseudo_inverse(m, tol: float | None = None, scale=None) -> np.ndarray:
     )
 
 
-def _kept_inverse(lam, tol):
-    """1 / lambda for each eigenvalue with |lambda| > tol * max |lambda| along
-    the last axis, 0 for the others."""
+def _kept_inverse(lam):
+    """1 / lambda for each of q eigenvalues with |lambda| > 1e-12 * q *
+    max |lambda| along the last axis, 0 for the others."""
     size = np.abs(lam)
-    keep = size > tol * size.max(axis=-1, keepdims=True)
+    keep = size > 1e-12 * lam.shape[-1] * size.max(axis=-1, keepdims=True)
     return np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)

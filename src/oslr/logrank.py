@@ -194,8 +194,8 @@ def _statistics(
     if pi is not None:
         if not ref.fitted:
             raise UsageError("corrected variance needs a fitted reference curve")
-        if pi <= 0.0:
-            raise UsageError(f"allocation ratio pi must be positive, got {pi}")
+        if not math.isfinite(pi) or pi <= 0.0:
+            raise UsageError(f"allocation ratio pi must be positive and finite, got {pi}")
     a, b = _ab(ref.family, ref.theta)
     n_events, capped, log_capped = _kernels.at_time(
         cohort_b.times[None], cohort_b.events[None], np.array([t], dtype=np.float64)

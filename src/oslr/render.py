@@ -23,8 +23,9 @@ def _step_polyline(curve: StepCurve, t_max: float):
     return np.array(xs), np.array(ys)
 
 
-def render_curves(path, curves: dict, t_max: float | None = None) -> None:
-    """Write labelled curves to one SVG; values are (StepCurve | (x, y) arrays)."""
+def render_curves(path, curves: dict) -> None:
+    """Write labelled curves to one SVG; values are (StepCurve | (x, y) arrays).
+    The time axis ends at the last time of any curve."""
     series = []
     for label, item in curves.items():
         if isinstance(item, StepCurve):
@@ -32,11 +33,9 @@ def render_curves(path, curves: dict, t_max: float | None = None) -> None:
         else:
             x, y = item
             series.append((label, None, (np.asarray(x, float), np.asarray(y, float))))
-    if t_max is None:
-        spans = [c.times[-1] if c is not None and c.times.size else 0.0 for _, c, _ in series]
-        spans += [xy[0][-1] for _, _, xy in series if xy is not None and xy[0].size]
-        t_max = max(spans) if spans else 1.0
-    t_max = max(t_max, 1e-12)
+    spans = [c.times[-1] if c is not None and c.times.size else 0.0 for _, c, _ in series]
+    spans += [xy[0][-1] for _, _, xy in series if xy is not None and xy[0].size]
+    t_max = max(max(spans) if spans else 1.0, 1e-12)
     polylines = []
     y_top = 1.0
     for label, curve, xy in series:

@@ -40,7 +40,7 @@ import numbers
 import os
 import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -355,10 +355,6 @@ class SimulationResult:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
-    def csv_rows(self) -> list[dict]:
-        """Flat rows (CSV_FIELDS) for plotting."""
-        return record_rows(self.to_json_dict())
-
 
 def record_rows(record: dict) -> list[dict]:
     """CSV rows, one per procedure and sidedness, from a result's JSON record
@@ -391,15 +387,14 @@ def write_rows_csv(fh, rows) -> None:
     writer.writerows(rows)
 
 
-def mc_error_interval(p: float, n: int, level: float = 0.95):
-    """Binomial Monte Carlo error interval p +- z * sqrt(p(1-p)/n), clipped."""
+def mc_error_interval(p: float, n: int):
+    """Binomial 95% Monte Carlo error interval p +- z * sqrt(p(1-p)/n),
+    z the normal 0.975 quantile, clipped to [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"rate must be in [0, 1], got {p}")
     if n < 1:
         raise UsageError(f"replicate count must be at least 1, got {n}")
-    if not 0.0 <= level < 1.0:
-        raise UsageError(f"confidence level must be in [0, 1), got {level}")
-    half = normal_quantile(0.5 + level / 2.0) * math.sqrt(p * (1.0 - p) / n)
+    half = normal_quantile(0.975) * math.sqrt(p * (1.0 - p) / n)
     return max(0.0, p - half), min(1.0, p + half)
 
 
@@ -567,19 +562,11 @@ def load_scenarios(source) -> list[Scenario]:
         spec = dict(source)
     if not isinstance(spec, dict):
         raise UsageError("scenario file must hold a JSON object")
-    unknown = set(spec) - {
-        "accrual_years",
-        "followup_years",
-        "kappa",
-        "n_b",
-        "pi",
-        "replicates",
-        "seed",
-        "alpha",
-    }
+    known = {f.name: f for f in fields(Scenario)}
+    unknown = set(spec) - set(known)
     if unknown:
         raise UsageError(f"unknown scenario keys: {sorted(unknown)}")
-    missing = {"kappa", "n_b", "pi", "replicates", "seed"} - set(spec)
+    missing = {name for name, f in known.items() if f.default is MISSING} - set(spec)
     if missing:
         raise UsageError(f"scenario is missing keys: {sorted(missing)}")
 
@@ -587,27 +574,10 @@ def load_scenarios(source) -> list[Scenario]:
         value = spec[key]
         return list(value) if isinstance(value, (list, tuple)) else [value]
 
-    fixed = {
-        key: spec[key]
-        for key in ("accrual_years", "followup_years", "alpha")
-        if key in spec
-    }
+    grid = ("kappa", "n_b", "pi")
+    fixed = {key: value for key, value in spec.items() if key not in grid}
     # Scenario checks each value's type and range; nothing is converted here
     return [
-        Scenario(
-            kappa=kappa,
-            n_b=n_b,
-            pi=pi,
-            replicates=spec["replicates"],
-            seed=spec["seed"],
-            **fixed,
-        )
-        for kappa, n_b, pi in itertools.product(
-            listify("kappa"), listify("n_b"), listify("pi")
-        )
+        Scenario(kappa=kappa, n_b=n_b, pi=pi, **fixed)
+        for kappa, n_b, pi in itertools.product(*map(listify, grid))
     ]
-
-
-def write_results_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
-        write_rows_csv(fh, [row for result in results for row in result.csv_rows()])

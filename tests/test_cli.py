@@ -268,6 +268,19 @@ def test_test_w_out_of_range_exits_one(tmp_path, capsys):
     assert "--w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pi", ["nan", "inf"])
+def test_test_non_finite_pi_exits_one(capsys, pi):
+    """A non-finite allocation ratio is a usage error; unchecked, `--pi nan`
+    gives a NaN corrected z and p and `--pi inf` a z of -0."""
+    code = main(
+        ["test", "--control", DATA_CONTROL, "--experimental", DATA_EXPERIMENTAL,
+         "--family", "weibull", "--pi", pi]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "pi" in captured.err and captured.out == ""
+
+
 def test_test_fixed_reference_zero_z(tmp_path, capsys):
     """Unit-exponential reference with one event at t=1: N(1)=E(1)=1, z=0."""
     path = _write(tmp_path / "b.csv", [(1, 1)])

@@ -1,5 +1,7 @@
 """Parametric families against scipy oracles, identities and derivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,51 @@ def test_known_values():
     # Weibull gradient example: d/dk (t/s)^k = (t/s)^k log(t/s), d/ds = -k/s (t/s)^k
     g = grad_cumulative_hazard("weibull", [2.0, 1.0], 2.0)
     assert_allclose(g, [4.0 * np.log(2.0), -8.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_values_at_time_zero(name):
+    """`oslr km --family` evaluates the model on a grid that starts at 0.
+    S(0) = 1 in every family; a two-parameter family's h(0) = f(0) is inf,
+    1 / scale or 0 for a shape below, at or above 1, the exponential's its
+    rate."""
+    grid = np.linspace(0.0, 3.0, 4)
+    if name == "exponential":
+        cases = [([0.7], 0.7)]
+    else:
+        cases = [([0.5, 2.5], np.inf), ([1.0, 2.5], 1.0 / 2.5), ([2.0, 2.5], 0.0)]
+    for theta, at_zero in cases:
+        assert cumulative_hazard(name, theta, grid)[0] == 0.0
+        assert survival(name, theta, grid)[0] == 1.0
+        assert hazard(name, theta, grid)[0] == at_zero
+        assert density(name, theta, grid)[0] == at_zero
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_huge_times_reach_their_limits_without_warnings(name):
+    """At t = 1e300 the Weibull's Lambda and its gradient overflow to +-inf
+    and every family's S and f reach 0: the limits, with no overflow warning
+    leaked."""
+    t = 1e300
+    theta = [2.0] if name == "exponential" else [2.0, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = cumulative_hazard(name, theta, t)
+        s = survival(name, theta, t)
+        h = hazard(name, theta, t)
+        f = density(name, theta, t)
+        grad = grad_cumulative_hazard(name, theta, t)
+    assert not np.isnan(grad).any()
+    expected_lam = {
+        "exponential": 2.0 * t, "weibull": np.inf, "loglogistic": 2.0 * np.log(t / 2.0)
+    }
+    assert lam == pytest.approx(expected_lam[name], rel=1e-12)
+    assert s == 0.0 and f == 0.0
+    if name == "loglogistic":
+        # h = u / (1 + u^2) < 1 / u = 2 / t, which the product underflows
+        assert 0.0 <= h <= 2.0 / t
+    else:
+        assert h == pytest.approx(2.0 if name == "exponential" else t / 2.0, rel=1e-12)
 
 
 def test_scalar_and_array_shapes():

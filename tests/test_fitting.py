@@ -12,10 +12,11 @@ from numpy.testing import assert_allclose
 
 from oslr import _kernels
 from oslr.data import Cohort, ingest_csv
-from oslr.errors import DomainError, FitError, SelectionError
+from oslr.errors import FitError, SelectionError
 from oslr.families import _ab, family
 from oslr.fitting import (
     GRAD_TOL,
+    MAX_ITER,
     FitResult,
     _fit_rows,
     _loglik_and_information,
@@ -47,7 +48,7 @@ def test_exponential_closed_form():
     assert_allclose(fit.info_matrix, [[4.0]], rtol=1e-8)
     assert_allclose(fit.loglik, 3 * math.log(0.5) - 3.0, rtol=1e-12)
     assert fit.aic == pytest.approx(12.1589, abs=1e-3)
-    assert fit.converged and fit.n == 3
+    assert fit.n == 3
 
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -118,17 +119,6 @@ def test_fit_errors():
             fit_mle("weibull", degenerate)
         last = err.value.last_theta
         assert np.all(np.isfinite(last)) and last[0] <= math.exp(_kernels._LOG_BOUND)
-    with pytest.raises(DomainError):
-        fit_mle("weibull", degenerate, init=[-1.0, 2.0])
-
-
-def test_fit_respects_init():
-    rng = np.random.default_rng(13)
-    t = 1.5 * rng.weibull(2.0, 300)
-    cohort = Cohort.from_arrays(t, np.ones(300))
-    a = fit_mle("weibull", cohort)
-    b = fit_mle("weibull", cohort, init=[0.5, 5.0])
-    assert_allclose(a.theta_hat, b.theta_hat, rtol=1e-6)
 
 
 def _assert_scaled(name, fit0, fit1, factor):
@@ -142,8 +132,8 @@ def _assert_scaled(name, fit0, fit1, factor):
 
 
 def test_weibull_fit_starts_at_the_exponential_mle():
-    """With no init a Weibull fit starts at shape 1 and the scale MLE there,
-    exposure over events. It reaches the estimates of the former start
+    """A Weibull fit starts at shape 1 and the scale MLE there, exposure
+    over events. It reaches the estimates of the former start
     (shape 1, scale the upper median) in fewer Newton steps: 3.265 per row
     on this block, against 4.575 from the former start."""
     scenario = Scenario(kappa=1.0, n_b=50, pi=1.0, replicates=200, seed=MASTER_SEED)
@@ -153,21 +143,19 @@ def test_weibull_fit_starts_at_the_exponential_mle():
     times = np.stack([c.times for c in cohorts])
     events = np.stack([c.events for c in cohorts])
     assert times.shape == (200, 50) and events.sum(axis=1).min() > 0
-    _, status, iterations, _, _, _ = _fit_rows(family("weibull"), times, events)
+    theta, status, iterations, _, _, _ = _fit_rows(family("weibull"), times, events)
     assert np.all(status == _kernels.FIT_OK)
     assert iterations.mean() <= 3.5
-    for cohort in cohorts:
-        upper_median = np.sort(cohort.times)[cohort.n // 2]
-        fits = []
-        for init in (None, [1.0, upper_median]):
-            try:
-                fits.append(fit_mle("weibull", cohort, init=init).theta_hat)
-            except FitError:
-                fits.append(None)
-        if fits[0] is None or fits[1] is None:
-            assert fits[0] is fits[1]
-        else:
-            assert_allclose(fits[0], fits[1], rtol=1e-7)
+    # the former start: log-parameters (0, 0) on times in units of their
+    # upper median
+    unit = np.sort(times, axis=1)[:, times.shape[1] // 2]
+    zeros = np.zeros(len(cohorts))
+    a, b, _, former_iterations, former_status, _ = _kernels.fit_newton(
+        _kernels.WEIBULL, times / unit[:, None], events, zeros, zeros, GRAD_TOL, MAX_ITER
+    )
+    assert np.all(former_status == _kernels.FIT_OK)
+    assert iterations.mean() < former_iterations.mean()
+    assert_allclose(theta, np.stack((a, b * unit), axis=-1), rtol=1e-7)
 
 
 @pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
@@ -322,7 +310,6 @@ def _dummy_fit(name, q, value):
         loglik=-(value - 2 * q) / 2,
         aic=value,
         n=10,
-        converged=True,
         iterations=1,
         grad_norm=0.0,
     )

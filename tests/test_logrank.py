@@ -184,6 +184,20 @@ def test_v2_hat_usage_errors():
         v2_hat(fitted, cb, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("pi", [math.nan, math.inf, -math.inf])
+def test_non_finite_pi_is_a_usage_error(pi):
+    """A non-finite allocation ratio has no corrected variance: NaN would
+    pass a `pi <= 0` check and print a NaN z, inf a z of -0."""
+    fitted = ReferenceCurve(
+        family="exponential", theta=[0.5], info_matrix=[[4.0]], n_a=3
+    )
+    cb = Cohort([(1.0, 1), (2.0, 0)])
+    with pytest.raises(UsageError, match="pi"):
+        v2_hat(fitted, cb, 1.0, pi)
+    with pytest.raises(UsageError, match="pi"):
+        oslr_test(fitted, cb, corrected=True, pi=pi)
+
+
 def test_oslr_test_report_identities():
     rng = np.random.default_rng(MASTER_SEED + 3)
     x = rng.weibull(1.3, size=60) * 2.0
