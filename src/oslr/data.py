@@ -134,25 +134,35 @@ def ingest_csv(path):
     of label -> Cohort is returned (insertion order of first appearance);
     otherwise a single unlabeled Cohort.
 
-    Raises SchemaError for missing columns and RowValidationError (carrying
-    the 1-based data row number) for invalid values.
+    Header names are matched after stripping surrounding spaces; blank lines
+    are skipped. Raises SchemaError for missing or repeated columns and
+    RowValidationError (carrying the 1-based data row number) for invalid
+    values or a row whose cell count differs from the header's.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        rows = (row for row in csv.reader(fh) if row)
+        header = next(rows, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
-        fields = [name.strip() for name in reader.fieldnames]
+        fields = [name.strip() for name in header]
+        if len(set(fields)) != len(fields):
+            raise SchemaError(f"{path}: repeated column name in header {fields}")
         if "time" not in fields or "event" not in fields:
             raise SchemaError(
                 f"{path}: required columns 'time' and 'event' not found in "
                 f"header {fields}"
             )
-        has_group = "group" in fields
+        at_time, at_event = fields.index("time"), fields.index("event")
+        at_group = fields.index("group") if "group" in fields else None
         # label -> (times, events), filled row by row
         groups: dict[str, tuple[list[float], list[int]]] = {}
-        for row_number, row in enumerate(reader, start=1):
-            raw_time = (row.get("time") or "").strip()
-            raw_event = (row.get("event") or "").strip()
+        for row_number, row in enumerate(rows, start=1):
+            if len(row) != len(fields):
+                raise RowValidationError(
+                    row_number, f"{len(row)} cells, the header has {len(fields)}"
+                )
+            raw_time = row[at_time].strip()
+            raw_event = row[at_event].strip()
             try:
                 time = float(raw_time)
             except ValueError:
@@ -167,13 +177,13 @@ def ingest_csv(path):
                 raise RowValidationError(
                     row_number, f"event must be 0 or 1, got {raw_event!r}"
                 )
-            key = (row.get("group") or "").strip() if has_group else ""
+            key = "" if at_group is None else row[at_group].strip()
             times, events = groups.setdefault(key, ([], []))
             times.append(time)
             events.append(int(raw_event))
     if not groups:
         raise SchemaError(f"{path}: no data rows")
-    if has_group:
+    if at_group is not None:
         return {
             label: Cohort.from_arrays(times, events, label=label)
             for label, (times, events) in groups.items()

@@ -8,8 +8,9 @@ Parametrizations (all parameters strictly positive):
 
 Lambda and its gradient come from the coded kernels in :mod:`oslr._kernels`;
 S = exp(-Lambda) and f = lambda * S follow from them, so each family's
-formula has one home. The hazard lambda keeps the power form
-(shape / scale) * (t / scale) ** (shape - 1), times S for the log-logistic.
+formula has one home. The hazard lambda keeps a power form in u = t / scale:
+(shape / scale) * u ** (shape - 1), and for the log-logistic
+(shape / scale) / (u ** (1 - shape) + u).
 
 Times are continuous and nonnegative; the cumulative hazard gradients are
 defined for t > 0 (their t -> 0 limits are zero for the shipped families).
@@ -105,11 +106,15 @@ def _survival(code, a, b, x):
 
 
 def _hazard(code, a, b, x):
-    # the power form keeps h(0) exact: inf, 1 / scale or 0 by the shape
+    # the power forms keep h(0) exact: inf, 1 / scale or 0 by the shape
     if code == _kernels.EXPONENTIAL:
         return a * np.ones_like(x)
-    h = (a / b) * (x / b) ** (a - 1.0)
-    return h * _survival(code, a, b, x) if code == _kernels.LOGLOGISTIC else h
+    u = x / b
+    if code == _kernels.LOGLOGISTIC:
+        # u^(a-1) / (1 + u^a) divided through by u^(a-1): at huge u no
+        # factor underflows before the quotient does
+        return (a / b) / (u ** (1.0 - a) + u)
+    return (a / b) * u ** (a - 1.0)
 
 
 def cumulative_hazard(fam, theta, t):

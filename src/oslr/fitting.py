@@ -19,6 +19,7 @@ estimate is given, which keeps the corrected test free of the time unit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,10 +76,14 @@ class FitResult:
     __eq__ = _fields_equal
 
     def to_json_dict(self) -> dict:
+        """Fields as JSON values; an information entry that overflowed (on
+        huge times, say) is None, JSON's null, since JSON has no inf."""
         return {
             "family": self.family.name,
             "theta_hat": self.theta_hat.tolist(),
-            "info_matrix": self.info_matrix.ravel().tolist(),
+            "info_matrix": [
+                x if math.isfinite(x) else None for x in self.info_matrix.ravel().tolist()
+            ],
             "loglik": self.loglik,
             "aic": self.aic,
             "n": self.n,
@@ -140,8 +145,10 @@ def _fit_rows(fam, times, events):
     a, b, grad_norm, iterations, status, last = _kernels.fit_newton(
         fam.code, times, events, x0, x1, GRAD_TOL, MAX_ITER
     )
-    # back to the caller's unit; the exponential's second value is unused
-    ab = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)
+    # back to the caller's unit, where a subnormal unit overflows the rate to
+    # inf (FIT_BOUNDARY below); the exponential's second value is unused
+    with np.errstate(over="ignore"):
+        ab = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)
     theta = ab[:, : fam.q]
     positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
     status = np.where(positive, status, _kernels.FIT_BOUNDARY)

@@ -20,7 +20,6 @@ from .data import Cohort
 from .errors import DegenerateTestError, UsageError
 from .families import FamilyDescriptor, _ab, check_theta, family
 from .fitting import FitResult, _fields_equal, pseudo_inverse
-from .nonparametric import _event_table
 
 
 def normal_cdf(z: float) -> float:
@@ -272,19 +271,31 @@ def oslr_test(
     )
 
 
-def _two_sample_scores(times, events, in_b):
-    """Log-rank score U = sum_j (d_Bj - d_j Y_Bj / Y_j) and its
-    hypergeometric variance V for each row of (R, n) pooled times, events
-    and 0/1 group-B markers; each is (R,)."""
-    row, _, d, y, d_b, y_b = _event_table(times, events, in_b)
-    n_rows = times.shape[0]
-    frac = y_b / y
-    u = np.bincount(row, d_b - d * frac, minlength=n_rows)
-    # the variance term needs Y_j > 1; mask before dividing
-    m = y > 1
-    row, d, y, frac = row[m], d[m], y[m], frac[m]
-    v = np.bincount(row, d * frac * (1.0 - frac) * (y - d) / (y - 1.0), minlength=n_rows)
-    return u, v
+def _two_sample_scores(times, events, n_a):
+    """Log-rank score U and its hypergeometric variance V for each row of
+    (R, n) pooled times and events whose first n_a columns are arm A; each
+    is (R,). Summed per event in time order, with f = Y_B / Y:
+    U = sum (b - f) and V = sum f (1 - f) (Y - d) / (Y - 1), b the event's
+    arm-B flag and Y, Y_B, d those of its tie group. Without ties an event
+    at rank k has Y = n - k and d = 1; only a row holding a tie looks its
+    groups up."""
+    n = times.shape[-1]
+    order = np.argsort(times, axis=-1)
+    times = np.take_along_axis(times, order, axis=-1)
+    events = np.take_along_axis(events, order, axis=-1)
+    in_b = order >= n_a
+    y = np.arange(n, 0, -1.0)
+    # arm B's subjects from each rank to the row's end
+    frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1] / y
+    var = frac * (1.0 - frac)
+    for r in np.flatnonzero(np.any(times[:, 1:] == times[:, :-1], axis=-1)):
+        lo = np.searchsorted(times[r], times[r], "left")
+        hi = np.searchsorted(times[r], times[r], "right")
+        d = np.concatenate(([0.0], np.cumsum(events[r])))
+        d = d[hi] - d[lo]
+        frac[r] = frac[r, lo]
+        var[r] = var[r, lo] * (y[lo] - d) / np.maximum(y[lo] - 1.0, 1.0)
+    return np.sum(events * (in_b - frac), axis=-1), np.sum(events * var, axis=-1)
 
 
 def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:
@@ -299,7 +310,7 @@ def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:
         for x in _two_sample_scores(
             np.concatenate((cohort_a.times, cohort_b.times))[None],
             np.concatenate((cohort_a.events, cohort_b.events))[None],
-            np.concatenate((np.zeros(n_a), np.ones(n_b)))[None],
+            n_a,
         )
     )
     if v <= 0.0:

@@ -1,8 +1,7 @@
 """Event tables of right-censored data and the estimators built on them.
 
-One vectorized event table serves the Kaplan-Meier and Nelson-Aalen curves
-(diagnostics and plot data) and the two-sample log-rank comparator in
-:mod:`oslr.logrank`.
+One vectorized event table serves the Kaplan-Meier and Nelson-Aalen curves,
+the diagnostics and plot data of the analysis commands.
 """
 
 from __future__ import annotations
@@ -55,15 +54,14 @@ class StepCurve:
                 writer.writerow([repr(float(t)), repr(float(v))])
 
 
-def _event_table(times, events, in_b=None):
+def _event_table(times, events):
     """Event table of each row of (R, n) times and 0/1 events.
 
     Returns (row_j, t_j, d_j, Y_j) over the distinct event times of every
     row, row after row in time order: the row t_j belongs to, the tied
-    events d_j and the row's subjects at risk Y_j at t_j^-. With a 0/1
-    group marker ``in_b`` (also (R, n)) the marked group's d_j and Y_j
-    follow. The default sort is enough: a tie group needs only to be
-    contiguous, and its counts do not depend on the order inside it.
+    events d_j and the row's subjects at risk Y_j at t_j^-. The default sort
+    is enough: a tie group needs only to be contiguous, and its counts do
+    not depend on the order inside it.
 
     The rows are sorted, then laid end to end and read through flat
     indices, ``order + row * n``; every row boundary starts a tie group, so
@@ -85,16 +83,7 @@ def _event_table(times, events, in_b=None):
     row = at // n
     # Y_j counts the row's subjects still under observation at t_j^-: all
     # from the tie group's start on
-    table = (row, times[at], d[keep], n - (at - row * n))
-    if in_b is None:
-        return table
-    in_b = np.ravel(in_b)[flat]
-    # marked subjects from t_j's group to the row's end, as a difference of
-    # running counts over the rows laid end to end
-    running = np.cumsum(in_b)
-    at_risk_b = running[row * n + n - 1] - running[at] + in_b[at]
-    events *= in_b
-    return table + (np.add.reduceat(events, start)[keep], at_risk_b)
+    return row, times[at], d[keep], n - (at - row * n)
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:

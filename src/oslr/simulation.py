@@ -13,7 +13,7 @@ last evaluation also gives the information J), tested against both reference
 curves over arm B's capped log-times taken once (the expected events alone
 for the true curve, one fused pass with the hazard gradient for the fitted
 curve; all six one-sample z-values follow from them arithmetically) and
-compared two-sample (one event table) at once. A row's z-values do not
+compared two-sample (one sort per row) at once. A row's z-values do not
 depend on the other rows of its block, so the counts are the same for any
 chunking and worker count. A block's rows are drawn by resetting one Philox
 generator to each replicate's key, not by building one per replicate.
@@ -272,11 +272,8 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     pinv = pseudo_inverse(info[ok], scale=theta)
     one_sample((4, 5), fitted, expected, _v2(n_b / n_a, g0, g1, pinv))
 
-    in_b = np.concatenate((np.zeros(n_a), np.ones(n_b)))
     u_score, v_score = _two_sample_scores(
-        times,
-        np.concatenate((events_a, events_b), axis=1),
-        np.broadcast_to(in_b, times.shape),
+        times, np.concatenate((events_a, events_b), axis=1), n_a
     )
     z[:, 6] = _z_or_nan(u_score, v_score)
     return z

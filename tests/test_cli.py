@@ -143,6 +143,20 @@ def test_fit_exponential_closed_form(tmp_path, capsys):
     assert payload["n"] == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_fit_prints_null_for_an_overflowed_information(tmp_path, capsys):
+    """Times near 1e200 overflow the exponential's information 1 / rate^2:
+    the output stays strict JSON, with null for it."""
+    path = _write(tmp_path / "c.csv", [(1e200, 1), (3e200, 1), (2e200, 0)])
+    assert main(["fit", "--control", path, "--family", "exponential"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["info_matrix"] == [None]
+    assert payload["theta_hat"][0] == pytest.approx(2.0 / 6e200, rel=1e-12)
+
+
 def test_fit_auto_prints_aic_table_and_selects(tmp_path, capsys):
     """auto mode reports all three candidate fits on stderr and picks the
     lowest AIC; abundant log-logistic data must select log-logistic."""

@@ -129,6 +129,14 @@ def test_ingest_builds_arrays_without_observations(monkeypatch, name):
     assert cohort.events.tobytes() == events.tobytes()
 
 
+def test_ingest_matches_stripped_header_names(tmp_path):
+    p = tmp_path / "spaced.csv"
+    p.write_text("time, event , group\n1.5,1,a\n2.0,0,a\n")
+    (cohort,) = ingest_csv(p).values()
+    assert_array_equal(cohort.times, [1.5, 2.0])
+    assert_array_equal(cohort.events, [1.0, 0.0])
+
+
 def test_ingest_schema_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -142,11 +150,15 @@ def test_ingest_schema_errors(tmp_path):
     norows.write_text("time,event\n")
     with pytest.raises(SchemaError):
         ingest_csv(norows)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("time,event,event\n1.0,1,0\n")
+    with pytest.raises(SchemaError, match="repeated"):
+        ingest_csv(repeated)
 
 
 @pytest.mark.parametrize(
     "row",
-    ["x,1", "-1,1", "0,1", "inf,0", "2,2", "2,", "2,yes"],
+    ["x,1", "-1,1", "0,1", "inf,0", "2,2", "2,", "2,yes", "1.0,1,junk"],
 )
 def test_ingest_row_errors(tmp_path, row):
     p = tmp_path / "bad.csv"

@@ -125,11 +125,12 @@ def test_huge_times_reach_their_limits_without_warnings(name):
     }
     assert lam == pytest.approx(expected_lam[name], rel=1e-12)
     assert s == 0.0 and f == 0.0
-    if name == "loglogistic":
-        # h = u / (1 + u^2) < 1 / u = 2 / t, which the product underflows
-        assert 0.0 <= h <= 2.0 / t
-    else:
-        assert h == pytest.approx(2.0 if name == "exponential" else t / 2.0, rel=1e-12)
+    # the log-logistic's h = u / (1 + u^2) = 1 / (u + 1 / u) at u = t / 2,
+    # about 2e-300
+    expected_h = {
+        "exponential": 2.0, "weibull": t / 2.0, "loglogistic": 1.0 / (t / 2.0 + 2.0 / t)
+    }
+    assert h == pytest.approx(expected_h[name], rel=1e-12, abs=0.0)
 
 
 def test_scalar_and_array_shapes():

@@ -121,6 +121,17 @@ def test_fit_errors():
         assert np.all(np.isfinite(last)) and last[0] <= math.exp(_kernels._LOG_BOUND)
 
 
+def test_subnormal_time_fails_at_the_boundary_without_warnings():
+    """A rate back in the unit of a subnormal time overflows to inf: the row
+    ends as FIT_BOUNDARY and fit_mle raises FitError, with no overflow
+    warning leaked."""
+    cohort = Cohort([(1e-320, 1)])
+    status = _fit_rows(family("exponential"), cohort.times[None], cohort.events[None])[1]
+    assert status[0] == _kernels.FIT_BOUNDARY
+    with pytest.raises(FitError, match="boundary"):
+        fit_mle("exponential", cohort)
+
+
 def _assert_scaled(name, fit0, fit1, factor):
     """Times scaled by factor: the rate scales by 1/factor, a scale by
     factor, a shape not at all."""

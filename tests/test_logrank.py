@@ -20,6 +20,7 @@ from oslr.errors import DegenerateTestError, DomainError, UsageError
 from oslr.fitting import fit_mle
 from oslr.logrank import (
     ReferenceCurve,
+    _two_sample_scores,
     compensated_process,
     critical_value,
     expected_events,
@@ -311,7 +312,33 @@ def test_two_sample_degenerate():
         two_sample_logrank(Cohort([(1.0, 0)]), Cohort([(2.0, 0)]))
 
 
+def _mixed_block():
+    """(times, events, n_a) of a (9, 40) pooled block, arm A in the first
+    n_a = 15 columns, whose rows mix the cases the score treats apart."""
+    rng = np.random.default_rng(MASTER_SEED + 6)
+    times = rng.exponential(2.0, size=(9, 40))
+    events = (rng.random((9, 40)) < 0.6).astype(np.float64)
+    events[1] = 0.0  # untied, no events
+    times[2] = rng.integers(1, 6, size=40)  # tie-heavy
+    times[3] = 3.0  # tied throughout
+    times[4] = rng.integers(1, 6, size=40)
+    events[4] = 0.0  # tied, no events
+    # equal times across the row boundary: row 5's largest time, 2.0, is
+    # every time of row 6
+    times[5] = np.minimum(times[5], 2.0)
+    times[6] = 2.0
+    # one tie, an arm-A event with an arm-B censoring, among untied times
+    times[7, 20] = times[7, 3]
+    events[7, 3], events[7, 20] = 1.0, 0.0
+    # the last subject at risk, alone with Y = 1, has an event
+    events[8, np.argmax(times[8])] = 1.0
+    return times, events, 15
+
+
 def _two_sample_cases():
+    times, events, n_a = _mixed_block()
+    for t, d in zip(times, events):
+        yield t[:n_a], d[:n_a], t[n_a:], d[n_a:]
     rng = np.random.default_rng(MASTER_SEED + 4)
     for _ in range(100):
         na, nb = rng.integers(5, 40, size=2)
@@ -351,6 +378,18 @@ def test_two_sample_matches_naive_oracle():
         assert_allclose(rep.z, u / math.sqrt(v), rtol=1e-12)
         assert_allclose(rep.m_oslr * math.sqrt(nb), u, rtol=1e-12, atol=1e-12)
         assert_allclose(rep.v1 * nb, v, rtol=1e-12)
+
+
+def test_two_sample_scores_rows_match_single_rows():
+    """Each row of a block mixing tied, untied and event-free rows scores
+    exactly as it does alone."""
+    times, events, n_a = _mixed_block()
+    u, v = _two_sample_scores(times, events, n_a)
+    for r in range(times.shape[0]):
+        one_u, one_v = _two_sample_scores(times[r : r + 1], events[r : r + 1], n_a)
+        assert np.array_equal(u[r : r + 1], one_u)
+        assert np.array_equal(v[r : r + 1], one_v)
+    assert u[1] == v[1] == u[4] == v[4] == 0.0
 
 
 def test_one_kernel_pass_and_one_pseudo_inverse(monkeypatch):

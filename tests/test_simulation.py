@@ -466,11 +466,10 @@ def test_event_table_rows_match_single_rows():
     times[6] = np.minimum(times[6], 2.0)
     times[7:] = 2.0
     events[7:, :3] = 1.0
-    in_b = (rng.random((9, 40)) < 0.5).astype(np.float64)
-    row, *block = _event_table(times, events, in_b)
+    row, *block = _event_table(times, events)
     assert np.all(np.diff(row) >= 0)
     for r in range(9):
-        one_row, *single = _event_table(times[r : r + 1], events[r : r + 1], in_b[r : r + 1])
+        one_row, *single = _event_table(times[r : r + 1], events[r : r + 1])
         assert np.all(one_row == 0)
         for got, want in zip(block, single):
             assert np.array_equal(got[row == r], want)
