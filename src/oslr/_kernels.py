@@ -12,8 +12,9 @@ the row and the 2 x 2 algebra is written out elementwise.
 
 The kernels read log-times. A fit takes logs, and the row sums free of the
 parameters, once per call, so an evaluation needs log u = log t - log b and
-one exp per element; it returns its last evaluation, whose log-scale Hessian
-gives the information at the estimate. The test components make one pass
+one exp per element. The driver carries only its unfinished rows and
+returns its last evaluation, whose log-scale Hessian gives the information
+at the estimate. The test components make one pass
 per reference curve over capped log-times that the curves share: fused with
 the hazard gradient where the corrected variance needs it, the cumulative
 hazard alone otherwise.
@@ -173,6 +174,11 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
     median), so both the tolerance and the parameter bounds are free of the
     time unit.
 
+    The driver carries only its live rows, compacted: a live row has taken
+    one step per pass, and a row is written to the outputs on the pass it
+    stops. A pass on which every live row takes its full step, the usual
+    case, gathers and scatters nothing.
+
     Returns (a, b, grad_norm, iterations, status, last), the first five
     each (R,); on failure (a, b) is the row's last iterate inside the
     working bounds and grad_norm the gradient norm there. ``last`` is the
@@ -180,44 +186,45 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
     (f, g0, g1, m00, m01, m11), each (R,).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x0 = np.array(x0, dtype=np.float64)
-        x1 = np.array(x1, dtype=np.float64)
-        n_rows = times.shape[0]
         data = _log_data(code, times, events)
         inv_n = 1.0 / times.shape[-1]
-        last = _mean_loglik_log_scale(code, x0, x1, data, inv_n)
-        f, g0, g1, m00, m01, m11 = last
-        grad_norm = np.sqrt(g0 * g0 + g1 * g1)
-        iterations = np.zeros(n_rows, dtype=np.int64)
-        status = np.full(n_rows, -1, dtype=np.int64)
-        rows = np.arange(n_rows)
-        while True:
-            converged = grad_norm[rows] <= grad_tol
-            status[rows[converged]] = FIT_OK
-            rows = rows[~converged]
-            spent = iterations[rows] == max_iter
-            status[rows[spent]] = FIT_MAX_ITER
-            rows = rows[~spent]
-            if rows.size == 0:
+        x0 = np.array(x0, dtype=np.float64)
+        x1 = np.array(x1, dtype=np.float64)
+        # the live rows' block indices and (x0, x1, f, g0, g1, m00, m01, m11)
+        rows = np.arange(x0.size)
+        state = (x0, x1, *_mean_loglik_log_scale(code, x0, x1, data, inv_n))
+        out = tuple(np.empty(x0.size) for _ in range(9))  # state, grad_norm
+        iterations, status = np.empty((2, x0.size), dtype=np.int64)
+        failed = None  # a live row's status if its last step failed, else -1
+        for passes in range(max_iter + 1):
+            grad = np.sqrt(state[3] * state[3] + state[4] * state[4])
+            spent = FIT_MAX_ITER if passes == max_iter else -1
+            stop = np.where(grad <= grad_tol, FIT_OK, spent)
+            if failed is not None:
+                stop = np.where(failed < 0, stop, failed)
+            ended = stop >= 0
+            if ended.any():
+                at = rows[ended]
+                for to, value in zip(out, (*state, grad)):
+                    to[at] = value[ended]
+                iterations[at] = passes
+                status[at] = stop[ended]
+                going = ~ended
+                rows, state, data = rows[going], _take(state, going), _take(data, going)
+            if not rows.size:
                 break
-            iterations[rows] += 1
-            d0, d1 = _newton_direction(
-                g0[rows], g1[rows], m00[rows], m01[rows], m11[rows]
-            )
-            accepted, t0, t1, trial = _line_search(
-                code, data, inv_n, rows, x0[rows], x1[rows], f[rows], d0, d1
-            )
-            status[rows[~accepted]] = FIT_LINE_SEARCH
-            outside = accepted & ((np.abs(t0) > _LOG_BOUND) | (np.abs(t1) > _LOG_BOUND))
-            status[rows[outside]] = FIT_BOUNDARY
-            moved = accepted & ~outside
-            rows = rows[moved]
-            x0[rows] = t0[moved]
-            x1[rows] = t1[moved]
-            for state, value in zip(last, trial):
-                state[rows] = value[moved]
-            grad_norm[rows] = np.sqrt(g0[rows] * g0[rows] + g1[rows] * g1[rows])
-        return np.exp(x0), np.exp(x1), grad_norm, iterations, status, last
+            x0, x1, f, g0, g1, m00, m01, m11 = state
+            d0, d1 = _newton_direction(g0, g1, m00, m01, m11)
+            accepted, t0, t1, trial = _line_search(code, data, inv_n, x0, x1, f, d0, d1)
+            moved = accepted & (np.abs(t0) <= _LOG_BOUND) & (np.abs(t1) <= _LOG_BOUND)
+            if moved.all():
+                state, failed = (t0, t1, *trial), None
+            else:
+                # a row that did not move stops next pass, where it stood
+                failed = np.where(moved, -1, np.where(accepted, FIT_BOUNDARY, FIT_LINE_SEARCH))
+                state = tuple(np.where(moved, t, s) for t, s in zip((t0, t1, *trial), state))
+        x0, x1, *last, grad_norm = out
+        return np.exp(x0), np.exp(x1), grad_norm, iterations, status, tuple(last)
 
 
 def _newton_direction(g0, g1, m00, m01, m11):
@@ -238,44 +245,50 @@ def _newton_direction(g0, g1, m00, m01, m11):
     return (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
 
 
-def _line_search(code, data, inv_n, rows, x0, x1, f, d0, d1):
+def _take(arrays, keep):
+    """Each array of a tuple (None kept as None) at the rows ``keep`` selects."""
+    return tuple(None if v is None else v[keep] for v in arrays)
+
+
+def _line_search(code, data, inv_n, x0, x1, f, d0, d1):
     """Halve each row's step from 1 until its trial is accepted, at most 60
-    trials. Returns (accepted, t0, t1, trial values), aligned with ``rows``."""
-    k = rows.size
-    accepted = np.zeros(k, dtype=bool)
-    t0 = np.empty(k)
-    t1 = np.empty(k)
-    trial = tuple(np.empty(k) for _ in range(6))
-    step = np.ones(k)
-    pending = np.arange(k)
+    trials. Returns (accepted, t0, t1, trial values), unset where a row was
+    not accepted. The rows still pending are compacted after each trial,
+    unless every row was accepted at the full step."""
+    step = 1.0
+    pending = None
     for _ in range(60):
-        p0 = x0[pending] + step[pending] * d0[pending]
-        p1 = x1[pending] + step[pending] * d1[pending]
-        # keep exp() in range; an overshooting trial just backtracks
-        live = (np.abs(p0) < 700.0) & (np.abs(p1) < 700.0)
-        ok = np.zeros(pending.size, dtype=bool)
-        if live.any():
-            at = pending[live]
-            trial_data = tuple(None if v is None else v[rows[at]] for v in data)
-            values = _mean_loglik_log_scale(code, p0[live], p1[live], trial_data, inv_n)
-            # a NaN or infinite trial fails this test and backtracks; the
-            # allowance is float rounding of f, which near the optimum
-            # exceeds the true gain of a full Newton step
-            good = np.isfinite(values).all(axis=0) & (
-                values[0] >= f[at] - 1e-14 * (1.0 + np.abs(f[at]))
-            )
-            ok[live] = good
-            for out, value in zip(trial, values):
-                out[at[good]] = value[good]
-        done = pending[ok]
-        accepted[done] = True
-        t0[done] = p0[ok]
-        t1[done] = p1[ok]
-        pending = pending[~ok]
-        if pending.size == 0:
-            break
-        step[pending] *= 0.5
-    return accepted, t0, t1, trial
+        p0 = x0 + step * d0
+        p1 = x1 + step * d1
+        values = _mean_loglik_log_scale(code, p0, p1, data, inv_n)
+        # a NaN or infinite trial fails this test and backtracks, as does one
+        # where exp() of a log-parameter would overflow; the allowance is
+        # float rounding of f, which near the optimum exceeds the true gain
+        # of a full Newton step
+        ok = (
+            (np.abs(p0) < 700.0)
+            & (np.abs(p1) < 700.0)
+            & np.isfinite(values).all(axis=0)
+            & (values[0] >= f - 1e-14 * (1.0 + np.abs(f)))
+        )
+        if pending is None:
+            if ok.all():
+                return ok, p0, p1, values
+            pending = np.arange(ok.size)
+            accepted = np.zeros(ok.size, dtype=bool)
+            found = tuple(np.empty(ok.size) for _ in range(8))  # t0, t1, values
+        if ok.any():
+            at = pending[ok]
+            accepted[at] = True
+            for to, value in zip(found, (p0, p1, *values)):
+                to[at] = value[ok]
+            keep = ~ok
+            pending = pending[keep]
+            if not pending.size:
+                break
+            x0, x1, f, d0, d1, *data = _take((x0, x1, f, d0, d1, *data), keep)
+        step *= 0.5
+    return accepted, found[0], found[1], found[2:]
 
 
 def at_time(times, events, t):

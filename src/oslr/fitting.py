@@ -8,19 +8,21 @@ the log-logistic at shape 1 and the median. Neither the start, the stopping
 rule nor the parameter bounds depend on the time unit, so every fit is
 scale-equivariant; no start is taken from the caller. A fit that stops on
 any status but converged raises FitError with that status's reason from
-FAILURES, the one table of them. The reported information matrix is the
-per-observation average of negated analytic log-likelihood Hessians at the
-estimate, taken from the fit's last Newton evaluation rather than from
-another pass. Its pseudo-inverse is in closed form for 2 x 2 matrices,
-elementwise over a stack, and is taken in log-parameter coordinates when the
-estimate is given, which keeps the corrected test free of the time unit.
+FAILURES, the one table of them. The information is the per-observation
+average of negated analytic log-likelihood Hessians at the estimate, taken
+from the fit's last Newton evaluation rather than from another pass, in
+log-parameter coordinates, where it has no time unit and cannot overflow on
+huge or tiny times. The reported natural-scale matrix is derived from it
+once per fit. Its pseudo-inverse is in closed form for 2 x 2 matrices,
+elementwise over a stack; the corrected test takes it in log-parameter
+coordinates, which keeps that test free of the time unit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +74,10 @@ class FitResult:
     iterations: int
     # norm of the log-scale gradient of the mean log-likelihood at theta_hat
     grad_norm: float
+    # the information in log-parameter coordinates, info_matrix scaled by
+    # theta theta', which has no time unit and stays finite where
+    # info_matrix overflows; fit_mle sets it
+    log_info: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     __eq__ = _fields_equal
 
@@ -124,41 +130,43 @@ def _fit_rows(fam, times, events):
     log-logistic. A row whose estimate is not finite and positive gets
     FIT_BOUNDARY. Returns (theta (R, q), status, iterations, grad_norm,
     loglik (R,), info (R, q, q)), the last two from the fit's last
-    evaluation, which is at theta for a converged row."""
+    evaluation, which is at theta for a converged row. ``info`` is the
+    information in log-parameter coordinates, which has no time unit: the
+    natural-scale J(theta) is info / (theta theta')."""
     n_rows, n = times.shape
     # the unit only has to be a typical time; a partial sort finds the upper
     # median without sorting everything
     unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
-    times = times / unit[:, None]
     d = events.sum(axis=-1)
     x0 = np.zeros(n_rows)
     x1 = np.zeros(n_rows)
-    if fam.code != _kernels.LOGLOGISTIC:
-        # the log-logistic's scale is its median at any shape; on
-        # log-logistic rows of n = 800 an exposure start took 4.9 Newton
-        # steps per row against 4.0 from the median at shape 1, 5.0 at shape 2
-        exposure = times.sum(axis=-1)
-        if fam.q == 1:
-            x0 = np.log(d / exposure)
-        else:
-            x1 = np.log(exposure / d)
+    # a time past 1.8e308 times the unit overflows to inf, and the fit fails
+    with np.errstate(over="ignore", divide="ignore"):
+        times = times / unit[:, None]
+        if fam.code != _kernels.LOGLOGISTIC:
+            # the log-logistic's scale is its median at any shape; on
+            # log-logistic rows of n = 800 an exposure start took 4.9 Newton
+            # steps per row against 4.0 from the median at shape 1, 5.0 at
+            # shape 2
+            exposure = times.sum(axis=-1)
+            if fam.q == 1:
+                x0 = np.log(d / exposure)
+            else:
+                x1 = np.log(exposure / d)
     a, b, grad_norm, iterations, status, last = _kernels.fit_newton(
         fam.code, times, events, x0, x1, GRAD_TOL, MAX_ITER
     )
     # back to the caller's unit, where a subnormal unit overflows the rate to
     # inf (FIT_BOUNDARY below); the exponential's second value is unused
     with np.errstate(over="ignore"):
-        ab = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)
-    theta = ab[:, : fam.q]
+        theta = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)[:, : fam.q]
     positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
     status = np.where(positive, status, _kernels.FIT_BOUNDARY)
-    # chain rule from the mean log-scale Hessian M on standardized times:
-    # J_ij = (M_ij + delta_ij g_i) / (theta_i theta_j), meaningless if failed
+    # the information in log-parameters is M_ij + delta_ij g_i, M the mean
+    # negated log-scale Hessian, in any unit; meaningless if failed
     f, g0, g1, m00, m01, m11 = last
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        info = _symmetric(m00 + g0, m01, m11 + g1) / (ab[:, :, None] * ab[:, None, :])
-        loglik = n * f - d * np.log(unit)
-    return theta, status, iterations, grad_norm, loglik, info[:, : fam.q, : fam.q]
+    info = _symmetric(m00 + g0, m01, m11 + g1)[:, : fam.q, : fam.q]
+    return theta, status, iterations, grad_norm, n * f - d * np.log(unit), info
 
 
 def fit_mle(fam, cohort: Cohort) -> FitResult:
@@ -174,12 +182,15 @@ def fit_mle(fam, cohort: Cohort) -> FitResult:
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
-    theta_hat, status, iters, grad_norm, loglik, info = (
+    theta_hat, status, iters, grad_norm, loglik, log_info = (
         v[0] for v in _fit_rows(fam, cohort.times[None], cohort.events[None])
     )
     if status != _kernels.FIT_OK:
         raise FitError(f"{fam.name} fit {FAILURES[int(status)]}", last_theta=theta_hat)
     loglik = float(loglik)
+    # J_ij = info_ij / (theta_i theta_j), which overflows on huge times
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        info = log_info / (theta_hat[:, None] * theta_hat[None, :])
     return FitResult(
         family=fam,
         theta_hat=theta_hat,
@@ -189,6 +200,7 @@ def fit_mle(fam, cohort: Cohort) -> FitResult:
         n=cohort.n,
         iterations=int(iters),
         grad_norm=float(grad_norm),
+        log_info=log_info,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,11 @@ def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
     total = v1 + v2
     if total <= 0.0:
         raise DegenerateTestError("zero variance: no events and zero expectation")
+    if not (math.isfinite(m_oslr) and math.isfinite(total)):
+        raise DegenerateTestError(
+            "the expected events or the variance overflow: the reference curve "
+            "predicts more events by these times than a float holds"
+        )
     return m_oslr / math.sqrt(total)
 
 
@@ -63,22 +68,26 @@ class ReferenceCurve:
 
     Either fitted (carries the information matrix and control sample size
     needed for the corrected test) or fixed (a known parametric truth). A
-    fitted curve computes the pseudo-inverse of its information matrix once,
-    as ``info_pinv``, in log-parameter coordinates so that the corrected
-    test does not depend on the time unit.
+    fitted curve computes the pseudo-inverse of its information in
+    log-parameter coordinates once, as ``info_pinv``, so that the corrected
+    test does not depend on the time unit. That information is ``log_info``
+    when given (``from_fit`` passes the fit's, which stays finite where the
+    natural-scale matrix overflows), else ``info_matrix`` scaled by
+    theta theta'.
     """
 
     family: FamilyDescriptor
     theta: np.ndarray
     info_matrix: np.ndarray | None = None
     n_a: int | None = None
+    log_info: InitVar[np.ndarray | None] = None
     info_pinv: np.ndarray | None = field(
         init=False, default=None, repr=False, compare=False
     )
 
     __eq__ = _fields_equal
 
-    def __post_init__(self):
+    def __post_init__(self, log_info):
         fam = family(self.family)
         theta = check_theta(fam, self.theta)
         object.__setattr__(self, "family", fam)
@@ -90,7 +99,9 @@ class ReferenceCurve:
                     f"information matrix shape {info.shape} does not match q={fam.q}"
                 )
             object.__setattr__(self, "info_matrix", info)
-            object.__setattr__(self, "info_pinv", pseudo_inverse(info, scale=theta))
+            if log_info is None:
+                log_info = info * theta[:, None] * theta[None, :]
+            object.__setattr__(self, "info_pinv", pseudo_inverse(log_info))
 
     @classmethod
     def from_fit(cls, fit: FitResult) -> "ReferenceCurve":
@@ -99,6 +110,7 @@ class ReferenceCurve:
             theta=fit.theta_hat,
             info_matrix=fit.info_matrix,
             n_a=fit.n,
+            log_info=fit.log_info,
         )
 
     @classmethod
@@ -166,7 +178,8 @@ def _compensated_and_v1(n_events, expected, n, w):
 def _v2(pi, g0, g1, info_pinv):
     """V2 = pi * gbar' J^+ gbar for gbar = (g0, g1)[:q], written out
     elementwise so that a row of a (R, q, q) stack is computed alike in any
-    block."""
+    block. gbar and J^+ are taken in the same coordinates: in
+    log-parameters, gbar is the natural-scale gradient times theta."""
     p = info_pinv
     h0 = pi * g0
     if p.shape[-1] == 1:
@@ -200,14 +213,15 @@ def _statistics(
         cohort_b.times[None], cohort_b.events[None], np.array([t], dtype=np.float64)
     )
     n_events = float(n_events[0])
-    expected, g0, g1 = (
-        float(v[0])
-        for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
-    )
+    # times far past the reference's own overflow E_B or V2 to inf (or V2 to
+    # NaN); zscore refuses such a test
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, g0, g1 = (
+            float(v[0])
+            for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
+        )
+        v2 = None if pi is None else float(_v2(pi, g0 * a[0], g1 * b[0], ref.info_pinv))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
-    v2 = None
-    if pi is not None:
-        v2 = float(_v2(pi, g0, g1, ref.info_pinv))
     return n_events, expected, m, v1, v2
 
 
@@ -281,7 +295,8 @@ def _two_sample_scores(times, events, n_a):
     groups up."""
     n = times.shape[-1]
     order = np.argsort(times, axis=-1)
-    times = np.take_along_axis(times, order, axis=-1)
+    # a second sort costs less than gathering the times through the order
+    times = np.sort(times, axis=-1)
     events = np.take_along_axis(events, order, axis=-1)
     in_b = order >= n_a
     y = np.arange(n, 0, -1.0)

@@ -8,15 +8,17 @@ counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
 
 The unit of work is a block of replicates held as (R, n) arrays, one
-replicate per row: the block is drawn, fitted (one batched Newton run, whose
-last evaluation also gives the information J), tested against both reference
-curves over arm B's capped log-times taken once (the expected events alone
-for the true curve, one fused pass with the hazard gradient for the fitted
-curve; all six one-sample z-values follow from them arithmetically) and
-compared two-sample (one sort per row) at once. A row's z-values do not
-depend on the other rows of its block, so the counts are the same for any
-chunking and worker count. A block's rows are drawn by resetting one Philox
-generator to each replicate's key, not by building one per replicate.
+replicate per row: the block is drawn, fitted (one batched Newton run that
+carries only its unfinished rows, whose last evaluation also gives the
+information in log-parameters), tested against both reference curves over
+arm B's capped log-times taken once (the expected events alone for the true
+curve, one fused pass with the hazard gradient for the fitted curve; all six
+one-sample z-values follow from them arithmetically) and compared two-sample
+(one sort per row) at once. A row's z-values do not depend on the other rows
+of its block, so the counts are the same for any chunking and worker count.
+A block's rows are drawn by resetting one Philox generator to each
+replicate's key, from a saved state of Python ints, not by building one
+generator per replicate.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 forked children compute shares
@@ -180,11 +182,17 @@ def _streams(seed: int, indices):
     A Philox stream is set by its key and counter alone, so one generator is
     reset to that key, counter 0 and an empty buffer per replicate instead of
     building a new one, whose seed sequence the key would discard. The saved
-    state's key array is rewritten in place; the setter copies it.
+    state holds its words as Python ints, not the uint64 arrays the getter
+    returns: the setter reads each word by index, which on an array makes a
+    NumPy scalar per word (2.4 against 1.1 us per reset on an x86-64 host).
+    The key's second word is rewritten in place; the setter copies the
+    words.
     """
     bit_generator = np.random.Philox(key=_stream_key(seed, 0))
     fresh = bit_generator.state  # counter 0, empty buffer
-    key = fresh["state"]["key"]  # uint64 words (seed, index)
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]  # [seed, index]
     rng = np.random.Generator(bit_generator)
     for index in indices:
         key[1] = index
@@ -245,44 +253,49 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(times) & (times > 0)):
         raise ValueError("times must be finite and positive")
     n_rows = u.shape[0]
-    z = np.full((n_rows, _N_PROC), np.nan)
+    # each procedure's statistic and its variance, NaN where not evaluated
+    m = np.full((n_rows, _N_PROC), np.nan)
+    var = np.full((n_rows, _N_PROC), np.nan)
+    w = np.array([0.0, 0.5])
     # the analysis time of every one-sample test: arm B's largest time; the
     # capped log-times serve both reference curves
     n_events, capped, log_capped = _kernels.at_time(times_b, events_b, times_b.max(axis=1))
-
-    def one_sample(slots, rows, expected, v2=0.0):
-        for slot, w in zip(slots, (0.0, 0.5)):
-            m, v1 = _compensated_and_v1(n_events[rows], expected, n_b, w)
-            z[rows, slot] = _z_or_nan(m, v1 + v2)
+    n_events = n_events[:, None]
 
     # the true curve's tests need no hazard gradient
     kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
     expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, capped, log_capped)
-    one_sample((0, 1), slice(None), expected)
+    m[:, :2], var[:, :2] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
 
     # rows without events have no fit; the information comes with the fit
     fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
     theta, status, _, _, _, info = _fit_rows(WEIBULL, times_a[fitted], events_a[fitted])
     ok = status == _kernels.FIT_OK
     fitted, theta = fitted[ok], theta[ok]
+    if fitted.size < n_rows:
+        capped, log_capped, n_events = capped[fitted], log_capped[fitted], n_events[fitted]
+    else:
+        fitted = slice(None)  # every row: no copies
     expected, g0, g1 = _kernels.oslr_components(
-        WEIBULL.code, theta[:, 0], theta[:, 1], capped[fitted], log_capped[fitted]
+        WEIBULL.code, theta[:, 0], theta[:, 1], capped, log_capped
     )
-    one_sample((2, 3), fitted, expected)
-    pinv = pseudo_inverse(info[ok], scale=theta)
-    one_sample((4, 5), fitted, expected, _v2(n_b / n_a, g0, g1, pinv))
+    m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
+    # the information and gradient in log-parameters, where neither has a unit
+    v2 = _v2(n_b / n_a, g0 * theta[:, 0], g1 * theta[:, 1], pseudo_inverse(info[ok]))
+    m[fitted, 2:6] = m_fit
+    var[fitted, 2:4] = v1
+    var[fitted, 4:6] = v1 + v2[:, None]
 
-    u_score, v_score = _two_sample_scores(
+    m[:, 6], var[:, 6] = _two_sample_scores(
         times, np.concatenate((events_a, events_b), axis=1), n_a
     )
-    z[:, 6] = _z_or_nan(u_score, v_score)
-    return z
+    return _z_or_nan(m, var)
 
 
-def _tally(z: np.ndarray, alpha: float) -> np.ndarray:
+def _tally(z: np.ndarray, crit: float) -> np.ndarray:
     """Rows (evaluated, two-sided rejections, one-sided rejections), each
-    per procedure and summed over the rows of a (R, 7) z block."""
-    crit = critical_value(alpha)
+    per procedure and summed over the rows of a (R, 7) z block, at the
+    critical value ``crit`` on |z|."""
     return np.stack(
         (
             np.isfinite(z).sum(axis=0),
@@ -299,8 +312,8 @@ def run_replicate(scenario: Scenario, rng: np.random.Generator):
     PROCEDURES. A failed fit marks only the fit-based procedures as not
     evaluated; degenerate tests mark their own procedure.
     """
-    u = rng.random(2 * (scenario.n_a + scenario.n_b))
-    evaluated, rej_two, rej_one = _tally(_block_z(scenario, u[None]), scenario.alpha)
+    z = _block_z(scenario, rng.random(2 * (scenario.n_a + scenario.n_b))[None])
+    evaluated, rej_two, rej_one = _tally(z, critical_value(scenario.alpha))
     return evaluated, rej_two, rej_one
 
 
@@ -404,8 +417,9 @@ def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
         return counts
     blocks = math.ceil(m / max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b)))
     bounds = [start + m * j // blocks for j in range(blocks + 1)]
+    crit = critical_value(scenario.alpha)
     for first, last in zip(bounds, bounds[1:]):
-        counts += _tally(_block_z(scenario, _uniforms(scenario, first, last)), scenario.alpha)
+        counts += _tally(_block_z(scenario, _uniforms(scenario, first, last)), crit)
     return counts
 
 

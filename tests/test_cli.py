@@ -157,6 +157,19 @@ def test_fit_prints_null_for_an_overflowed_information(tmp_path, capsys):
     assert payload["theta_hat"][0] == pytest.approx(2.0 / 6e200, rel=1e-12)
 
 
+def test_test_reads_times_whose_information_overflows(tmp_path, capsys):
+    """The same data through `oslr test`: the corrected rows come from the
+    information in log-parameters, so nothing overflows on the way."""
+    path = _write(tmp_path / "c.csv", [(1e200, 1), (3e200, 1), (2e200, 0)])
+    argv = ["test", "--control", path, "--experimental", path, "--format", "json"]
+    assert main([*argv, "--family", "exponential"]) == 0
+    reports = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    # the experimental arm is the control arm, at the fitted rate: M = 0
+    assert [r["corrected"] for r in reports].count(True) == 2
+    for report in reports:
+        assert report["z"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_fit_auto_prints_aic_table_and_selects(tmp_path, capsys):
     """auto mode reports all three candidate fits on stderr and picks the
     lowest AIC; abundant log-logistic data must select log-logistic."""
@@ -551,6 +564,86 @@ def test_simulate_never_ends_in_a_traceback(tmp_path, spec, extra):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert isinstance(json.loads(out.getvalue()), list)
+
+
+_CSV_HEADERS = st.sampled_from(["time,event", "event,time", "time, event", "time", "t,e"])
+_CSV_TIMES = st.one_of(
+    st.floats(0.01, 100.0).map(repr),
+    # huge and tiny times, where natural-scale quantities over- and underflow
+    st.sampled_from(["1e200", "3e200", "1e308", "1e-200", "1e-320", "5e-324"]),
+    st.sampled_from(["0", "-1", "nan", "inf", "x", ""]),
+)
+_CSV_ROWS = st.lists(
+    st.tuples(_CSV_TIMES, st.sampled_from(["0", "1", "1", "2", "x"])).map(",".join),
+    max_size=4,
+)
+_CSV_TEXTS = st.builds(
+    lambda header, rows: "\n".join([header, *rows]) + "\n", _CSV_HEADERS, _CSV_ROWS
+)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["fit", "test", "km"]),
+    family=st.sampled_from(["auto", "exponential", "weibull", "loglogistic"]),
+    control=_CSV_TEXTS,
+    experimental=_CSV_TEXTS,
+)
+# tracebacks this property found: the information overflowed into pinv; an
+# expected-event count and a corrected variance overflowed on experimental
+# times far past the control's; a time overflowed on standardization
+@example(
+    command="test",
+    family="exponential",
+    control="time,event\n1e200,1\n3e200,1\n2e200,0\n",
+    experimental="time,event\n1e200,1\n3e200,1\n2e200,0\n",
+)
+@example(
+    command="test",
+    family="auto",
+    control="time,event\n1e-200,1\n",
+    experimental="time,event\n1e200,0\n",
+)
+@example(
+    command="test",
+    family="auto",
+    control="time,event\n1.0,1\n",
+    experimental="time,event\n1e200,0\n",
+)
+@example(
+    command="fit",
+    family="auto",
+    control="time,event\n0.5,0\n0.5,0\n1e308,1\n",
+    experimental="time,event\n",
+)
+def test_analysis_commands_never_end_in_a_traceback(
+    tmp_path, command, family, control, experimental
+):
+    """Whatever tiny CSV texts the arms hold, fit, test and km exit 0 to 3
+    with their message on stderr; an exception escaping main (a leaked
+    numpy warning included, which the suite turns into an error) fails the
+    property."""
+    paths = []
+    for name, text in (("control", control), ("experimental", experimental)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    argv = [command, "--control", paths[0]]
+    if command != "fit":
+        argv += ["--experimental", paths[1]]
+    if command == "km":
+        argv += ["--out", str(tmp_path / "km")]
+    else:
+        argv += ["--family", family]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_simulate_grid_and_outputs(tmp_path, capsys):

@@ -249,7 +249,8 @@ def test_information_from_the_fit_is_the_information_at_the_estimate(name):
     """The log-likelihood and information a fit reports come from its last
     Newton evaluation, on standardized times and log-parameters; mapped back
     they equal a natural-scale pass at theta_hat, for the bundled control arm
-    and for each row of a random block."""
+    and (the information scaled by theta theta') for each row of a random
+    block."""
     fam = family(name)
     cohort = ingest_csv(DATA_CONTROL)
     fit = fit_mle(fam, cohort)
@@ -267,7 +268,9 @@ def test_information_from_the_fit_is_the_information_at_the_estimate(name):
     b = theta[:, 1] if fam.q == 2 else np.ones(len(theta))
     want_loglik, want_info = _loglik_and_information(fam, theta[:, 0], b, times, events)
     assert_allclose(loglik, want_loglik, rtol=1e-10)
-    assert_allclose(info, want_info, rtol=1e-10)
+    # a block's information is in log-parameters: J scaled by theta theta'
+    outer = theta[:, :, None] * theta[:, None, :]
+    assert_allclose(info, want_info * outer, rtol=1e-10)
 
 
 def test_fit_result_equality():

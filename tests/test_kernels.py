@@ -56,6 +56,59 @@ def test_fit_status_codes():
     assert stuck[3][0] == 0
 
 
+def test_driver_rows_match_single_rows_in_every_status():
+    """One block holding a row of each status, the rows stopping on
+    different passes: every row's outputs, ``last`` included, are bitwise
+    those of the row fitted alone, so carrying only the live rows changes
+    no bit."""
+    times, events = _sample()
+    # (times, events, start log-shape, start log-scale): converges in 6
+    # steps; identical event times run the shape to the bound in 30; a far
+    # start spends the budget of 40; at shape e^5 and scale e^-5 the
+    # derivatives are not finite, so no trial is accepted
+    rows = [
+        (times, events, 0.0, 0.0),
+        (np.full(times.shape, 2.0), np.ones(times.shape), 0.0, 0.0),
+        (times, events, 3.0, -3.0),
+        (times, events, 5.0, -5.0),
+        (times[::-1] * 1.7, events[::-1], 0.0, 0.0),
+    ]
+    t, e, x0, x1 = (np.array(v) for v in zip(*rows))
+    block = _kernels.fit_newton(_kernels.WEIBULL, t, e, x0, x1, 1e-8, 40)
+    assert block[4].tolist() == [
+        _kernels.FIT_OK,
+        _kernels.FIT_BOUNDARY,
+        _kernels.FIT_MAX_ITER,
+        _kernels.FIT_LINE_SEARCH,
+        _kernels.FIT_OK,
+    ]
+    a, b, _, iterations, _, _ = block
+    assert iterations.tolist()[2:4] == [40, 1] and len(set(iterations.tolist())) == len(rows)
+    # a row that stops on a failed step reports the iterate it stood at
+    assert max(abs(math.log(a[1])), abs(math.log(b[1]))) <= _kernels._LOG_BOUND
+    assert (a[3], b[3]) == (np.exp(5.0), np.exp(-5.0))
+    for i in range(len(rows)):
+        one = slice(i, i + 1)
+        alone = _kernels.fit_newton(_kernels.WEIBULL, t[one], e[one], x0[one], x1[one], 1e-8, 40)
+        for got, want in zip((*block[:5], *block[5]), (*alone[:5], *alone[5])):
+            assert got[one].tobytes() == want.tobytes()
+
+
+def test_zero_row_block_returns_at_once(monkeypatch):
+    """A block without rows returns empty outputs without taking a step: a
+    driver that runs until no live row is left must still stop at once."""
+
+    def no_step(*args):
+        raise AssertionError("a zero-row block took a step")
+
+    monkeypatch.setattr(_kernels, "_line_search", no_step)
+    empty = np.empty((0, 5))
+    out = _kernels.fit_newton(
+        _kernels.WEIBULL, empty, empty, np.empty(0), np.empty(0), 1e-8, 200
+    )
+    assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 11
+
+
 def test_exponential_kernel_closed_forms():
     """Rate-a exponential: loglik = d log a - a sum(x), information d/a^2."""
     times = np.array([1.0, 2.0, 3.0])

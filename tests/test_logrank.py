@@ -436,6 +436,23 @@ def test_corrected_z_does_not_depend_on_the_time_unit(name):
     assert_allclose(z[1:], [z[0]] * 3, rtol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
+def test_corrected_z_holds_where_the_information_overflows(name):
+    """At time factors 1e200 and 1e-200 the natural-scale information over-
+    or underflows, yet the corrected z is the one in years, without a
+    warning (the suite turns warnings into errors): the variance correction
+    never leaves log-parameter coordinates."""
+    cohort_a = ingest_csv(DATA_CONTROL)
+    cohort_b = ingest_csv(DATA_EXPERIMENTAL)
+    z = []
+    for factor in (1.0, 1e200, 1e-200):
+        a = Cohort.from_arrays(cohort_a.times * factor, cohort_a.events)
+        b = Cohort.from_arrays(cohort_b.times * factor, cohort_b.events)
+        ref = ReferenceCurve.from_fit(fit_mle(name, a))
+        z.append([oslr_test(ref, b, w=w, corrected=True).z for w in (0.0, 0.5)])
+    assert_allclose(z[1:], [z[0]] * 2, rtol=1e-9)
+
+
 def test_w_choice_vanishes_at_large_n(truth_z_sample):
     """At n_B = 10,000 under the null the w=0 and w=0.5 z-scores coincide."""
     z_w0, z_w05 = truth_z_sample
