@@ -176,8 +176,9 @@ def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
 
     The driver carries only its live rows, compacted: a live row has taken
     one step per pass, and a row is written to the outputs on the pass it
-    stops. A pass on which every live row takes its full step, the usual
-    case, gathers and scatters nothing.
+    stops. A pass on which every live row moves keeps the line search's
+    arrays as they are, with no per-row select; one with a failed row
+    selects, and that row stops on the next pass.
 
     Returns (a, b, grad_norm, iterations, status, last), the first five
     each (R,); on failure (a, b) is the row's last iterate inside the
@@ -253,8 +254,9 @@ def _take(arrays, keep):
 def _line_search(code, data, inv_n, x0, x1, f, d0, d1):
     """Halve each row's step from 1 until its trial is accepted, at most 60
     trials. Returns (accepted, t0, t1, trial values), unset where a row was
-    not accepted. The rows still pending are compacted after each trial,
-    unless every row was accepted at the full step."""
+    not accepted. When every row is accepted at the full step the first
+    trial is returned as it is; otherwise the accepted rows are scattered to
+    the outputs and the rows still pending compacted after each trial."""
     step = 1.0
     pending = None
     for _ in range(60):

@@ -67,19 +67,27 @@ class FitResult:
 
     family: FamilyDescriptor
     theta_hat: np.ndarray
-    info_matrix: np.ndarray
+    # the information in log-parameter coordinates, which has no time unit
+    # and stays finite on huge or tiny times
+    log_info: np.ndarray
     loglik: float
     aic: float
     n: int
     iterations: int
     # norm of the log-scale gradient of the mean log-likelihood at theta_hat
     grad_norm: float
-    # the information in log-parameter coordinates, info_matrix scaled by
-    # theta theta', which has no time unit and stays finite where
-    # info_matrix overflows; fit_mle sets it
-    log_info: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the natural-scale J = log_info / (theta theta'), derived once; it
+    # overflows where log_info does not
+    info_matrix: np.ndarray = field(init=False, compare=False)
 
     __eq__ = _fields_equal
+
+    def __post_init__(self):
+        log_info = np.asarray(self.log_info, dtype=np.float64)
+        object.__setattr__(self, "log_info", log_info)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            info = log_info / _outer(self.theta_hat)
+        object.__setattr__(self, "info_matrix", info)
 
     def to_json_dict(self) -> dict:
         """Fields as JSON values; an information entry that overflowed (on
@@ -188,19 +196,15 @@ def fit_mle(fam, cohort: Cohort) -> FitResult:
     if status != _kernels.FIT_OK:
         raise FitError(f"{fam.name} fit {FAILURES[int(status)]}", last_theta=theta_hat)
     loglik = float(loglik)
-    # J_ij = info_ij / (theta_i theta_j), which overflows on huge times
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        info = log_info / (theta_hat[:, None] * theta_hat[None, :])
     return FitResult(
         family=fam,
         theta_hat=theta_hat,
-        info_matrix=info,
+        log_info=log_info,
         loglik=loglik,
         aic=2.0 * fam.q - 2.0 * loglik,
         n=cohort.n,
         iterations=int(iters),
         grad_norm=float(grad_norm),
-        log_info=log_info,
     )
 
 
@@ -218,6 +222,12 @@ def select_model(fits) -> FitResult:
     if not candidates:
         raise SelectionError("no converged fits to select from")
     return min(enumerate(candidates), key=lambda kv: (kv[1].aic, kv[1].family.q, kv[0]))[1]
+
+
+def _outer(theta) -> np.ndarray:
+    """theta theta' of each parameter vector of a (..., q) stack: an
+    information matrix J in log-parameter coordinates is J * theta theta'."""
+    return theta[..., :, None] * theta[..., None, :]
 
 
 def pseudo_inverse(m, scale=None) -> np.ndarray:
@@ -243,7 +253,7 @@ def pseudo_inverse(m, scale=None) -> np.ndarray:
         scale = np.asarray(scale, dtype=np.float64)
         if not np.all(np.isfinite(scale) & (scale > 0)):
             raise ValueError("scale must be finite and positive")
-        outer = scale[..., :, None] * scale[..., None, :]
+        outer = _outer(scale)
         m = m * outer
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")

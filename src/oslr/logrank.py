@@ -19,7 +19,7 @@ from . import _kernels
 from .data import Cohort
 from .errors import DegenerateTestError, UsageError
 from .families import FamilyDescriptor, _ab, check_theta, family
-from .fitting import FitResult, _fields_equal, pseudo_inverse
+from .fitting import FitResult, _fields_equal, _outer, pseudo_inverse
 
 
 def normal_cdf(z: float) -> float:
@@ -62,6 +62,14 @@ def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
     return m_oslr / math.sqrt(total)
 
 
+def _information(m, q: int) -> np.ndarray:
+    """An information matrix as a float array, refused unless q x q."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (q, q):
+        raise UsageError(f"information matrix shape {m.shape} does not match q={q}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceCurve:
     """Cumulative-hazard curve the experimental cohort is tested against.
@@ -73,7 +81,8 @@ class ReferenceCurve:
     test does not depend on the time unit. That information is ``log_info``
     when given (``from_fit`` passes the fit's, which stays finite where the
     natural-scale matrix overflows), else ``info_matrix`` scaled by
-    theta theta'.
+    theta theta'. A ``log_info`` is refused without an ``info_matrix`` or
+    unless it is q x q too.
     """
 
     family: FamilyDescriptor
@@ -92,16 +101,15 @@ class ReferenceCurve:
         theta = check_theta(fam, self.theta)
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "theta", theta)
-        if self.info_matrix is not None:
-            info = np.asarray(self.info_matrix, dtype=np.float64)
-            if info.shape != (fam.q, fam.q):
-                raise UsageError(
-                    f"information matrix shape {info.shape} does not match q={fam.q}"
-                )
-            object.__setattr__(self, "info_matrix", info)
-            if log_info is None:
-                log_info = info * theta[:, None] * theta[None, :]
-            object.__setattr__(self, "info_pinv", pseudo_inverse(log_info))
+        if self.info_matrix is None:
+            if log_info is not None:
+                raise UsageError("log_info given without info_matrix")
+            return
+        info = _information(self.info_matrix, fam.q)
+        object.__setattr__(self, "info_matrix", info)
+        if log_info is None:
+            log_info = info * _outer(theta)
+        object.__setattr__(self, "info_pinv", pseudo_inverse(_information(log_info, fam.q)))
 
     @classmethod
     def from_fit(cls, fit: FitResult) -> "ReferenceCurve":
@@ -175,15 +183,18 @@ def _compensated_and_v1(n_events, expected, n, w):
     return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
 
 
-def _v2(pi, g0, g1, info_pinv):
-    """V2 = pi * gbar' J^+ gbar for gbar = (g0, g1)[:q], written out
-    elementwise so that a row of a (R, q, q) stack is computed alike in any
-    block. gbar and J^+ are taken in the same coordinates: in
-    log-parameters, gbar is the natural-scale gradient times theta."""
+def _v2(pi, a, b, g0, g1, info_pinv):
+    """V2 = pi * gbar' J^+ gbar, written out elementwise so that a row of a
+    (R, q, q) stack is computed alike in any block. Both are taken in
+    log-parameters, where neither has a time unit: J^+ is the pseudo-inverse
+    there, and gbar is the natural-scale mean hazard gradient (g0, g1)[:q]
+    times the parameters (a, b)[:q]."""
     p = info_pinv
+    g0 = g0 * a
     h0 = pi * g0
     if p.shape[-1] == 1:
         return h0 * p[..., 0, 0] * g0
+    g1 = g1 * b
     h1 = pi * g1
     return (h0 * p[..., 0, 0] + h1 * p[..., 1, 0]) * g0 + (
         h0 * p[..., 0, 1] + h1 * p[..., 1, 1]
@@ -220,7 +231,7 @@ def _statistics(
             float(v[0])
             for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
         )
-        v2 = None if pi is None else float(_v2(pi, g0 * a[0], g1 * b[0], ref.info_pinv))
+        v2 = None if pi is None else float(_v2(pi, a[0], b[0], g0, g1, ref.info_pinv))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     return n_events, expected, m, v1, v2
 

@@ -280,8 +280,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
         WEIBULL.code, theta[:, 0], theta[:, 1], capped, log_capped
     )
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
-    # the information and gradient in log-parameters, where neither has a unit
-    v2 = _v2(n_b / n_a, g0 * theta[:, 0], g1 * theta[:, 1], pseudo_inverse(info[ok]))
+    v2 = _v2(n_b / n_a, theta[:, 0], theta[:, 1], g0, g1, pseudo_inverse(info[ok]))
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1
     var[fitted, 4:6] = v1 + v2[:, None]

@@ -320,7 +320,7 @@ def _dummy_fit(name, q, value):
     return FitResult(
         family=family(name),
         theta_hat=np.ones(q),
-        info_matrix=np.eye(q),
+        log_info=np.eye(q),
         loglik=-(value - 2 * q) / 2,
         aic=value,
         n=10,

@@ -81,6 +81,23 @@ def test_reference_curve_construction():
         ReferenceCurve(family="weibull", theta=[1.0, 1.0], info_matrix=np.eye(1))
 
 
+def test_reference_curve_log_info():
+    """The fit's log-scale information gives the pseudo-inverse that
+    info_matrix scaled by theta theta' gives; one of the wrong shape, or
+    one without an info_matrix, is refused."""
+    fit = fit_mle("weibull", ingest_csv(DATA_CONTROL))
+    theta = fit.theta_hat
+    assert_allclose(fit.info_matrix * np.outer(theta, theta), fit.log_info, rtol=1e-15)
+    hand_built = ReferenceCurve(family="weibull", theta=theta, info_matrix=fit.info_matrix)
+    assert_allclose(ReferenceCurve.from_fit(fit).info_pinv, hand_built.info_pinv, rtol=1e-12)
+    with pytest.raises(UsageError, match="shape"):
+        ReferenceCurve(
+            family="weibull", theta=theta, info_matrix=fit.info_matrix, log_info=np.eye(1)
+        )
+    with pytest.raises(UsageError, match="without"):
+        ReferenceCurve(family="weibull", theta=theta, log_info=fit.log_info)
+
+
 def test_reference_curve_equality():
     """Array fields compare by value; the derived pseudo-inverse is left out."""
     assert ReferenceCurve.fixed("weibull", [1.0, 2.0]) == ReferenceCurve.fixed(
