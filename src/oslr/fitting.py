@@ -230,7 +230,7 @@ def _outer(theta) -> np.ndarray:
     return theta[..., :, None] * theta[..., None, :]
 
 
-def pseudo_inverse(m, scale=None) -> np.ndarray:
+def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
     (..., q, q) stack, via its eigendecomposition: in closed form for
     q = 2, elementwise over the stack, and through LAPACK otherwise.
@@ -238,23 +238,10 @@ def pseudo_inverse(m, scale=None) -> np.ndarray:
     The singular values of a symmetric matrix are its eigenvalues' moduli;
     eigenvalues with |lambda| <= 1e-12 * q * max |lambda| count as zero for
     q x q matrices.
-
-    With ``scale``, positive parameters theta of shape (..., q), the result
-    is D pinv(D m D) D for D = diag(theta): the pseudo-inverse of an
-    information matrix m taken in the coordinates log theta, where m has no
-    time unit, so the cutoff does not depend on the unit either. It equals
-    m^-1 when m is invertible.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    outer = 1.0
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
-        if not np.all(np.isfinite(scale) & (scale > 0)):
-            raise ValueError("scale must be finite and positive")
-        outer = _outer(scale)
-        m = m * outer
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
@@ -263,7 +250,7 @@ def pseudo_inverse(m, scale=None) -> np.ndarray:
         raise ValueError("matrix is not symmetric within 1e-10")
     if m.shape[-1] != 2:
         lam, v = np.linalg.eigh(m)
-        return outer * ((v * _kept_inverse(lam)[..., None, :]) @ np.swapaxes(v, -1, -2))
+        return (v * _kept_inverse(lam)[..., None, :]) @ np.swapaxes(v, -1, -2)
     # [[a, b], [b, c]] has eigenvalues mid +- hypot(half, b). The one of larger
     # modulus, big, takes the sign of mid, which avoids cancellation; the other
     # is the determinant over big, computed without cancellation or overflow as
@@ -279,7 +266,7 @@ def pseudo_inverse(m, scale=None) -> np.ndarray:
     inv = _kept_inverse(lam)
     phi = 0.5 * np.arctan2(sign * b, sign * half)
     cos, sin = np.cos(phi), np.sin(phi)
-    return outer * _symmetric(
+    return _symmetric(
         inv[..., 0] * cos * cos + inv[..., 1] * sin * sin,
         (inv[..., 0] - inv[..., 1]) * cos * sin,
         inv[..., 0] * sin * sin + inv[..., 1] * cos * cos,

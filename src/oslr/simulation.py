@@ -21,11 +21,24 @@ replicate's key, from a saved state of Python ints, not by building one
 generator per replicate.
 
 With N workers a cell's replicates split into N equal contiguous shares.
-Where ``os.fork`` exists (POSIX), N - 1 forked children compute shares
-1..N-1 and send their counts back through a pipe while the calling process
-computes share 0; elsewhere the shares run one after another in the calling
-process. Either way the integer counts add up to the same result. Each share
-runs as the fewest near-equal blocks that fit the block size.
+Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
+and send their counts back through a pipe while the calling process computes
+share 0; elsewhere the shares run one after another in the calling process.
+Either way the integer counts add up to the same result. Each share runs as
+the fewest near-equal blocks that fit the block size.
+
+The share workers persist: a process forks them on its first call that
+needs them, and more only when a later call asks for more, so later calls
+pay no fork, no reap and no copy-on-write faults on either side. Each worker
+reads (scenario, start, stop) commands from its own pipe and ends at EOF.
+The pool belongs to the process that forked it: a forked child of the owner
+closes its inherited pipe ends at the fork and starts its own pool, and
+every worker closes those of the workers forked before it, so each sees EOF
+once its owner is gone, even if the owner was killed. On any failure in a
+call (a share's exception, a worker ending without a result, the caller's
+own exception or interrupt) every worker is killed and reaped and the pool
+emptied. At interpreter exit an atexit hook closes the pipes and reaps the
+workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
 (n_A + n_B): one replicate's working arrays take about 215 bytes per
@@ -34,6 +47,7 @@ observation, so about 215 MB at that bound.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import itertools
 import json
@@ -42,6 +56,7 @@ import numbers
 import os
 import pickle
 import sys
+import threading
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -232,7 +247,8 @@ def _z_or_nan(m, total):
     """m / sqrt(total) where total > 0; NaN (not evaluated) elsewhere."""
     z = np.full(m.shape, np.nan)
     ok = total > 0.0
-    z[ok] = m[ok] / np.sqrt(total[ok])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: NaN, not evaluated
+        z[ok] = m[ok] / np.sqrt(total[ok])
     return z
 
 
@@ -276,11 +292,13 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
         capped, log_capped, n_events = capped[fitted], log_capped[fitted], n_events[fitted]
     else:
         fitted = slice(None)  # every row: no copies
-    expected, g0, g1 = _kernels.oslr_components(
-        WEIBULL.code, theta[:, 0], theta[:, 1], capped, log_capped
-    )
+    # a converged fit of extreme shape can overflow the curve; its z is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, g0, g1 = _kernels.oslr_components(
+            WEIBULL.code, theta[:, 0], theta[:, 1], capped, log_capped
+        )
+        v2 = _v2(n_b / n_a, theta[:, 0], theta[:, 1], g0, g1, pseudo_inverse(info[ok]))
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
-    v2 = _v2(n_b / n_a, theta[:, 0], theta[:, 1], g0, g1, pseudo_inverse(info[ok]))
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1
     var[fitted, 4:6] = v1 + v2[:, None]
@@ -441,99 +459,170 @@ def resolve_workers(requested: int | None = None) -> int:
     return cpus
 
 
-def _share_child(scenario: Scenario, start: int, stop: int, write_fd: int):
-    """Body of a forked child: pickle (counts, None, None) of replicates
+class _ShareWorker:
+    """A forked process that computes shares on request (``_serve_shares``):
+    its pid, None once reaped, and this process's ends of its pipes."""
+
+    def __init__(self):
+        commands_r, commands_w = os.pipe()
+        results_r, results_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (commands_r, commands_w, results_r, results_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(commands_w)
+            os.close(results_r)
+            _serve_shares(commands_r, results_w)
+        os.close(commands_r)
+        os.close(results_w)
+        self.pid = pid
+        # unbuffered: a forked copy that closes it has nothing to flush
+        self.commands = open(commands_w, "wb", buffering=0)
+        self.results = open(results_r, "rb")
+
+    def send(self, scenario: Scenario, start: int, stop: int) -> None:
+        # one write: the pickled command is far below the pipe's atomic size
+        try:
+            self.commands.write(pickle.dumps((scenario, start, stop)))
+        except BrokenPipeError:
+            pass  # the worker has ended; reading its result says how
+
+    def result(self) -> np.ndarray:
+        """Counts of the share last sent, or its exception raised here. A
+        worker that ends without a result is reaped for its wait status."""
+        try:
+            counts, exc, trace = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            pid, self.pid = self.pid, None
+            _, status = os.waitpid(pid, 0)
+            raise RuntimeError(
+                f"share process {pid} ended without a result (wait status {status})"
+            ) from None
+        if counts is not None:
+            return counts
+        failure = RuntimeError(f"share process {self.pid} failed:\n{trace}")
+        if exc is None:
+            raise failure
+        raise exc from failure
+
+    def close_pipes(self) -> None:
+        self.commands.close()
+        self.results.close()
+
+
+def _serve_shares(commands_fd: int, results_fd: int):
+    """Body of a share worker: for each pickled (scenario, start, stop) read
+    from ``commands_fd``, pickle (counts, None, None) of replicates
     start..stop-1, or (None, exception, traceback text) when they raise, into
-    ``write_fd``, then end the process.
+    ``results_fd``; end the process at EOF on the commands.
 
     It never returns into the caller's stack: ``os._exit`` runs no atexit
-    handler and flushes no stdio buffer inherited from the parent. Exit code
-    0 means the whole payload was written.
+    handler and flushes no stdio buffer inherited from the owner. Exit code
+    0 means it ended at EOF. It ignores SIGINT, which a terminal sends to the
+    whole process group: an interrupt is the owner's to handle, and an idle
+    worker must outlive one.
     """
     code = 1
     try:
-        try:
-            payload = pickle.dumps((_chunk_counts(scenario, start, stop), None, None))
-        except BaseException as exc:
-            import traceback
+        import signal  # here and in _close_pool: ~1 ms of import no other path needs
 
-            trace = traceback.format_exc()
-            try:
-                payload = pickle.dumps((None, exc, trace))
-                pickle.loads(payload)  # an exception may not survive the trip
-            except Exception:
-                payload = pickle.dumps((None, None, trace))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with open(commands_fd, "rb") as commands, open(results_fd, "wb") as results:
+            while True:
+                try:
+                    scenario, start, stop = pickle.load(commands)
+                except EOFError:
+                    break
+                try:
+                    payload = pickle.dumps((_chunk_counts(scenario, start, stop), None, None))
+                except BaseException as exc:
+                    import traceback
+
+                    trace = traceback.format_exc()
+                    try:
+                        payload = pickle.dumps((None, exc, trace))
+                        pickle.loads(payload)  # an exception may not survive the trip
+                    except Exception:
+                        payload = pickle.dumps((None, None, trace))
+                results.write(payload)
+                results.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _share_result(pid: int, status: int, payload: bytes) -> np.ndarray:
-    """Counts a share child sent, or its exception raised here."""
-    if status != 0 or not payload:
-        raise RuntimeError(
-            f"share process {pid} ended without a result (wait status {status})"
-        )
-    counts, exc, trace = pickle.loads(payload)
-    if counts is not None:
-        return counts
-    failure = RuntimeError(f"share process {pid} failed:\n{trace}")
-    if exc is None:
-        raise failure
-    raise exc from failure
+# the share workers this process forked, oldest first, and the lock that
+# gives one call at a time the use of them
+_pool: list[_ShareWorker] = []
+_pool_lock = threading.Lock()
+
+
+def _close_pool(kill: bool = False) -> None:
+    """Reap every worker and empty the pool: closing a worker's commands
+    ends it at EOF, or, with ``kill``, SIGKILL ends it mid-share."""
+    for worker in _pool:
+        worker.close_pipes()
+        if kill and worker.pid is not None:
+            import signal
+
+            os.kill(worker.pid, signal.SIGKILL)
+    for worker in _pool:
+        if worker.pid is not None:
+            os.waitpid(worker.pid, 0)
+    _pool.clear()
+
+
+def _forget_pool() -> None:
+    """In a forked child, which owns none of its parent's workers: close the
+    inherited pipe ends, so each worker still sees EOF when its owner ends,
+    and start with no pool and a free lock."""
+    global _pool_lock
+    for worker in _pool:
+        worker.close_pipes()
+    _pool.clear()
+    _pool_lock = threading.Lock()
+
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _forked_counts(scenario: Scenario, bounds: list[int]) -> np.ndarray:
-    """Counts of the shares bounds[i]..bounds[i+1]-1: one forked child per
-    share past the first, each writing to its own pipe, while this process
-    computes the first. On any failure here, an interrupt included, every
-    child still running is killed and reaped and every pipe closed."""
-    children = []  # (pid, read end of its pipe), not yet reaped
-    try:
-        for first, last in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _share_child(scenario, first, last, write_fd)
-            children.append((pid, open(read_fd, "rb")))
-            # closed at once, so later children do not hold it open past EOF
-            os.close(write_fd)
-        counts = _chunk_counts(scenario, bounds[0], bounds[1])
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            pipe.close()
-            counts += _share_result(pid, status, payload)
-        return counts
-    finally:
-        if children:
-            import signal
-
-            for pid, pipe in children:
-                pipe.close()
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped just before the failure
+    """Counts of the shares bounds[i]..bounds[i+1]-1: the pool's workers
+    compute the shares past the first, forked on the first call that needs
+    them, while this process computes the first. On any failure here, an
+    interrupt included, every worker is killed and reaped and the pool
+    emptied; the next call forks afresh."""
+    shares = list(zip(bounds[1:-1], bounds[2:]))
+    with _pool_lock:
+        try:
+            while len(_pool) < len(shares):
+                _pool.append(_ShareWorker())
+            for worker, (first, last) in zip(_pool, shares):
+                worker.send(scenario, first, last)
+            counts = _chunk_counts(scenario, bounds[0], bounds[1])
+            for worker, _ in zip(_pool, shares):
+                counts += worker.result()
+            return counts
+        except BaseException:
+            _close_pool(kill=True)
+            raise
 
 
 def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationResult:
     """Aggregate all replicates of one cell; independent of worker count.
 
     With k workers the replicates split into k equal contiguous shares: k - 1
-    forked children take shares 1..k-1 while the calling process computes
-    share 0, then the integer counts add up. Without ``os.fork`` the cell
-    runs in the calling process, with the same counts.
+    share workers take shares 1..k-1 while the calling process computes
+    share 0, then the integer counts add up. The workers are forked on the
+    first call that needs them and kept for later calls; a forked copy of
+    this process starts its own. A failure kills and reaps them all, and the
+    next call forks afresh; at exit they are closed and reaped. Without
+    ``os.fork`` the cell runs in the calling process, with the same counts.
     """
     n = scenario.replicates
     k = min(resolve_workers(workers), n)

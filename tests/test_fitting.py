@@ -20,12 +20,14 @@ from oslr.fitting import (
     FitResult,
     _fit_rows,
     _loglik_and_information,
+    _outer,
     aic,
     empirical_information,
     fit_mle,
     pseudo_inverse,
     select_model,
 )
+from oslr.logrank import ReferenceCurve
 from oslr.simulation import Scenario, generate_cohort, replicate_rng
 
 MASTER_SEED = 20260815
@@ -398,16 +400,17 @@ def test_pseudo_inverse():
 
 
 def test_pseudo_inverse_in_log_parameter_coordinates():
-    """With the estimate as scale, the pseudo-inverse is D pinv(D J D) D for
-    D = diag(theta): J^-1 for an invertible J in any time unit, including
-    units in which J's eigenvalues span more than the plain cutoff."""
+    """Taken in log-parameter coordinates, the pseudo-inverse is
+    D pinv(D J D) D for D = diag(theta): J^-1 for an invertible J in any
+    time unit, including units in which J's eigenvalues span more than the
+    plain cutoff."""
     cohort = ingest_csv(DATA_CONTROL)
     for name in ("exponential", "weibull", "loglogistic"):
         for factor in (1.0, 31_557_600.0, 1e9):
             scaled = Cohort.from_arrays(cohort.times * factor, cohort.events)
             fit = fit_mle(name, scaled)
             theta = fit.theta_hat
-            plus = pseudo_inverse(fit.info_matrix, scale=theta)
+            plus = _outer(theta) * ReferenceCurve.from_fit(fit).info_pinv
             # P J = I, compared in log-parameter coordinates: D^-1 P J D
             unit_free = (plus @ fit.info_matrix) * theta[None, :] / theta[:, None]
             assert_allclose(unit_free, np.eye(fit.family.q), atol=1e-9)
@@ -415,13 +418,9 @@ def test_pseudo_inverse_in_log_parameter_coordinates():
     a = rng.normal(size=(10, 2, 3))
     m = a @ np.swapaxes(a, -1, -2)
     theta = rng.uniform(0.1, 10.0, size=(10, 2))
-    outer = theta[:, :, None] * theta[:, None, :]
-    assert_allclose(
-        pseudo_inverse(m, scale=theta), outer * pseudo_inverse(m * outer), rtol=1e-12
-    )
-    for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="scale"):
-            pseudo_inverse(np.eye(2), scale=[1.0, bad])
+    outer = _outer(theta)
+    expected = [t * np.linalg.pinv(m_i * t, hermitian=True) for m_i, t in zip(m, outer)]
+    assert_allclose(outer * pseudo_inverse(m * outer), expected, rtol=1e-12)
 
 
 def test_pseudo_inverse_rejects_non_finite_input():

@@ -11,9 +11,12 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from numpy.testing import assert_allclose
 from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
 from oslr.fitting import fit_mle
 from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
-from oslr import _kernels, simulation
+from oslr import _kernels, cli, simulation
 from oslr.nonparametric import _event_table
 from oslr.simulation import (
     MAX_OBSERVATIONS,
@@ -209,10 +212,8 @@ def test_run_scenario_worker_invariance_uneven_shares(replicates):
             )
 
 
-def test_pool_starts_one_process_fewer_than_workers(monkeypatch):
-    """The calling process computes one share itself, so N workers fork
-    N - 1 children; a cell with fewer replicates than workers forks one
-    child fewer than it has replicates."""
+def _counting_fork(monkeypatch):
+    """Record the pid of each child os.fork starts from now on."""
     real_fork = os.fork
     forked = []
 
@@ -223,26 +224,197 @@ def test_pool_starts_one_process_fewer_than_workers(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    started = []
-    for workers, replicates in ((2, 8), (3, 8), (5, 4)):
+    return forked
+
+
+def test_pool_starts_one_process_fewer_than_workers(monkeypatch):
+    """The calling process computes one share itself, so N workers keep
+    N - 1 children; a cell with fewer replicates than workers needs one
+    child fewer than it has replicates. A later call with the same or fewer
+    workers forks none, and one with more forks only the difference."""
+    simulation._close_pool()
+    forked = _counting_fork(monkeypatch)
+    started, kept = [], []
+    for workers, replicates in ((2, 8), (2, 8), (3, 8), (2, 8), (5, 4), (5, 8), (1, 8)):
         before = len(forked)
         run_scenario(_scenario(n_b=5, replicates=replicates), workers=workers)
         started.append(len(forked) - before)
-    assert started == [1, 2, 3]
-    run_scenario(_scenario(n_b=5, replicates=8), workers=1)
-    assert len(forked) == 6
+        kept.append(len(simulation._pool))
+    assert started == [1, 0, 1, 0, 1, 1, 0]
+    assert kept == [1, 1, 2, 2, 3, 4, 4]
+    assert [worker.pid for worker in simulation._pool] == forked
+    simulation._close_pool()
+    _assert_no_children()
 
 
-def _failing_shares(monkeypatch, fail):
-    """Make every share but the caller's (the one starting at 0) call fail()."""
-    real = simulation._chunk_counts
+def test_second_pooled_call_forks_no_process(monkeypatch):
+    s = _scenario(n_b=5, replicates=8)
+    first = run_scenario(s, workers=2)
+    forked = _counting_fork(monkeypatch)
+    assert run_scenario(s, workers=2).to_json() == first.to_json()
+    assert forked == []
 
-    def chunk_counts(scenario, start, stop):
-        if start > 0:
-            fail()
-        return real(scenario, start, stop)
 
-    monkeypatch.setattr(simulation, "_chunk_counts", chunk_counts)
+def test_simulate_grid_forks_one_worker(monkeypatch, tmp_path):
+    """Three cells at two workers share one forked worker."""
+    grid = {"kappa": [0.5, 1.0, 2.0], "n_b": 5, "pi": 1.0, "replicates": 8, "seed": 3}
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(grid))
+    argv = ["simulate", str(spec), "--workers", "2", "--out", str(tmp_path / "study")]
+    simulation._close_pool()
+    forked = _counting_fork(monkeypatch)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        simulation._close_pool()
+    assert len(forked) == 1
+
+
+def _running(pid):
+    """Whether a process exists and is not a zombie."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+def test_workers_end_with_their_owner(ending):
+    """No worker outlives its owner, whether the owner exits (the atexit
+    hook reaps them) or is killed (each sees EOF on its commands)."""
+    code = (
+        "import sys, time\n"
+        "from oslr import simulation\n"
+        "s = simulation.Scenario(kappa=1.0, n_b=5, pi=1.0, replicates=8, seed=1)\n"
+        "simulation.run_scenario(s, workers=3)\n"
+        "print(*[w.pid for w in simulation._pool], flush=True)\n"
+        f"time.sleep({60 if ending == 'sigkill' else 0})\n"
+    )
+    src = str(pathlib.Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    owner = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 2
+        if ending == "sigkill":
+            owner.kill()
+        owner.wait(timeout=60)
+    finally:
+        owner.kill()
+        owner.stdout.close()
+    deadline = time.monotonic() + 30
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
+
+
+def test_forked_copy_starts_its_own_pool():
+    """A forked child of the owner does not use the owner's workers: it
+    forks its own and gets the same counts."""
+    s = _scenario(n_b=5, replicates=8)
+    want = run_scenario(s, workers=2).to_json()
+    owner_worker = simulation._pool[0].pid
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            got = run_scenario(s, workers=2).to_json()
+            mine = simulation._pool[0].pid
+            simulation._close_pool()
+            with open(write_fd, "w") as out:
+                json.dump([got, mine], out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd) as pipe:
+        sent = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert status == 0
+    got, child_worker = json.loads(sent)
+    assert got == want
+    assert child_worker not in (owner_worker, pid)
+    assert simulation._pool[0].pid == owner_worker
+    assert run_scenario(s, workers=2).to_json() == want
+
+
+def test_idle_worker_outlives_an_interrupt(monkeypatch):
+    """A terminal's Ctrl-C reaches every process of its group; an idle
+    worker ignores it and serves the next call."""
+    s = _scenario(n_b=5, replicates=8)
+    want = run_scenario(s, workers=2).to_json()
+    os.kill(simulation._pool[0].pid, signal.SIGINT)
+    forked = _counting_fork(monkeypatch)
+    assert run_scenario(s, workers=2).to_json() == want
+    assert forked == []
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_dead_idle_worker_is_reported_and_replaced():
+    s = _scenario(n_b=5, replicates=8)
+    want = run_scenario(s, workers=2).to_json()
+    pid = simulation._pool[0].pid
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)  # dead, so the next command meets a closed pipe
+    with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 9\)"):
+        run_scenario(s, workers=2)
+    assert simulation._pool == []
+    assert run_scenario(s, workers=2).to_json() == want
+
+
+def test_threads_take_turns_with_the_pool():
+    """Three threads run pooled cells at once, switching often; each gets
+    its own cell's counts, which it would not if two calls shared a worker."""
+    cells = [_scenario(n_b=5, replicates=12, seed=seed) for seed in (1, 2, 3)]
+    want = [run_scenario(s, workers=1).to_json() for s in cells]
+    run_scenario(cells[0], workers=3)  # fork before any thread starts
+    got = [[] for _ in cells]
+
+    def run(i):
+        for _ in range(10):
+            got[i].append(run_scenario(cells[i], workers=3).to_json())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cells))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[w] * 10 for w in want]
+
+
+@pytest.fixture
+def failing_shares(monkeypatch):
+    """fail_shares(fail): make every share but the caller's (the one
+    starting at 0) call fail(). The pool is emptied before each patch and
+    after the test, so workers fork under the patch and none outlives it."""
+
+    def fail_shares(fail):
+        simulation._close_pool()
+        real = simulation._chunk_counts
+
+        def chunk_counts(scenario, start, stop):
+            if start > 0:
+                fail()
+            return real(scenario, start, stop)
+
+        monkeypatch.setattr(simulation, "_chunk_counts", chunk_counts)
+
+    yield fail_shares
+    simulation._close_pool()
 
 
 def _assert_no_children():
@@ -257,15 +429,15 @@ def _raiser(exc):
     return fail
 
 
-def test_share_exception_propagates(monkeypatch):
-    _failing_shares(monkeypatch, _raiser(FitError("share broke")))
+def test_share_exception_propagates(failing_shares):
+    failing_shares(_raiser(FitError("share broke")))
     with pytest.raises(FitError, match="share broke") as caught:
         run_scenario(_scenario(n_b=5, replicates=8), workers=3)
     assert "Traceback" in str(caught.value.__cause__)
     _assert_no_children()
 
 
-def test_unpicklable_share_exception_carries_its_traceback(monkeypatch):
+def test_unpicklable_share_exception_carries_its_traceback(failing_shares):
     """An exception that cannot be pickled, or not unpickled, arrives as a
     RuntimeError holding the child's traceback."""
 
@@ -277,17 +449,17 @@ def test_unpicklable_share_exception_carries_its_traceback(monkeypatch):
         # pickles as RowValidationError("row 3: bad"), which misses an argument
         (RowValidationError(3, "bad"), "RowValidationError: row 3: bad"),
     ):
-        _failing_shares(monkeypatch, _raiser(exc))
+        failing_shares(_raiser(exc))
         with pytest.raises(RuntimeError, match=shown):
             run_scenario(_scenario(n_b=5, replicates=8), workers=2)
     _assert_no_children()
 
 
-def test_share_exiting_without_result_raises(monkeypatch):
-    _failing_shares(monkeypatch, lambda: os._exit(0))
+def test_share_exiting_without_result_raises(failing_shares):
+    failing_shares(lambda: os._exit(0))
     with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 0\)"):
         run_scenario(_scenario(n_b=5, replicates=8), workers=2)
-    _failing_shares(monkeypatch, lambda: os._exit(3))
+    failing_shares(lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="wait status 768"):
         run_scenario(_scenario(n_b=5, replicates=8), workers=2)
     _assert_no_children()
@@ -482,6 +654,18 @@ def test_run_scenario_survives_overflowing_fit_trial():
     s = Scenario(kappa=0.5, n_b=25, pi=2.0, replicates=141, seed=7)
     result = run_scenario(s, workers=1)
     assert result.evaluated.sum() > 0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 100.0])
+def test_overflowing_fitted_curve_leaks_no_warning(kappa):
+    """At n_a = 2 one replicate's converged Weibull fit has so extreme a
+    shape that its curve overflows; that z is NaN (not evaluated) and no
+    RuntimeWarning escapes."""
+    s = Scenario(kappa=kappa, n_b=5, pi=2.0, replicates=60, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(s, workers=1)
+    assert result.evaluated.tolist() == [60, 60, 59, 59, 59, 59, 60]
 
 
 def test_resolve_workers(monkeypatch):
