@@ -296,6 +296,9 @@ def oslr_test(
     )
 
 
+_U1, _U2, _U4, _U62 = (np.uint64(k) for k in (1, 2, 4, 62))
+
+
 def _two_sample_scores(times, events, n_a):
     """Log-rank score U and its hypergeometric variance V for each row of
     (R, n) pooled times and events whose first n_a columns are arm A; each
@@ -303,20 +306,38 @@ def _two_sample_scores(times, events, n_a):
     U = sum (b - f) and V = sum f (1 - f) (Y - d) / (Y - 1), b the event's
     arm-B flag and Y, Y_B, d those of its tie group. Without ties an event
     at rank k has Y = n - k and d = 1; only a row holding a tie looks its
-    groups up."""
+    groups up.
+
+    Times must be positive and finite: such a float64 orders as its bit
+    pattern does, so each row sorts once, in place, as uint64 keys
+    ((bits - row's smallest bits) << 2) | (arm B << 1) | event, and the
+    flags travel with the time. A row whose bits span 2^62 or more (times
+    more than ~2^1024 apart) keys on its dense time ranks instead, which
+    keep order and ties. Inside a tie group subjects sort by (arm, event),
+    so the scores do not depend on the order of subjects within an arm.
+    Every operand stays uint64: numpy < 2 promotes uint64 with int64 to
+    float64."""
     n = times.shape[-1]
-    order = np.argsort(times, axis=-1)
-    # a second sort costs less than gathering the times through the order
-    times = np.sort(times, axis=-1)
-    events = np.take_along_axis(events, order, axis=-1)
-    in_b = order >= n_a
+    bits = times.view(np.uint64)
+    keys = bits - bits.min(axis=-1, keepdims=True)
+    for r in np.flatnonzero(keys.max(axis=-1) >> _U62):
+        keys[r] = np.unique(times[r], return_inverse=True)[1]
+    keys <<= _U2
+    keys[:, n_a:] |= _U2
+    keys |= events.astype(np.uint64)
+    keys.sort(axis=-1)
+    events = (keys & _U1).astype(np.float64)
+    in_b = keys >> _U1
+    in_b &= _U1
     y = np.arange(n, 0, -1.0)
     # arm B's subjects from each rank to the row's end
     frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1] / y
     var = frac * (1.0 - frac)
-    for r in np.flatnonzero(np.any(times[:, 1:] == times[:, :-1], axis=-1)):
-        lo = np.searchsorted(times[r], times[r], "left")
-        hi = np.searchsorted(times[r], times[r], "right")
+    # adjacent keys of equal time differ in the two flag bits only
+    for r in np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < _U4, axis=-1)):
+        t = keys[r] >> _U2
+        lo = np.searchsorted(t, t, "left")
+        hi = np.searchsorted(t, t, "right")
         d = np.concatenate(([0.0], np.cumsum(events[r])))
         d = d[hi] - d[lo]
         frac[r] = frac[r, lo]

@@ -329,12 +329,20 @@ def test_two_sample_degenerate():
         two_sample_logrank(Cohort([(1.0, 0)]), Cohort([(2.0, 0)]))
 
 
+def _wide_times(rng, size):
+    """Times log-uniform from the smallest subnormal, 5e-324, to 1e308, both
+    included: their bit patterns span more than 2^62."""
+    times = 10.0 ** rng.uniform(-323.0, 308.0, size=size)
+    times[..., :2] = 5e-324, 1e308
+    return times
+
+
 def _mixed_block():
-    """(times, events, n_a) of a (9, 40) pooled block, arm A in the first
+    """(times, events, n_a) of a (10, 40) pooled block, arm A in the first
     n_a = 15 columns, whose rows mix the cases the score treats apart."""
     rng = np.random.default_rng(MASTER_SEED + 6)
-    times = rng.exponential(2.0, size=(9, 40))
-    events = (rng.random((9, 40)) < 0.6).astype(np.float64)
+    times = rng.exponential(2.0, size=(10, 40))
+    events = (rng.random((10, 40)) < 0.6).astype(np.float64)
     events[1] = 0.0  # untied, no events
     times[2] = rng.integers(1, 6, size=40)  # tie-heavy
     times[3] = 3.0  # tied throughout
@@ -349,6 +357,9 @@ def _mixed_block():
     events[7, 3], events[7, 20] = 1.0, 0.0
     # the last subject at risk, alone with Y = 1, has an event
     events[8, np.argmax(times[8])] = 1.0
+    # times too far apart for their bit patterns, with a tie across the arms
+    times[9] = _wide_times(rng, 40)
+    times[9, 30] = times[9, 5]
     return times, events, 15
 
 
@@ -377,11 +388,18 @@ def _two_sample_cases():
     ta, tb = rng.integers(1, 400, size=(2, 2000)) / 8.0
     da, db = (rng.random((2, 2000)) < 0.6).astype(np.int64)
     yield ta, da, tb, db
+    # times from 5e-324 to 1e308, untied and drawn from 12 values
+    for _ in range(5):
+        na, nb = rng.integers(5, 40, size=2)
+        d = (rng.random(na + nb) < 0.7).astype(np.int64)
+        for t in (_wide_times(rng, na + nb), rng.choice(_wide_times(rng, 12), na + nb)):
+            yield t[:na], d[:na], t[na:], d[na:]
 
 
 def test_two_sample_matches_naive_oracle():
     """Random tied/censored datasets, all-tied times, Y = 1 at the last event
-    time and a 2 x 2,000 case agree with the per-time sums."""
+    time, a 2 x 2,000 case and times spanning 5e-324 to 1e308 agree with the
+    per-time sums."""
     for ta, da, tb, db in _two_sample_cases():
         nb = len(tb)
         u, v = _naive_two_sample(ta, da, tb, db)
@@ -407,6 +425,30 @@ def test_two_sample_scores_rows_match_single_rows():
         assert np.array_equal(u[r : r + 1], one_u)
         assert np.array_equal(v[r : r + 1], one_v)
     assert u[1] == v[1] == u[4] == v[4] == 0.0
+
+
+def test_two_sample_scores_ignore_subject_order_within_an_arm():
+    """Permuting the subjects of arm A among themselves, and of arm B, leaves
+    U and V bitwise unchanged on tied rows, a wide-span one included."""
+    rng = np.random.default_rng(MASTER_SEED + 7)
+    n_a = 40
+    times = np.empty((3, 100))
+    times[0] = rng.integers(1, 11, size=100)
+    times[1] = rng.integers(1, 400, size=100) / 8.0
+    times[2] = rng.choice(_wide_times(rng, 10), size=100)
+    events = (rng.random((3, 100)) < 0.6).astype(np.float64)
+    u, v = _two_sample_scores(times, events, n_a)
+    cols = np.tile(np.arange(100), (3, 1))
+    for _ in range(50):
+        # each row's own permutation of arm A's columns and of arm B's
+        rng.permuted(cols[:, :n_a], axis=1, out=cols[:, :n_a])
+        rng.permuted(cols[:, n_a:], axis=1, out=cols[:, n_a:])
+        pu, pv = _two_sample_scores(
+            np.take_along_axis(times, cols, axis=1),
+            np.take_along_axis(events, cols, axis=1),
+            n_a,
+        )
+        assert np.array_equal(pu, u) and np.array_equal(pv, v)
 
 
 def test_one_kernel_pass_and_one_pseudo_inverse(monkeypatch):

@@ -189,6 +189,33 @@ def test_run_replicate_all_censored_arm():
     assert rej_one[2:].tolist() == [0, 0, 0, 0, 0]
 
 
+_REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_reference_counts_reproduce():
+    """A few seeds of each benchmark cell give exactly the counts the
+    benchmark's oracle holds for them, at one worker."""
+    cells = json.loads(_REFERENCE.read_text())["cells"]
+    assert len(cells) == 4
+    for key, by_seed in cells.items():
+        cell = {k: float(v) for k, v in (kv.split("=") for kv in key.split(","))}
+        for seed in ("0", "255", "20260815"):
+            result = run_scenario(
+                Scenario(
+                    kappa=cell["kappa"],
+                    n_b=int(cell["n_b"]),
+                    pi=cell["pi"],
+                    replicates=int(cell["replicates"]),
+                    seed=int(seed),
+                ),
+                workers=1,
+            )
+            counts = np.concatenate(
+                (result.evaluated, result.rejected_two, result.rejected_one)
+            )
+            assert counts.tolist() == by_seed[seed], (key, seed)
+
+
 def test_run_scenario_worker_invariance():
     s = _scenario(n_b=10, replicates=200)
     serial = run_scenario(s, workers=1)
