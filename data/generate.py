@@ -14,7 +14,7 @@ def draw(rng, n, shape, scale, label):
     t = scale * (u / (1.0 - u)) ** (1.0 / shape)
     c = rng.uniform(1.5, 6.0, n)
     times = np.round(np.minimum(t, c), 3).clip(min=0.001)
-    return oslr.Cohort.from_arrays(times, (t <= c).astype(float), label)
+    return oslr.Cohort(times, (t <= c).astype(float), label)
 
 
 def main():

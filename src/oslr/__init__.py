@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Cohort,
-    Observation,
     counting_process,
     ingest_csv,
     write_csv,
@@ -41,12 +40,9 @@ from .families import (
     hazard,
     loglik_derivatives,
     survival,
-    total_loglik,
 )
 from .fitting import (
     FitResult,
-    aic,
-    empirical_information,
     fit_mle,
     pseudo_inverse,
     select_model,
@@ -57,7 +53,6 @@ from .logrank import (
     compensated_process,
     critical_value,
     expected_events,
-    normal_cdf,
     normal_quantile,
     oslr_test,
     p_one_sided,
@@ -69,10 +64,22 @@ from .logrank import (
 )
 from .nonparametric import StepCurve, kaplan_meier, nelson_aalen
 
+# the Monte Carlo engine's exports, imported on first access (PEP 562)
+_SIMULATION_NAMES = (
+    "PROCEDURES",
+    "Scenario",
+    "SimulationResult",
+    "generate_cohort",
+    "replicate_rng",
+    "run_replicate",
+    "run_scenario",
+    "mc_error_interval",
+    "load_scenarios",
+)
+
 __all__ = [
     "__version__",
     "Cohort",
-    "Observation",
     "counting_process",
     "ingest_csv",
     "write_csv",
@@ -96,11 +103,8 @@ __all__ = [
     "hazard",
     "grad_cumulative_hazard",
     "loglik_derivatives",
-    "total_loglik",
     "FitResult",
     "fit_mle",
-    "empirical_information",
-    "aic",
     "select_model",
     "pseudo_inverse",
     "ReferenceCurve",
@@ -112,7 +116,6 @@ __all__ = [
     "oslr_test",
     "two_sample_logrank",
     "zscore",
-    "normal_cdf",
     "normal_quantile",
     "critical_value",
     "p_one_sided",
@@ -120,31 +123,8 @@ __all__ = [
     "StepCurve",
     "kaplan_meier",
     "nelson_aalen",
-    "PROCEDURES",
-    "Scenario",
-    "SimulationResult",
-    "generate_cohort",
-    "replicate_rng",
-    "run_replicate",
-    "run_scenario",
-    "mc_error_interval",
-    "load_scenarios",
+    *_SIMULATION_NAMES,
 ]
-
-# the Monte Carlo engine's exports, imported on first access (PEP 562)
-_SIMULATION_NAMES = frozenset(
-    (
-        "PROCEDURES",
-        "Scenario",
-        "SimulationResult",
-        "generate_cohort",
-        "load_scenarios",
-        "mc_error_interval",
-        "replicate_rng",
-        "run_replicate",
-        "run_scenario",
-    )
-)
 
 
 def __getattr__(name):
@@ -158,4 +138,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _SIMULATION_NAMES)
+    return sorted(set(globals()).union(_SIMULATION_NAMES))

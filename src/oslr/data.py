@@ -1,4 +1,4 @@
-"""Right-censored observations, cohorts and CSV ingestion.
+"""Right-censored cohorts, their counting process and CSV ingestion.
 
 A cohort stores the observed times ``X = min(T, C)`` and event indicators
 ``delta = 1{T <= C}`` for one study arm. Counting quantities follow the
@@ -10,59 +10,28 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import RowValidationError, SchemaError, UsageError
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One right-censored record: positive finite time, 0/1 event flag."""
-
-    time: float
-    event: int
-
-    def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time)):
-            raise ValueError(f"time must be finite, got {self.time!r}")
-        if self.time <= 0:
-            raise ValueError(f"time must be positive, got {self.time!r}")
-        if self.event not in (0, 1):
-            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
-
-
 class Cohort:
-    """Immutable group of right-censored observations.
+    """Immutable group of right-censored observations, one study arm.
 
     Parameters
     ----------
-    observations : iterable of Observation or (time, event) pairs
+    times : observed times X_i, finite and positive
+    events : event indicators delta_i, each exactly 0 or 1
     label : group identifier, conventionally "A" (historic control) or "B"
         (experimental arm)
+
+    Validated once, with numpy: 1-d equal lengths and at least one
+    observation.
     """
 
-    def __init__(self, observations: Iterable, label: str = ""):
-        pairs = np.array(
-            [
-                (obs.time, obs.event) if isinstance(obs, Observation) else obs[:2]
-                for obs in observations
-            ],
-            dtype=np.float64,
-        ).reshape(-1, 2)
-        self._set(pairs[:, 0], pairs[:, 1], label)
-
-    @classmethod
-    def from_arrays(cls, times, events, label: str = "") -> "Cohort":
-        cohort = cls.__new__(cls)
-        cohort._set(times, events, label)
-        return cohort
-
-    def _set(self, times, events, label: str) -> None:
-        """Validate once, with numpy: 1-d equal lengths, at least one
-        observation, finite positive times, events exactly 0 or 1."""
+    def __init__(self, times, events, label: str = ""):
         times = np.array(times, dtype=np.float64)
         events = np.array(events, dtype=np.float64)
         if times.shape != events.shape or times.ndim != 1:
@@ -95,12 +64,6 @@ class Cohort:
     def n_events(self) -> int:
         return int(self._events.sum())
 
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(float(t), int(e)) for t, e in zip(self._times, self._events)
-        )
-
     def max_time(self) -> float:
         return float(self._times.max())
 
@@ -116,10 +79,10 @@ class Cohort:
 def counting_process(cohort: Cohort, t: float) -> tuple[int, int]:
     """Events observed by time t and subjects still at risk at time t.
 
-    Returns ``(N(t), Y(t))`` with ``N(t) = #{X_i <= t, delta_i = 1}`` and
-    ``Y(t) = #{X_i >= t}``.
+    Returns the paper's ``(N(t), Y(t))``, ``N(t) = #{X_i <= t, delta_i = 1}``
+    and ``Y(t) = #{X_i >= t}``; no other route gives Y at an arbitrary t.
     """
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
     events_by_t = int(cohort.events[cohort.times <= t].sum())
     at_risk = int((cohort.times >= t).sum())
@@ -185,11 +148,11 @@ def ingest_csv(path):
         raise SchemaError(f"{path}: no data rows")
     if at_group is not None:
         return {
-            label: Cohort.from_arrays(times, events, label=label)
+            label: Cohort(times, events, label=label)
             for label, (times, events) in groups.items()
         }
     ((times, events),) = groups.values()
-    return Cohort.from_arrays(times, events)
+    return Cohort(times, events)
 
 
 def write_csv(path, cohorts) -> None:

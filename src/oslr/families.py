@@ -14,9 +14,9 @@ formula has one home. The hazard lambda keeps a power form in u = t / scale:
 
 Times are continuous and nonnegative; the cumulative hazard gradients are
 defined for t > 0 (their t -> 0 limits are zero for the shipped families).
-Log-likelihood contributions are ``log f(theta, X)`` for events and
-``log S(theta, X)`` for censored records; gradients and Hessians are exact
-analytic derivatives on the natural parameter scale.
+A cohort's log-likelihood sums ``log f(theta, X)`` over its events and
+``log S(theta, X)`` over its censored records; gradients and Hessians are
+exact analytic derivatives on the natural parameter scale.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import Observation
+from .data import Cohort
 from .errors import DomainError, UsageError
 
 
@@ -151,29 +151,22 @@ def grad_cumulative_hazard(fam, theta, t):
     return g if np.ndim(t) else g[0]
 
 
-def loglik_derivatives(fam, theta, obs: Observation):
-    """Per-observation log-likelihood value, gradient and Hessian.
+def loglik_derivatives(fam, theta, cohort: Cohort):
+    """A cohort's total log-likelihood with its gradient (q,) and Hessian
+    (q, q), summed over its records in one kernel pass.
 
-    Value is log f(theta, X) for events and log S(theta, X) for censored
-    observations; derivatives are analytic and on the natural scale.
+    A record contributes log f(theta, X) if an event and log S(theta, X) if
+    censored; derivatives are analytic and on the natural scale.
     """
     fam = family(fam)
     theta = check_theta(fam, theta)
-    times = np.array([[obs.time]], dtype=np.float64)
-    events = np.array([[float(obs.event)]], dtype=np.float64)
     a, b = _ab(fam, theta)
     value, g0, g1, h00, h01, h11 = (
-        x[0] for x in _kernels.loglik_derivs(fam.code, a, b, times, events)
+        x[0]
+        for x in _kernels.loglik_derivs(
+            fam.code, a, b, cohort.times[None], cohort.events[None]
+        )
     )
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]
     return float(value), grad, hess
-
-
-def total_loglik(fam, theta, cohort) -> float:
-    """Sum of per-observation log-likelihood contributions over a cohort."""
-    fam = family(fam)
-    theta = check_theta(fam, theta)
-    a, b = _ab(fam, theta)
-    value = _kernels.loglik_derivs(fam.code, a, b, cohort.times[None], cohort.events[None])[0]
-    return float(value[0])

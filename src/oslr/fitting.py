@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .data import Cohort
 from .errors import FitError, SelectionError
-from .families import FamilyDescriptor, _ab, check_theta, family
+from .families import FamilyDescriptor, family
 
 # stopping rule and iteration budget of the Newton driver; the tolerance
 # applies to the log-scale gradient of the mean log-likelihood
@@ -111,23 +111,9 @@ class FitResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _loglik_and_information(fam, a, b, times, events):
-    """Total log-likelihood (R,) and average negated Hessian (R, q, q) of
-    each row of (R, n) times and events at natural parameters (a, b)."""
-    value, _, _, h00, h01, h11 = _kernels.loglik_derivs(fam.code, a, b, times, events)
-    return value, -_symmetric(h00, h01, h11)[:, : fam.q, : fam.q] / times.shape[-1]
-
-
 def _symmetric(x00, x01, x11):
     """(R, 2, 2) symmetric matrices from their (R,) entries."""
     return np.stack((np.stack((x00, x01), axis=-1), np.stack((x01, x11), axis=-1)), axis=-2)
-
-
-def empirical_information(fam, theta, cohort: Cohort) -> np.ndarray:
-    """Average negated log-likelihood Hessian, -(1/n) * sum_i H_i(theta)."""
-    fam = family(fam)
-    a, b = _ab(fam, check_theta(fam, theta))
-    return _loglik_and_information(fam, a, b, cohort.times[None], cohort.events[None])[1][0]
 
 
 def _fit_rows(fam, times, events):
@@ -206,11 +192,6 @@ def fit_mle(fam, cohort: Cohort) -> FitResult:
         iterations=int(iters),
         grad_norm=float(grad_norm),
     )
-
-
-def aic(fit: FitResult) -> float:
-    """Akaike information criterion, 2q - 2 * loglik."""
-    return 2.0 * fit.family.q - 2.0 * fit.loglik
 
 
 def select_model(fits) -> FitResult:

@@ -22,10 +22,6 @@ from .families import FamilyDescriptor, _ab, check_theta, family
 from .fitting import FitResult, _fields_equal, _outer, pseudo_inverse
 
 
-def normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def normal_quantile(p: float) -> float:
     # statistics (with fractions, decimal and random) loads on first use
     from statistics import NormalDist
@@ -38,9 +34,9 @@ def p_two_sided(z: float) -> float:
 
 
 def p_one_sided(z: float) -> float:
-    """Small when z is very negative: fewer events than the reference
-    predicts, i.e. evidence of superiority."""
-    return normal_cdf(z)
+    """The standard normal CDF at z. Small when z is very negative: fewer
+    events than the reference predicts, i.e. evidence of superiority."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def critical_value(alpha: float) -> float:
@@ -51,6 +47,8 @@ def critical_value(alpha: float) -> float:
 
 
 def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
+    """z = M / sqrt(V1 + V2): how a reported analysis's z is recomputed from
+    its published components alone."""
     total = v1 + v2
     if total <= 0.0:
         raise DegenerateTestError("zero variance: no events and zero expectation")
@@ -128,16 +126,6 @@ class ReferenceCurve:
     @property
     def fitted(self) -> bool:
         return self.info_matrix is not None
-
-    def cumulative_hazard(self, t):
-        from .families import cumulative_hazard
-
-        return cumulative_hazard(self.family, self.theta, t)
-
-    def gradient(self, t):
-        from .families import grad_cumulative_hazard
-
-        return grad_cumulative_hazard(self.family, self.theta, t)
 
 
 @dataclass(frozen=True)
@@ -237,23 +225,24 @@ def _statistics(
 
 
 def expected_events(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
-    """E_B(t) = sum over the cohort of Lambda_ref(min(X_i, t))."""
+    """The paper's E_B(t) = sum over the cohort of Lambda_ref(min(X_i, t))."""
     return float(_statistics(ref, cohort_b, t)[1])
 
 
 def compensated_process(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
-    """M(t) = n_B^{-1/2} (N_B(t) - E_B(t))."""
+    """The paper's compensated process M(t) = n_B^{-1/2} (N_B(t) - E_B(t))."""
     return _statistics(ref, cohort_b, t)[2]
 
 
 def v1_hat(cohort_b: Cohort, ref: ReferenceCurve, w: float, t: float) -> float:
-    """(w N_B(t) + (1-w) E_B(t)) / n_B for w in [0, 1]."""
+    """The paper's V1(w, t) = (w N_B(t) + (1-w) E_B(t)) / n_B, w in [0, 1]."""
     return _statistics(ref, cohort_b, t, w)[3]
 
 
 def v2_hat(ref: ReferenceCurve, cohort_b: Cohort, t: float, pi: float) -> float:
-    """Reference-uncertainty variance pi * gbar' J(theta)^+ gbar where gbar
-    averages the cumulative-hazard gradient at min(X_i, t) over the cohort."""
+    """The paper's reference-uncertainty variance V2(t) = pi gbar' J^+ gbar,
+    gbar the cumulative-hazard gradient at min(X_i, t) averaged over the
+    cohort."""
     return _statistics(ref, cohort_b, t, pi=pi)[4]
 
 

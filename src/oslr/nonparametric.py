@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Cohort
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ class StepCurve:
         object.__setattr__(self, "values", v)
 
     def __call__(self, t):
-        """Evaluate the step function at scalar or array t."""
+        """Evaluate the step function at scalar or array t; NaN is refused."""
+        if np.any(np.isnan(t)):
+            raise UsageError(f"t must not be NaN, got {t!r}")
         idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate(([self.initial_value], self.values))
         out = padded[idx]
@@ -54,47 +57,36 @@ class StepCurve:
                 writer.writerow([repr(float(t)), repr(float(v))])
 
 
-def _event_table(times, events):
-    """Event table of each row of (R, n) times and 0/1 events.
-
-    Returns (row_j, t_j, d_j, Y_j) over the distinct event times of every
-    row, row after row in time order: the row t_j belongs to, the tied
-    events d_j and the row's subjects at risk Y_j at t_j^-. The default sort
-    is enough: a tie group needs only to be contiguous, and its counts do
-    not depend on the order inside it.
-
-    The rows are sorted, then laid end to end and read through flat
-    indices, ``order + row * n``; every row boundary starts a tie group, so
-    equal times in adjacent rows stay apart.
+def _event_table(cohort: Cohort):
+    """(t_j, d_j, Y_j) over the cohort's distinct event times in time order:
+    the tied events d_j at t_j and the subjects at risk Y_j at t_j^-. The
+    default sort is enough: a tie group needs only to be contiguous, and its
+    counts do not depend on the order inside it.
     """
-    n_rows, n = times.shape
-    flat = np.argsort(times, axis=-1)
-    flat += np.arange(0, n_rows * n, n)[:, None]
-    flat = flat.ravel()
-    times = times.ravel()[flat]
-    events = events.ravel()[flat]
+    order = np.argsort(cohort.times)
+    times = cohort.times[order]
+    events = cohort.events[order]
     first = np.empty(times.size, dtype=bool)
+    first[0] = True
     np.not_equal(times[1:], times[:-1], out=first[1:])
-    first[::n] = True
     start = np.flatnonzero(first)
     d = np.add.reduceat(events, start)
     keep = d > 0
     at = start[keep]
-    row = at // n
-    # Y_j counts the row's subjects still under observation at t_j^-: all
-    # from the tie group's start on
-    return row, times[at], d[keep], n - (at - row * n)
+    # Y_j counts the subjects still under observation at t_j^-: all from the
+    # tie group's start on
+    return times[at], d[keep], times.size - at
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:
     """Product-limit survival estimate; jumps only at event times."""
-    _, t, d, y = _event_table(cohort.times[None], cohort.events[None])
+    t, d, y = _event_table(cohort)
     surv = np.cumprod(1.0 - d / y)
     return StepCurve(times=t, values=surv, initial_value=1.0)
 
 
 def nelson_aalen(cohort: Cohort) -> StepCurve:
     """Cumulative-hazard estimate, sum of d_j / Y_j over event times <= t."""
-    _, t, d, y = _event_table(cohort.times[None], cohort.events[None])
+    t, d, y = _event_table(cohort)
     cumhaz = np.cumsum(d / y)
     return StepCurve(times=t, values=cumhaz, initial_value=0.0)

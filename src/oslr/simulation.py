@@ -242,7 +242,7 @@ def generate_cohort(scenario: Scenario, group: str, rng: np.random.Generator) ->
         raise UsageError(f"group must be 'A' or 'B', got {group!r}")
     n = scenario.n_a if group == "A" else scenario.n_b
     times, events = _observe(scenario, rng.random(n), rng.random(n))
-    return Cohort.from_arrays(times, events, group)
+    return Cohort(times, events, group)
 
 
 def _z_or_nan(m, total):

@@ -176,7 +176,7 @@ def test_fit_auto_prints_aic_table_and_selects(tmp_path, capsys):
     rng = np.random.default_rng(MASTER_SEED)
     u = rng.random(5000)
     times = 1.4 * (u / (1.0 - u)) ** (1.0 / 1.25)
-    cohort = Cohort.from_arrays(times, np.ones(5000, dtype=np.int64))
+    cohort = Cohort(times, np.ones(5000, dtype=np.int64))
     path = tmp_path / "ll.csv"
     write_csv(path, cohort)
     assert main(["fit", "--control", str(path)]) == 0
@@ -388,8 +388,8 @@ def test_km_grouped_input_and_overlay(tmp_path, capsys):
     write_csv(
         grouped,
         {
-            "control": Cohort([(1.0, 1), (2.0, 1), (4.0, 0)]),
-            "experimental": Cohort([(2.0, 1), (3.0, 0)]),
+            "control": Cohort([1.0, 2.0, 4.0], [1, 1, 0]),
+            "experimental": Cohort([2.0, 3.0], [1, 0]),
         },
     )
     prefix = tmp_path / "g"

@@ -7,47 +7,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from oslr import data
-from oslr.data import (
-    Cohort,
-    Observation,
-    counting_process,
-    ingest_csv,
-    write_csv,
-)
+from oslr.data import Cohort, counting_process, ingest_csv, write_csv
 from oslr.errors import RowValidationError, SchemaError, UsageError
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
-def test_observation_validation():
-    Observation(1.0, 1)
-    Observation(0.5, 0)
-    with pytest.raises(ValueError):
-        Observation(0.0, 1)
-    with pytest.raises(ValueError):
-        Observation(-1.0, 1)
-    with pytest.raises(ValueError):
-        Observation(float("inf"), 1)
-    with pytest.raises(ValueError):
-        Observation(float("nan"), 0)
-    with pytest.raises(ValueError):
-        Observation(1.0, 2)
-
-
 def test_cohort_basics():
-    c = Cohort([(1.0, 1), (2.0, 0), (3.0, 1)], label="A")
+    c = Cohort([1.0, 2.0, 3.0], [1, 0, 1], label="A")
     assert c.n == 3 and len(c) == 3
     assert c.n_events == 2
     assert c.max_time() == 3.0
+    assert c.times.dtype == c.events.dtype == np.float64
     assert_array_equal(c.times, [1.0, 2.0, 3.0])
     assert_array_equal(c.events, [1.0, 0.0, 1.0])
-    assert c.observations[1] == Observation(2.0, 0)
     assert "A" in repr(c)
 
 
 def test_cohort_arrays_immutable():
-    c = Cohort([(1.0, 1)])
+    c = Cohort([1.0], [1])
     with pytest.raises(ValueError):
         c.times[0] = 5.0
     with pytest.raises(ValueError):
@@ -56,28 +34,27 @@ def test_cohort_arrays_immutable():
 
 def test_cohort_rejects_empty_and_invalid():
     with pytest.raises(ValueError):
-        Cohort([])
+        Cohort([], [])
+    for time in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Cohort([1.0, time], [1, 0])
     with pytest.raises(ValueError):
-        Cohort([(0.0, 1)])
-    with pytest.raises(ValueError):
-        Cohort([(1.0, 3)])
+        Cohort([1.0], [3])
     # non-binary events are rejected, not truncated to 0 or 1
     for event in (0.7, 1.9):
         with pytest.raises(ValueError):
-            Cohort([(1.0, event)])
+            Cohort([1.0], [event])
         with pytest.raises(ValueError):
-            Cohort.from_arrays([1.0, 2.0, 3.0], [1.0, event, 0.0])
-
-
-def test_from_arrays_matches_pairs():
-    a = Cohort.from_arrays(np.array([2.0, 1.0]), np.array([0.0, 1.0]), "B")
-    b = Cohort([(2.0, 0), (1.0, 1)], label="B")
-    assert_array_equal(a.times, b.times)
-    assert_array_equal(a.events, b.events)
+            Cohort([1.0, 2.0, 3.0], [1.0, event, 0.0])
+    # times and events must be 1-d and of one length
+    with pytest.raises(ValueError):
+        Cohort([1.0, 2.0], [1])
+    with pytest.raises(ValueError):
+        Cohort([[1.0, 2.0]], [[1, 0]])
 
 
 def test_counting_process():
-    c = Cohort([(1.0, 1), (2.0, 0), (3.0, 1)])
+    c = Cohort([1.0, 2.0, 3.0], [1, 0, 1])
     # N counts events with X <= t, Y counts X >= t
     assert counting_process(c, 0.5) == (0, 3)
     assert counting_process(c, 1.0) == (1, 3)
@@ -89,6 +66,12 @@ def test_counting_process():
         counting_process(c, -1.0)
 
 
+def test_counting_process_refuses_nan():
+    c = Cohort([1.0, 2.0, 3.0], [1, 0, 1])
+    with pytest.raises(UsageError):
+        counting_process(c, float("nan"))
+
+
 def test_ingest_plain(tmp_path):
     p = tmp_path / "plain.csv"
     p.write_text("time,event\n1.5,1\n2.0,0\n")
@@ -96,6 +79,17 @@ def test_ingest_plain(tmp_path):
     assert isinstance(c, Cohort)
     assert_array_equal(c.times, [1.5, 2.0])
     assert_array_equal(c.events, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["control.csv", "experimental.csv"])
+def test_ingest_builds_arrays_without_observations(name):
+    """The bundled CSVs ingest straight to float64 arrays, bit-identical to
+    their rows parsed by float()."""
+    with open(DATA_DIR / name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cohort = ingest_csv(DATA_DIR / name)
+    assert cohort.times.tobytes() == np.array([float(r["time"]) for r in rows]).tobytes()
+    assert cohort.events.tobytes() == np.array([float(r["event"]) for r in rows]).tobytes()
 
 
 def test_ingest_grouped(tmp_path):
@@ -108,25 +102,6 @@ def test_ingest_grouped(tmp_path):
     assert groups["control"].n == 2
     assert groups["control"].label == "control"
     assert groups["experimental"].n == 1
-
-
-@pytest.mark.parametrize("name", ["control.csv", "experimental.csv"])
-def test_ingest_builds_arrays_without_observations(monkeypatch, name):
-    """The bundled CSVs ingest to float64 arrays bit-identical to their
-    rows parsed by float(), with no Observation built per row."""
-    with open(DATA_DIR / name, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    times = np.array([float(r["time"]) for r in rows])
-    events = np.array([float(r["event"]) for r in rows])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("ingest_csv built an Observation")
-
-    monkeypatch.setattr(data, "Observation", refuse)
-    cohort = ingest_csv(DATA_DIR / name)
-    assert cohort.times.dtype == cohort.events.dtype == np.float64
-    assert cohort.times.tobytes() == times.tobytes()
-    assert cohort.events.tobytes() == events.tobytes()
 
 
 def test_ingest_matches_stripped_header_names(tmp_path):
@@ -174,7 +149,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     times = rng.exponential(2.0, 50) + 1e-9
     events = (rng.random(50) < 0.6).astype(float)
-    original = Cohort.from_arrays(times, events)
+    original = Cohort(times, events)
     path = tmp_path / "round.csv"
     write_csv(path, original)
     back = ingest_csv(path)
@@ -184,8 +159,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 def test_csv_round_trip_grouped(tmp_path):
     groups = {
-        "control": Cohort([(1.25, 1), (2.5, 0)], label="control"),
-        "experimental": Cohort([(0.75, 1)], label="experimental"),
+        "control": Cohort([1.25, 2.5], [1, 0], label="control"),
+        "experimental": Cohort([0.75], [1], label="experimental"),
     }
     path = tmp_path / "groups.csv"
     write_csv(path, groups)

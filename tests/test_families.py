@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from oslr.data import Cohort, Observation
+from oslr.data import Cohort
 from oslr.errors import DomainError, UsageError
 from oslr.families import (
     FAMILIES,
@@ -20,7 +20,6 @@ from oslr.families import (
     hazard,
     loglik_derivatives,
     survival,
-    total_loglik,
 )
 
 RNG = np.random.default_rng(12345)
@@ -172,11 +171,12 @@ def test_loglik_derivatives_match_finite_differences():
             theta = random_theta(name, rng)
             obs_time = float(rng.uniform(0.1, 5.0))
             event = int(rng.random() < 0.7)
+            record = Cohort([obs_time], [event])
 
             def ll(th):
-                return loglik_derivatives(name, th, Observation(obs_time, event))[0]
+                return loglik_derivatives(name, th, record)[0]
 
-            value, grad, hess = loglik_derivatives(name, theta, Observation(obs_time, event))
+            value, grad, hess = loglik_derivatives(name, theta, record)
             # value decomposes as delta*log(lambda) - Lambda
             direct = event * np.log(hazard(name, theta, obs_time)) - cumulative_hazard(
                 name, theta, obs_time
@@ -190,20 +190,26 @@ def test_loglik_derivatives_match_finite_differences():
                 up[j] += h
                 dn[j] -= h
                 assert_allclose(grad[j], (ll(up) - ll(dn)) / (2 * h), rtol=2e-5, atol=1e-8)
-                gup = loglik_derivatives(name, up, Observation(obs_time, event))[1]
-                gdn = loglik_derivatives(name, dn, Observation(obs_time, event))[1]
+                gup = loglik_derivatives(name, up, record)[1]
+                gdn = loglik_derivatives(name, dn, record)[1]
                 assert_allclose(hess[j], (gup - gdn) / (2 * h), rtol=2e-4, atol=1e-6)
 
 
 def test_total_loglik_sums_observations():
-    cohort = Cohort([(1.0, 1), (2.5, 0), (0.7, 1)])
-    theta = np.array([1.3, 1.8])
-    total = total_loglik("weibull", theta, cohort)
-    parts = sum(
-        loglik_derivatives("weibull", theta, Observation(float(t), int(e)))[0]
-        for t, e in zip(cohort.times, cohort.events)
-    )
-    assert_allclose(total, parts, rtol=1e-12)
+    """A cohort's value, gradient and Hessian are the sums of its one-record
+    cohorts' (the per-record route is a cohort of one)."""
+    cohort = Cohort([1.0, 2.5, 0.7], [1, 0, 1])
+    for name in FAMILIES:
+        theta = np.array([1.3, 1.8])[: family(name).q]
+        total = loglik_derivatives(name, theta, cohort)
+        parts = [
+            loglik_derivatives(name, theta, Cohort([t], [e]))
+            for t, e in zip(cohort.times, cohort.events)
+        ]
+        for k in range(3):
+            assert_allclose(total[k], sum(p[k] for p in parts), rtol=1e-12)
+        assert total[1].shape == (family(name).q,)
+        assert total[2].shape == (family(name).q, family(name).q)
 
 
 def test_domain_validation():

@@ -26,7 +26,6 @@ from oslr.errors import DegenerateTestError, FitError, RowValidationError, Usage
 from oslr.fitting import fit_mle
 from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
 from oslr import _kernels, cli, simulation
-from oslr.nonparametric import _event_table
 from oslr.simulation import (
     MAX_OBSERVATIONS,
     PROCEDURES,
@@ -630,7 +629,7 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
     serves both the uncorrected and the corrected tests, and one Λ-only
     evaluation for the true curve, whose tests need no hazard gradient. It
     takes the information from the fit: no natural-scale likelihood pass
-    (``loglik_derivs``, which ``_loglik_and_information`` runs)."""
+    (``loglik_derivs``, which ``families.loglik_derivatives`` runs)."""
     calls = {"oslr_components": 0, "expected_events": 0, "cumhaz_terms": 0, "loglik_derivs": 0}
 
     def counted(name, fn):
@@ -651,28 +650,6 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
         "cumhaz_terms": 1,
         "loglik_derivs": 0,
     }
-
-
-def test_event_table_rows_match_single_rows():
-    """A multi-row, tie-heavy event table equals its rows' own tables."""
-    rng = np.random.default_rng(MASTER_SEED + 11)
-    times = rng.integers(1, 6, size=(9, 40)).astype(np.float64)
-    events = (rng.random((9, 40)) < 0.6).astype(np.float64)
-    events[4] = 0.0  # a row with no events at all
-    times[5] = 3.0  # a row tied throughout
-    # ties across row boundaries: row 6's largest time, 2.0, is every time
-    # of rows 7 and 8, and each row counts only its own tie group
-    times[6] = np.minimum(times[6], 2.0)
-    times[7:] = 2.0
-    events[7:, :3] = 1.0
-    row, *block = _event_table(times, events)
-    assert np.all(np.diff(row) >= 0)
-    for r in range(9):
-        one_row, *single = _event_table(times[r : r + 1], events[r : r + 1])
-        assert np.all(one_row == 0)
-        for got, want in zip(block, single):
-            assert np.array_equal(got[row == r], want)
-    assert not np.any(row == 4)
 
 
 def test_run_scenario_survives_overflowing_fit_trial():
