@@ -11,12 +11,7 @@ so the analysis path never loads it.
 
 __version__ = "0.1.0"
 
-from .data import (
-    Cohort,
-    counting_process,
-    ingest_csv,
-    write_csv,
-)
+from .data import Cohort, counting_process, ingest_csv, write_csv
 from .errors import (
     DegenerateTestError,
     DomainError,
@@ -41,12 +36,7 @@ from .families import (
     loglik_derivatives,
     survival,
 )
-from .fitting import (
-    FitResult,
-    fit_mle,
-    pseudo_inverse,
-    select_model,
-)
+from .fitting import FitResult, fit_mle, pseudo_inverse, select_model
 from .logrank import (
     ReferenceCurve,
     TestReport,

@@ -1,7 +1,7 @@
 """Family-coded numeric kernels shared by fitting, testing and simulation.
 
 These are the hot inner loops of the package: the censored log-likelihood
-with its gradient and Hessian in one pass, the damped Newton fit driver and the
+with its gradient and Hessian in one pass, the fit drivers and the
 one-sample test components. Each kernel works on a block of R rows: times
 and events are (R, n) arrays, one cohort per row, and per-row parameters are
 (R,) arrays. The single-cohort API in :mod:`oslr.families`,
@@ -10,24 +10,23 @@ Monte Carlo engine in :mod:`oslr.simulation` with a block of replicates. A
 row's results never depend on the other rows of its block: sums run along
 the row and the 2 x 2 algebra is written out elementwise.
 
-The kernels read log-times. A fit takes logs, and the row sums free of the
-parameters, once per call, so an evaluation needs log u = log t - log b and
-one exp per element. The driver carries only its unfinished rows and
-returns its last evaluation, whose log-scale Hessian gives the information
-at the estimate. The test components make one pass
-per reference curve over capped log-times that the curves share: fused with
-the hazard gradient where the corrected variance needs it, the cumulative
-hazard alone otherwise.
+The kernels read log-times, taken once per call. The fit drivers, Newton on
+the Weibull profile likelihood in the shape and damped 2-D Newton on the
+log-logistic's log-parameters, return the information at the estimate from
+their last pass. The test components make one pass per reference curve over
+capped log-times that the curves share: fused with the hazard gradient where
+the corrected variance needs it, the cumulative hazard alone otherwise.
 
 Families are dispatched by integer code. Parameters are two values
 ``(a, b)``: rate for the exponential (``b`` unused), (shape, scale) for
-Weibull and log-logistic. The fit driver works on log-parameters of
-standardized (unit-median) times and tests convergence on the log-scale
-gradient of the mean log-likelihood, so neither its stopping rule nor its
-bounds depend on the time unit. Status codes it returns: 0 converged,
-1 iteration budget exhausted, 2 line-search failure, 3 parameter ran against
-the working bounds.
+Weibull and log-logistic. The fit drivers take standardized (unit-median)
+times and stop on the log-scale gradient of the mean log-likelihood, so
+neither their stopping rule nor their bounds depend on the time unit.
+Status codes: 0 converged, 1 iteration budget exhausted, 2 line-search
+failure, 3 parameter ran against the working bounds.
 """
+
+import math
 
 import numpy as np
 
@@ -42,6 +41,10 @@ FIT_OK = 0
 FIT_MAX_ITER = 1
 FIT_LINE_SEARCH = 2
 FIT_BOUNDARY = 3
+
+# the Weibull shape's working bounds, exactly as |log a| <= _LOG_BOUND allows
+_A_LOW = math.exp(-_LOG_BOUND)
+_A_HIGH = math.exp(_LOG_BOUND)
 
 
 def cumhaz_at(code, a, t, logu):
@@ -137,9 +140,7 @@ def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
     gradient and negated Hessian with respect to those log-parameters, from
     ``_log_data`` output of rows of n = 1 / inv_n observations.
 
-    Returns (f, g0, g1, m00, m01, m11), each (R,). The exponential's unused
-    second coordinate gets unit curvature and zero gradient, so it never
-    moves.
+    Returns (f, g0, g1, m00, m01, m11), each (R,).
     """
     a = np.exp(x0)
     b = np.exp(x1)
@@ -151,81 +152,144 @@ def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
     m00 = -(a * a * haa * inv_n + g0)
     m01 = -(a * b * hab * inv_n)
     m11 = -(b * b * hbb * inv_n + g1)
-    if code == EXPONENTIAL:
-        m11 = np.ones_like(m11)
     return f * inv_n, g0, g1, m00, m01, m11
 
 
-def fit_newton(code, times, events, x0, x1, grad_tol, max_iter):
-    """Damped Newton ascent of each row's mean log-likelihood on
-    log-parameters.
+def fit_weibull(logt, events, grad_tol, max_iter):
+    """Newton ascent of each row's Weibull profile log-likelihood in the
+    shape a, on (R, n) log standardized times (unit median) and events.
 
-    ``times``, ``events`` are (R, n) and the start log-parameters ``x0``,
-    ``x1`` are (R,). A row stops with FIT_OK once the gradient of its mean
-    log-likelihood with respect to the log-parameters has Euclidean norm
-    <= grad_tol, and is then frozen while the others go on. Each step
-    solves with the analytic Hessian. When the negated Hessian M is not
-    positive definite it is shifted Levenberg-Marquardt style: with
-    D = diag(1 + |M_ii|), the shift is D times the smallest eigenvalue of
-    D^-1/2 M D^-1/2 plus 1e-3 * (1 + |its trace|). Each row then halves its
-    own step until the mean log-likelihood does not worsen and the trial's
-    value and derivatives are finite (a trial that overflows or divides by
-    zero backtracks like a NaN one). Callers pass standardized times (unit
-    median), so both the tolerance and the parameter bounds are free of the
-    time unit.
+    At a fixed shape the scale is closed form, b^a = sum(t^a) / d, which
+    leaves l_p'(a) = d / a + sum(events log t) - d E_w[log t] and
+    l_p''(a) = -d / a^2 - d Var_w[log t] < 0, moments under w = t^a. Every
+    row starts at a = 1, the exponential. Each pass sums w, w log t and
+    w (log t)^2, with log t less the row's largest so that no exp
+    overflows, and takes one Newton step for l_p' = 0 in 1 / a. A step past
+    the bracket that the signs of l_p' give goes to its geometric midpoint,
+    one past the bounds to their edge. Only live rows are carried,
+    compacted.
 
-    The driver carries only its live rows, compacted: a live row has taken
-    one step per pass, and a row is written to the outputs on the pass it
-    stops. A pass on which every live row moves keeps the line search's
-    arrays as they are, with no per-row select; one with a failed row
-    selects, and that row stops on the next pass.
-
-    Returns (a, b, grad_norm, iterations, status, last), the first five
-    each (R,); on failure (a, b) is the row's last iterate inside the
-    working bounds and grad_norm the gradient norm there. ``last`` is the
-    ``_mean_loglik_log_scale`` evaluation at (log a, log b):
-    (f, g0, g1, m00, m01, m11), each (R,).
+    A row stops with FIT_OK once |a l_p'(a)| / n, at the profile the
+    log-scale gradient norm, is <= grad_tol; with FIT_BOUNDARY at a bound
+    where the profile still rises, or converged to a scale out of bounds;
+    with FIT_MAX_ITER after max_iter steps. Returns what ``fit_newton``
+    does, from the sums of each row's last pass: there sum((t / b)^a) = d,
+    so with log u = log(t / b), mu = sum((t / b)^a log u) and
+    nu = sum((t / b)^a (log u)^2) the information is i00 = (d + a^2 nu) / n,
+    i01 = -a^2 mu / n and i11 = a^2 d / n.
     """
+    # np.where's unused branch may divide by zero or overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        data = _log_data(code, times, events)
-        inv_n = 1.0 / times.shape[-1]
-        x0 = np.array(x0, dtype=np.float64)
-        x1 = np.array(x1, dtype=np.float64)
-        # the live rows' block indices and (x0, x1, f, g0, g1, m00, m01, m11)
-        rows = np.arange(x0.size)
-        state = (x0, x1, *_mean_loglik_log_scale(code, x0, x1, data, inv_n))
-        out = tuple(np.empty(x0.size) for _ in range(9))  # state, grad_norm
-        iterations, status = np.empty((2, x0.size), dtype=np.int64)
-        failed = None  # a live row's status if its last step failed, else -1
+        n_rows, n = logt.shape
+        top = logt.max(axis=-1)
+        s = logt - top[:, None]
+        d = events.sum(axis=-1)
+        es = (events * s).sum(axis=-1)
+        # the live rows' indices and (a, lo, hi, s, sum of events x s, d): lo
+        # and hi bracket the maximum by the last shapes where l_p' > 0, < 0
+        rows = np.arange(n_rows)
+        state = (np.ones(n_rows), np.zeros(n_rows), np.full(n_rows, np.inf), s, es, d)
+        out = tuple(np.empty(n_rows) for _ in range(5))  # a, sums and l_p'
+        iterations = np.empty(n_rows, dtype=np.int64)
         for passes in range(max_iter + 1):
-            grad = np.sqrt(state[3] * state[3] + state[4] * state[4])
-            spent = FIT_MAX_ITER if passes == max_iter else -1
-            stop = np.where(grad <= grad_tol, FIT_OK, spent)
-            if failed is not None:
-                stop = np.where(failed < 0, stop, failed)
-            ended = stop >= 0
-            if ended.any():
-                at = rows[ended]
-                for to, value in zip(out, (*state, grad)):
-                    to[at] = value[ended]
-                iterations[at] = passes
-                status[at] = stop[ended]
-                going = ~ended
-                rows, state, data = rows[going], _take(state, going), _take(data, going)
             if not rows.size:
                 break
+            a, lo, hi, s, es_live, d_live = state
+            # sums per row: einsum's order depends on the row count past 8,192
+            w = np.exp(a[:, None] * s)
+            ws = w * s
+            s0 = w.sum(axis=-1)
+            mean = ws.sum(axis=-1) / s0
+            var = (ws * s).sum(axis=-1) / s0 - mean * mean
+            d_a = d_live / a
+            score = d_a + es_live - d_live * mean
+            rising = score > 0.0
+            # converged, or at the bound the profile rises towards
+            ended = np.abs(a * score) / n <= grad_tol
+            ended |= a == np.where(rising, _A_HIGH, _A_LOW)
+            if passes == max_iter:
+                ended[:] = True
+            lo = np.where(rising, a, lo)
+            hi = np.where(rising, hi, a)
+            # Newton in 1 / a, where the d / a term of l_p' is linear; in a
+            # where r = l_p' / (a |l_p''|) >= 1, which leaves that step undefined
+            r = score / (d_a + a * d_live * var)
+            step = a * np.where(r < 1.0, 1.0 / (1.0 - r), 1.0 + r)
+            outside = (step <= lo) | (step >= hi)
+            if outside.any():
+                step = np.where(outside, np.sqrt(lo * hi), step)
+            state = (np.minimum(np.maximum(step, _A_LOW), _A_HIGH), lo, hi, *state[3:])
+            if ended.any():
+                at = rows[ended]
+                for to, value in zip(out, (a, s0, mean, var, score)):
+                    to[at] = value[ended]
+                iterations[at] = passes
+                going = ~ended
+                rows = rows[going]
+                state = tuple(v[going] for v in state)
+        a, s0, mean, var, score = out
+        grad_norm = np.abs(a * score) / n
+        logb = (np.log(s0) - np.log(d)) / a  # log b less the largest log-time
+        edge = a == np.where(score > 0.0, _A_HIGH, _A_LOW)
+        status = np.where(edge, FIT_BOUNDARY, FIT_MAX_ITER)
+        status[grad_norm <= grad_tol] = FIT_OK
+        status[(status == FIT_OK) & (np.abs(top + logb) > _LOG_BOUND)] = FIT_BOUNDARY
+        m = mean - logb  # E_w[log u]
+        a2d = a * a * d
+        fit = (
+            (d * (np.log(a) - a * logb - top - 1.0) + (a - 1.0) * es) / n,
+            (d + a2d * (var + m * m)) / n,
+            -a2d * m / n,
+            a2d / n,
+        )
+        return a, np.exp(top + logb), grad_norm, iterations, status, fit
+
+
+def fit_newton(times, events, x0, x1, grad_tol, max_iter):
+    """Damped Newton ascent of each row's mean log-logistic log-likelihood
+    on log-parameters, from (R,) starts ``x0``, ``x1``, on (R, n) times in
+    units of their median and events.
+
+    A row stops with FIT_OK once the log-parameter gradient has norm
+    <= grad_tol, and is then frozen while the others go on. Each step
+    solves with the analytic Hessian M, negated; where M is not positive
+    definite it is shifted Levenberg-Marquardt style: with
+    D = diag(1 + |M_ii|), by D times the smallest eigenvalue of
+    D^-1/2 M D^-1/2 plus 1e-3 * (1 + |its trace|). Each row then halves its
+    own step until the mean log-likelihood does not worsen and the trial is
+    finite; a row whose step finds no such trial, or leaves the working
+    bounds, stops where it stood with FIT_LINE_SEARCH or FIT_BOUNDARY.
+
+    Returns (a, b, grad_norm, iterations, status, fit), the first five
+    (R,) and (a, b) on failure the row's last iterate inside the bounds.
+    ``fit`` holds (f, i00, i01, i11), each (R,), from the last evaluation:
+    the mean log-likelihood and the information in log-parameters,
+    M_ij + delta_ij g_i with g the gradient.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        data = _log_data(LOGLOGISTIC, times, events)
+        inv_n = 1.0 / times.shape[-1]
+        x0, x1 = (np.array(x, dtype=np.float64) for x in (x0, x1))
+        # (x0, x1, f, g0, g1, m00, m01, m11) of every row, frozen once it stops
+        state = (x0, x1, *_mean_loglik_log_scale(LOGLOGISTIC, x0, x1, data, inv_n))
+        status = np.full(x0.size, -1)
+        iterations = np.zeros(x0.size, dtype=np.int64)
+        for passes in range(max_iter + 1):
             x0, x1, f, g0, g1, m00, m01, m11 = state
+            grad = np.sqrt(g0 * g0 + g1 * g1)
+            status[(status < 0) & (grad <= grad_tol)] = FIT_OK
+            live = status < 0
+            if passes == max_iter or not live.any():
+                break
             d0, d1 = _newton_direction(g0, g1, m00, m01, m11)
-            accepted, t0, t1, trial = _line_search(code, data, inv_n, x0, x1, f, d0, d1)
-            moved = accepted & (np.abs(t0) <= _LOG_BOUND) & (np.abs(t1) <= _LOG_BOUND)
-            if moved.all():
-                state, failed = (t0, t1, *trial), None
-            else:
-                # a row that did not move stops next pass, where it stood
-                failed = np.where(moved, -1, np.where(accepted, FIT_BOUNDARY, FIT_LINE_SEARCH))
-                state = tuple(np.where(moved, t, s) for t, s in zip((t0, t1, *trial), state))
-        x0, x1, *last, grad_norm = out
-        return np.exp(x0), np.exp(x1), grad_norm, iterations, status, tuple(last)
+            accepted, t0, t1, trial = _line_search(data, inv_n, x0, x1, f, d0, d1, live)
+            moved = live & accepted & (np.abs(t0) <= _LOG_BOUND) & (np.abs(t1) <= _LOG_BOUND)
+            failed = live & ~moved
+            status[failed] = np.where(accepted, FIT_BOUNDARY, FIT_LINE_SEARCH)[failed]
+            iterations += live
+            state = tuple(np.where(moved, t, v) for t, v in zip((t0, t1, *trial), state))
+        status[status < 0] = FIT_MAX_ITER
+        return np.exp(x0), np.exp(x1), grad, iterations, status, (f, m00 + g0, m01, m11 + g1)
 
 
 def _newton_direction(g0, g1, m00, m01, m11):
@@ -246,51 +310,30 @@ def _newton_direction(g0, g1, m00, m01, m11):
     return (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
 
 
-def _take(arrays, keep):
-    """Each array of a tuple (None kept as None) at the rows ``keep`` selects."""
-    return tuple(None if v is None else v[keep] for v in arrays)
-
-
-def _line_search(code, data, inv_n, x0, x1, f, d0, d1):
+def _line_search(data, inv_n, x0, x1, f, d0, d1, live):
     """Halve each row's step from 1 until its trial is accepted, at most 60
-    trials. Returns (accepted, t0, t1, trial values), unset where a row was
-    not accepted. When every row is accepted at the full step the first
-    trial is returned as it is; otherwise the accepted rows are scattered to
-    the outputs and the rows still pending compacted after each trial."""
-    step = 1.0
-    pending = None
+    trials, until every ``live`` row is. Returns (accepted, t0, t1, trial
+    values) at each row's last step: an accepted row keeps its step, so its
+    trial is evaluated alike on every later round."""
+    step = np.ones_like(x0)
     for _ in range(60):
-        p0 = x0 + step * d0
-        p1 = x1 + step * d1
-        values = _mean_loglik_log_scale(code, p0, p1, data, inv_n)
+        t0 = x0 + step * d0
+        t1 = x1 + step * d1
+        values = _mean_loglik_log_scale(LOGLOGISTIC, t0, t1, data, inv_n)
         # a NaN or infinite trial fails this test and backtracks, as does one
         # where exp() of a log-parameter would overflow; the allowance is
         # float rounding of f, which near the optimum exceeds the true gain
         # of a full Newton step
-        ok = (
-            (np.abs(p0) < 700.0)
-            & (np.abs(p1) < 700.0)
+        accepted = (
+            (np.abs(t0) < 700.0)
+            & (np.abs(t1) < 700.0)
             & np.isfinite(values).all(axis=0)
             & (values[0] >= f - 1e-14 * (1.0 + np.abs(f)))
         )
-        if pending is None:
-            if ok.all():
-                return ok, p0, p1, values
-            pending = np.arange(ok.size)
-            accepted = np.zeros(ok.size, dtype=bool)
-            found = tuple(np.empty(ok.size) for _ in range(8))  # t0, t1, values
-        if ok.any():
-            at = pending[ok]
-            accepted[at] = True
-            for to, value in zip(found, (p0, p1, *values)):
-                to[at] = value[ok]
-            keep = ~ok
-            pending = pending[keep]
-            if not pending.size:
-                break
-            x0, x1, f, d0, d1, *data = _take((x0, x1, f, d0, d1, *data), keep)
-        step *= 0.5
-    return accepted, found[0], found[1], found[2:]
+        if np.all(accepted | ~live):
+            break
+        step = np.where(accepted, step, 0.5 * step)
+    return accepted, t0, t1, values
 
 
 def at_time(times, events, t):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,8 +18,8 @@ from . import __version__
 from .data import ingest_csv
 from .errors import (
     DegenerateTestError,
-    DomainError,
     FitError,
+    OslrError,
     RowValidationError,
     SchemaError,
     SelectionError,
@@ -153,8 +154,7 @@ def cmd_test(args) -> None:
             )
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _emit(payload, args.out)
     print(payload if args.format == "json" else _table1(reports, args.alpha))
 
 
@@ -196,6 +196,20 @@ def cmd_km(args) -> None:
         print(path)
 
 
+def _replace(path, write, newline=None) -> None:
+    """Write a file through ``write(fh)`` into a temporary file beside
+    ``path``, then rename it over ``path``: a reader sees the old file or
+    the new one, never a part."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def cmd_simulate(args) -> None:
     # the engine is imported by the commands that run it, so the analysis
     # commands never load it
@@ -209,15 +223,15 @@ def cmd_simulate(args) -> None:
         overrides["alpha"] = args.alpha
     if overrides:
         scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
-    results = [run_scenario(s, workers=args.workers) for s in scenarios]
-    records = [r.to_json_dict() for r in results]
-    rows = [row for record in records for row in record_rows(record)]
-    if args.out:
-        with open(f"{args.out}.json", "w") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
-        with open(f"{args.out}.csv", "w", newline="") as fh:
-            write_rows_csv(fh, rows)
+    records, rows = [], []
+    for scenario in scenarios:
+        records.append(run_scenario(scenario, workers=args.workers).to_json_dict())
+        rows.extend(record_rows(records[-1]))
+        # after every cell, so that an interrupted grid keeps the cells it ran
+        if args.out:
+            text = json.dumps(records, indent=2) + "\n"
+            _replace(f"{args.out}.json", lambda fh: fh.write(text))
+            _replace(f"{args.out}.csv", lambda fh: write_rows_csv(fh, rows), newline="")
     if args.format == "csv":
         write_rows_csv(sys.stdout, rows)
     else:
@@ -331,13 +345,8 @@ def main(argv=None) -> int:
     except DegenerateTestError as exc:
         print(f"error: degenerate test: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (
-        UsageError,
-        DomainError,
-        SchemaError,
-        RowValidationError,
-        OSError,
-    ) as exc:
+    # the package's other errors: usage, domain, schema and row errors
+    except (OslrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

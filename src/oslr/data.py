@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -161,19 +160,12 @@ def write_csv(path, cohorts) -> None:
     Times are written with shortest round-tripping decimal representation so
     that ingest -> write -> ingest reproduces float64 values bit-exactly.
     """
-    if isinstance(cohorts, Cohort):
-        items: Sequence[tuple[str, Cohort]] = [("", cohorts)]
-        with_group = False
-    else:
-        items = list(cohorts.items())
-        with_group = True
+    with_group = not isinstance(cohorts, Cohort)
+    items = cohorts.items() if with_group else [("", cohorts)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["time", "event"] + (["group"] if with_group else [])
-        writer.writerow(header)
+        writer.writerow(["time", "event"] + (["group"] if with_group else []))
         for label, cohort in items:
+            group = [label] if with_group else []
             for t, e in zip(cohort.times, cohort.events):
-                row = [repr(float(t)), str(int(e))]
-                if with_group:
-                    row.append(label)
-                writer.writerow(row)
+                writer.writerow([repr(float(t)), str(int(e))] + group)

@@ -1,21 +1,21 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
-Fitting divides the times by their upper median and runs damped Newton on
-the log-parameters with the analytic gradient and Hessian, stopping when the
-log-scale gradient of the mean log-likelihood is small. The exponential and
-the Weibull start at their closed-form MLE at shape 1 (events over exposure),
-the log-logistic at shape 1 and the median. Neither the start, the stopping
-rule nor the parameter bounds depend on the time unit, so every fit is
-scale-equivariant; no start is taken from the caller. A fit that stops on
-any status but converged raises FitError with that status's reason from
-FAILURES, the one table of them. The information is the per-observation
-average of negated analytic log-likelihood Hessians at the estimate, taken
-from the fit's last Newton evaluation rather than from another pass, in
-log-parameter coordinates, where it has no time unit and cannot overflow on
-huge or tiny times. The reported natural-scale matrix is derived from it
-once per fit. Its pseudo-inverse is in closed form for 2 x 2 matrices,
-elementwise over a stack; the corrected test takes it in log-parameter
-coordinates, which keeps that test free of the time unit.
+The exponential's MLE is closed form. The Weibull and the log-logistic fits
+divide the times by their upper median and run Newton until the log-scale
+gradient of the mean log-likelihood is small: the Weibull on its profile
+likelihood in the shape, from shape 1 (where the profile's scale is the
+exponential MLE), the log-logistic damped on both log-parameters from
+shape 1 and the median. Neither the start, the stopping rule nor the
+parameter bounds depend on the time unit, so every fit is scale-equivariant;
+no start is taken from the caller. A fit that stops on any status but
+converged raises FitError with that status's reason from FAILURES, the one
+table of them. The information, the average negated log-likelihood Hessian
+at the estimate, comes from the fit's last pass in log-parameter
+coordinates, where it has no time unit and cannot overflow on huge or tiny
+times; the natural-scale matrix is derived from it once per fit. Its
+pseudo-inverse is in closed form for 2 x 2 matrices, elementwise over a
+stack; the corrected test takes it in log-parameter coordinates, which keeps
+that test free of the time unit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .families import FamilyDescriptor, family
 GRAD_TOL = 1e-8
 MAX_ITER = 200
 
-# why a fit failed, by the Newton driver's status
+# why a fit failed, by the fit drivers' status
 FAILURES = {
     _kernels.FIT_MAX_ITER: f"did not converge within {MAX_ITER} iterations",
     _kernels.FIT_LINE_SEARCH: "stalled: no step improved the likelihood",
@@ -118,61 +118,52 @@ def _symmetric(x00, x01, x11):
 
 def _fit_rows(fam, times, events):
     """``fit_mle`` for each row of (R, n) times and events, every row holding
-    an event. A row starts at shape 1 and its exposure start: the rate
-    d / sum(t) for the exponential, the scale sum(t) / d for the Weibull
-    (both the MLE at shape 1), and the scale 1, the upper median, for the
-    log-logistic. A row whose estimate is not finite and positive gets
-    FIT_BOUNDARY. Returns (theta (R, q), status, iterations, grad_norm,
-    loglik (R,), info (R, q, q)), the last two from the fit's last
-    evaluation, which is at theta for a converged row. ``info`` is the
-    information in log-parameter coordinates, which has no time unit: the
+    an event, in one batched run. A row whose estimate is not finite and
+    positive gets FIT_BOUNDARY. Returns (theta (R, q), status, iterations,
+    grad_norm, loglik (R,), info (R, q, q)), the last two at theta for a
+    converged row; ``info`` is in log-parameter coordinates, so the
     natural-scale J(theta) is info / (theta theta')."""
     n_rows, n = times.shape
-    # the unit only has to be a typical time; a partial sort finds the upper
-    # median without sorting everything
-    unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
     d = events.sum(axis=-1)
-    x0 = np.zeros(n_rows)
-    x1 = np.zeros(n_rows)
-    # a time past 1.8e308 times the unit overflows to inf, and the fit fails
-    with np.errstate(over="ignore", divide="ignore"):
-        times = times / unit[:, None]
-        if fam.code != _kernels.LOGLOGISTIC:
-            # the log-logistic's scale is its median at any shape; on
-            # log-logistic rows of n = 800 an exposure start took 4.9 Newton
-            # steps per row against 4.0 from the median at shape 1, 5.0 at
-            # shape 2
+    if fam.code == _kernels.EXPONENTIAL:
+        # an exposure of 0 or inf (subnormal or huge times) fails below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             exposure = times.sum(axis=-1)
-            if fam.q == 1:
-                x0 = np.log(d / exposure)
-            else:
-                x1 = np.log(exposure / d)
-    a, b, grad_norm, iterations, status, last = _kernels.fit_newton(
-        fam.code, times, events, x0, x1, GRAD_TOL, MAX_ITER
-    )
-    # back to the caller's unit, where a subnormal unit overflows the rate to
-    # inf (FIT_BOUNDARY below); the exponential's second value is unused
-    with np.errstate(over="ignore"):
-        theta = np.stack((a / unit if fam.q == 1 else a, b * unit), axis=-1)[:, : fam.q]
+            rate = d / exposure
+            grad_norm = np.abs(d - rate * exposure) / n
+            loglik = d * np.log(rate) - d
+        theta, info = rate[:, None], (d / n)[:, None, None]
+        iterations = np.zeros(n_rows, dtype=np.int64)
+        status = np.full(n_rows, _kernels.FIT_OK)
+    else:
+        # the unit only has to be a typical time; a partial sort finds the
+        # upper median without sorting everything
+        unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
+        if fam.code == _kernels.WEIBULL:
+            logt = np.log(times) - np.log(unit)[:, None]
+            fit = _kernels.fit_weibull(logt, events, GRAD_TOL, MAX_ITER)
+        else:
+            # a time past 1.8e308 times the unit overflows to inf, and the
+            # fit fails
+            with np.errstate(over="ignore"):
+                times = times / unit[:, None]
+            start = np.zeros((2, n_rows))  # shape 1 and the median
+            fit = _kernels.fit_newton(times, events, *start, GRAD_TOL, MAX_ITER)
+        a, b, grad_norm, iterations, status, (f, i00, i01, i11) = fit
+        # back to the caller's unit, where a subnormal unit may overflow b
+        with np.errstate(over="ignore"):
+            theta = np.stack((a, b * unit), axis=-1)
+        loglik = n * f - d * np.log(unit)
+        info = _symmetric(i00, i01, i11)
     positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
     status = np.where(positive, status, _kernels.FIT_BOUNDARY)
-    # the information in log-parameters is M_ij + delta_ij g_i, M the mean
-    # negated log-scale Hessian, in any unit; meaningless if failed
-    f, g0, g1, m00, m01, m11 = last
-    info = _symmetric(m00 + g0, m01, m11 + g1)[:, : fam.q, : fam.q]
-    return theta, status, iterations, grad_norm, n * f - d * np.log(unit), info
+    return theta, status, iterations, grad_norm, loglik, info
 
 
 def fit_mle(fam, cohort: Cohort) -> FitResult:
-    """Fit one family by censored maximum likelihood.
-
-    Times are divided by their upper median and the estimate mapped back
-    from that unit. Damped Newton on the log-parameters converges when the
-    gradient of the mean log-likelihood with respect to the log-parameters
-    has norm <= GRAD_TOL; that gradient is the same in every time unit.
-    Raises FitError on data without events, and with the reason from
-    FAILURES (carrying the last iterate) on any other status.
-    """
+    """Fit one family by censored maximum likelihood (see the module
+    docstring). Raises FitError on data without events, and with the reason
+    from FAILURES (carrying the last iterate) on any other status."""
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -146,20 +146,7 @@ class TestReport:
     pi: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m_oslr": self.m_oslr,
-            "n_events": self.n_events,
-            "expected_events": self.expected_events,
-            "v1": self.v1,
-            "v2": self.v2,
-            "w": self.w,
-            "z": self.z,
-            "p_two_sided": self.p_two_sided,
-            "p_one_sided": self.p_one_sided,
-            "corrected": self.corrected,
-            "pi": self.pi,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

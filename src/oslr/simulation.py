@@ -8,9 +8,10 @@ counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
 
 The unit of work is a block of replicates held as (R, n) arrays, one
-replicate per row: the block is drawn, fitted (one batched Newton run that
-carries only its unfinished rows, whose last evaluation also gives the
-information in log-parameters), tested against both reference curves over
+replicate per row: the block is drawn, fitted (one batched Newton run on the
+Weibull profile likelihood in the shape, from shape 1, that carries only its
+unfinished rows; the sums of a row's last pass also give its information in
+log-parameters), tested against both reference curves over
 arm B's capped log-times taken once (the expected events alone for the true
 curve, one fused pass with the hazard gradient for the fitted curve; all six
 one-sample z-values follow from them arithmetically) and compared two-sample
@@ -374,10 +375,8 @@ class SimulationResult:
             }
             for sided in ("two", "one"):
                 rate = row[f"{sided}_sided_rate"]
-                lo, hi = (
-                    mc_error_interval(rate, n) if n else (float("nan"), float("nan"))
-                )
-                row[f"{sided}_sided_interval"] = [lo, hi]
+                interval = mc_error_interval(rate, n) if n else (float("nan"), float("nan"))
+                row[f"{sided}_sided_interval"] = list(interval)
             procs[name] = row
         return {"scenario": self.scenario.to_json_dict(), "procedures": procs}
 
@@ -393,19 +392,8 @@ def record_rows(record: dict) -> list[dict]:
     for name, stats in record["procedures"].items():
         for sided in ("two", "one"):
             lo, hi = stats[f"{sided}_sided_interval"]
-            rows.append(
-                {
-                    "kappa": s["kappa"],
-                    "n_b": s["n_b"],
-                    "pi": s["pi"],
-                    "procedure": name,
-                    "sided": sided,
-                    "rate": stats[f"{sided}_sided_rate"],
-                    "lo": lo,
-                    "hi": hi,
-                    "n_eff": stats["n_evaluated"],
-                }
-            )
+            values = (s["kappa"], s["n_b"], s["pi"], name, sided, stats[f"{sided}_sided_rate"])
+            rows.append(dict(zip(CSV_FIELDS, (*values, lo, hi, stats["n_evaluated"]))))
     return rows
 
 

@@ -660,6 +660,37 @@ def test_simulate_grid_and_outputs(tmp_path, capsys):
     assert len(csv_lines) == 1 + 2 * 7 * 2
 
 
+def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, capsys, monkeypatch):
+    """A grid run that fails in its third cell leaves <out>.json and
+    <out>.csv holding the first two cells, which ``report`` reads, and no
+    temporary file beside them."""
+    from oslr import simulation
+
+    run_scenario = simulation.run_scenario
+    calls = []
+
+    def failing_third(scenario, workers=None):
+        calls.append(scenario)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_scenario(scenario, workers=workers)
+
+    monkeypatch.setattr(simulation, "run_scenario", failing_third)
+    path = _scenario_file(tmp_path, kappa=[0.5, 1.0, 2.0], n_b=5, replicates=3)
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", path, "--workers", "1", "--out", str(out)])
+    records = json.loads((tmp_path / "run.json").read_text())
+    assert [r["scenario"]["kappa"] for r in records] == [0.5, 1.0]
+    csv_lines = (tmp_path / "run.csv").read_text().strip().splitlines()
+    assert len(csv_lines) == 1 + 2 * 7 * 2
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == ["run.csv", "run.json", "scenario.json"]
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run.json"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == csv_lines
+
+
 def test_simulate_seed_override_changes_output(tmp_path, capsys):
     path = _scenario_file(tmp_path)
     assert main(["simulate", path, "--workers", "1"]) == 0

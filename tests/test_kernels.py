@@ -1,7 +1,7 @@
 """Tests for the row-batched numeric kernels.
 
 Oracles: closed forms of the exponential family, finite differences and
-the fit driver's own status codes on inputs built to reach each of them. A
+the fit drivers' own status codes on inputs built to reach each of them. A
 row's result must not depend on the other rows of its block.
 """
 
@@ -24,57 +24,97 @@ def _sample(seed=MASTER_SEED, n=60):
 
 
 def test_fit_status_codes():
-    """Converged, boundary and budget-exhausted rows; a row's result is the
-    same alone as in a block with another row."""
+    """Converged, boundary and budget-exhausted rows of the Weibull profile
+    fit; a row's result is the same alone as in a block with another row."""
     times, events = _sample()
     # row 1 has identical event times, which push the Weibull shape to +inf
     # until it hits the bound
-    block_t = np.stack((times, np.full(times.shape, 2.0)))
+    block_t = np.log(np.stack((times, np.full(times.shape, 2.0))))
     block_e = np.stack((events, np.ones(times.shape)))
-    start = np.zeros(2)
-    fit = _kernels.fit_newton(_kernels.WEIBULL, block_t, block_e, start, start, 1e-8, 500)
+    fit = _kernels.fit_weibull(block_t, block_e, 1e-8, 500)
     a, b, grad_norm, iterations, status, last = fit
     assert status.tolist() == [_kernels.FIT_OK, _kernels.FIT_BOUNDARY]
     assert grad_norm[0] <= 1e-8
     for row in range(2):
-        alone = _kernels.fit_newton(
-            _kernels.WEIBULL,
-            block_t[row : row + 1],
-            block_e[row : row + 1],
-            start[:1],
-            start[:1],
-            1e-8,
-            500,
-        )
+        alone = _kernels.fit_weibull(block_t[row : row + 1], block_e[row : row + 1], 1e-8, 500)
         assert [v[0] for v in alone[:5]] == [v[row] for v in fit[:5]]
         assert [v[0] for v in alone[5]] == [v[row] for v in last]
     # zero iteration budget from a non-optimal start cannot converge
-    stuck = _kernels.fit_newton(
-        _kernels.WEIBULL, block_t[:1], block_e[:1], np.array([2.0]), np.array([-2.0]), 1e-8, 0
-    )
+    stuck = _kernels.fit_weibull(block_t[:1], block_e[:1], 1e-8, 0)
     assert stuck[4][0] == _kernels.FIT_MAX_ITER
     assert stuck[3][0] == 0
 
 
+def test_weibull_rows_match_single_rows_in_every_status():
+    """One block holding a row of each status of the Weibull profile fit,
+    the rows stopping on different passes: every row's outputs, ``fit``
+    included, are bitwise those of the row fitted alone, so carrying only
+    the live rows changes no bit. The rows are longer than numpy's 8,192
+    element buffer, past which einsum's order of summation would depend on
+    the number of rows."""
+    times, events = _sample(n=10_000)
+    n = times.size
+    # 100 events tied at the largest time, the others censored: the profile
+    # rises at every shape
+    tied, tied_events = times.copy(), np.zeros(n)
+    tied[:100] = times.max()
+    tied_events[:100] = 1.0
+    # one event e^-100 before the censored times: the maximum's scale lies
+    # past the bounds
+    early = np.log(np.concatenate(([math.exp(-100.0)], np.linspace(1.0, 10.0, n - 1))))
+    early_events = np.zeros(n)
+    early_events[0] = 1.0
+    # converges in 4 steps; reaches the bound in 14; identical event times
+    # spend the budget of 20 doubling the shape; converges out of bounds in
+    # 2 steps; converges in 4 steps
+    rows = [
+        (np.log(times), events),
+        (np.log(tied), tied_events),
+        (np.zeros(n), np.ones(n)),
+        (early - np.median(early), early_events),
+        (np.log(times[::-1] * 1.7), events[::-1]),
+    ]
+    t, e = (np.array(v) for v in zip(*rows))
+    block = _kernels.fit_weibull(t, e, 1e-8, 20)
+    assert block[4].tolist() == [
+        _kernels.FIT_OK,
+        _kernels.FIT_BOUNDARY,
+        _kernels.FIT_MAX_ITER,
+        _kernels.FIT_BOUNDARY,
+        _kernels.FIT_OK,
+    ]
+    a, b, _, iterations, _, _ = block
+    assert iterations.tolist() == [4, 14, 20, 2, 4]
+    # a row that stops at the bound reports the shape there, and one that
+    # converged out of bounds its estimate
+    assert a[1] == math.exp(_kernels._LOG_BOUND)
+    assert math.log(b[3]) > _kernels._LOG_BOUND
+    for i in range(len(rows)):
+        one = slice(i, i + 1)
+        alone = _kernels.fit_weibull(t[one], e[one], 1e-8, 20)
+        for got, want in zip((*block[:5], *block[5]), (*alone[:5], *alone[5])):
+            assert got[one].tobytes() == want.tobytes()
+
+
 def test_driver_rows_match_single_rows_in_every_status():
-    """One block holding a row of each status, the rows stopping on
-    different passes: every row's outputs, ``last`` included, are bitwise
-    those of the row fitted alone, so carrying only the live rows changes
-    no bit."""
+    """One log-logistic block holding a row of each status of the 2-D
+    driver, the rows stopping on different passes: every row's outputs,
+    ``fit`` included, are bitwise those of the row fitted alone, so carrying
+    only the live rows changes no bit."""
     times, events = _sample()
-    # (times, events, start log-shape, start log-scale): converges in 6
-    # steps; identical event times run the shape to the bound in 30; a far
-    # start spends the budget of 40; at shape e^5 and scale e^-5 the
-    # derivatives are not finite, so no trial is accepted
+    # (times, events, start log-shape, start log-scale): converges in 5
+    # steps; identical event times run the shape to the bound in 28; a far
+    # start spends the budget of 30; at shape e^600 the likelihood is not
+    # finite, so no trial is accepted
     rows = [
         (times, events, 0.0, 0.0),
         (np.full(times.shape, 2.0), np.ones(times.shape), 0.0, 0.0),
-        (times, events, 3.0, -3.0),
-        (times, events, 5.0, -5.0),
-        (times[::-1] * 1.7, events[::-1], 0.0, 0.0),
+        (times, events, 25.0, -25.0),
+        (times, events, 600.0, 0.0),
+        (times, events, 3.0, 3.0),
     ]
     t, e, x0, x1 = (np.array(v) for v in zip(*rows))
-    block = _kernels.fit_newton(_kernels.WEIBULL, t, e, x0, x1, 1e-8, 40)
+    block = _kernels.fit_newton(t, e, x0, x1, 1e-8, 30)
     assert block[4].tolist() == [
         _kernels.FIT_OK,
         _kernels.FIT_BOUNDARY,
@@ -83,13 +123,13 @@ def test_driver_rows_match_single_rows_in_every_status():
         _kernels.FIT_OK,
     ]
     a, b, _, iterations, _, _ = block
-    assert iterations.tolist()[2:4] == [40, 1] and len(set(iterations.tolist())) == len(rows)
+    assert iterations.tolist()[2:4] == [30, 1] and len(set(iterations.tolist())) == len(rows)
     # a row that stops on a failed step reports the iterate it stood at
     assert max(abs(math.log(a[1])), abs(math.log(b[1]))) <= _kernels._LOG_BOUND
-    assert (a[3], b[3]) == (np.exp(5.0), np.exp(-5.0))
+    assert (a[3], b[3]) == (np.exp(600.0), 1.0)
     for i in range(len(rows)):
         one = slice(i, i + 1)
-        alone = _kernels.fit_newton(_kernels.WEIBULL, t[one], e[one], x0[one], x1[one], 1e-8, 40)
+        alone = _kernels.fit_newton(t[one], e[one], x0[one], x1[one], 1e-8, 30)
         for got, want in zip((*block[:5], *block[5]), (*alone[:5], *alone[5])):
             assert got[one].tobytes() == want.tobytes()
 
@@ -103,10 +143,10 @@ def test_zero_row_block_returns_at_once(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_line_search", no_step)
     empty = np.empty((0, 5))
-    out = _kernels.fit_newton(
-        _kernels.WEIBULL, empty, empty, np.empty(0), np.empty(0), 1e-8, 200
-    )
-    assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 11
+    out = _kernels.fit_newton(empty, empty, np.empty(0), np.empty(0), 1e-8, 200)
+    assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 9
+    out = _kernels.fit_weibull(empty, empty, 1e-8, 200)
+    assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 9
 
 
 def test_exponential_kernel_closed_forms():
