@@ -14,14 +14,14 @@ The kernels read log-times, taken once per call. The fit drivers, Newton on
 the Weibull profile likelihood in the shape and damped 2-D Newton on the
 log-logistic's log-parameters, return the information at the estimate from
 their last pass. The test components make one pass per reference curve over
-capped log-times that the curves share: fused with the hazard gradient where
+(capped) log-times that the curves share: fused with the hazard gradient where
 the corrected variance needs it, the cumulative hazard alone otherwise.
 
 Families are dispatched by integer code. Parameters are two values
 ``(a, b)``: rate for the exponential (``b`` unused), (shape, scale) for
-Weibull and log-logistic. The fit drivers take standardized (unit-median)
-times and stop on the log-scale gradient of the mean log-likelihood, so
-neither their stopping rule nor their bounds depend on the time unit.
+Weibull and log-logistic. The fit drivers stop on the log-scale gradient of
+the mean log-likelihood and bound the scale around the upper median time,
+so neither their stopping rule nor their bounds depend on the time unit.
 Status codes: 0 converged, 1 iteration budget exhausted, 2 line-search
 failure, 3 parameter ran against the working bounds.
 """
@@ -34,7 +34,7 @@ EXPONENTIAL = 0
 WEIBULL = 1
 LOGLOGISTIC = 2
 
-# |log theta| cap on standardized times: parameters inside ~[1.03e-12, 9.7e11]
+# cap on |log a| and |log(b / upper median time)|: each inside ~[1.03e-12, 9.7e11]
 _LOG_BOUND = 27.6
 
 FIT_OK = 0
@@ -57,17 +57,17 @@ def cumhaz_at(code, a, t, logu):
     return np.logaddexp(0.0, a * logu)
 
 
-def cumhaz_terms(code, a, b, t, logu):
-    """(Lambda, dLambda/da, dLambda/db) at each time ``t`` given
-    logu = log(t / b), all broadcast, with one exp per element."""
+def cumhaz_terms(code, a, t, logu):
+    """(Lambda, dLambda/da, q) at each time ``t`` given logu = log(t / b),
+    all broadcast, with one exp per element; dLambda/db = -(a / b) q."""
     lam = cumhaz_at(code, a, t, logu)
     if code == EXPONENTIAL:
         return lam, np.broadcast_to(t, lam.shape), np.zeros(lam.shape)
     if code == WEIBULL:
-        return lam, lam * logu, -(a / b) * lam
+        return lam, lam * logu, lam
     # q = u^a / (1 + u^a), computed in log space to survive large u^a
     q = np.exp(a * logu - lam)
-    return lam, q * logu, -(a / b) * q
+    return lam, q * logu, q
 
 
 def _log_data(code, times, events):
@@ -157,26 +157,25 @@ def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
 
 def fit_weibull(logt, events, grad_tol, max_iter):
     """Newton ascent of each row's Weibull profile log-likelihood in the
-    shape a, on (R, n) log standardized times (unit median) and events.
+    shape a, on (R, n) log-times and events.
 
     At a fixed shape the scale is closed form, b^a = sum(t^a) / d, which
     leaves l_p'(a) = d / a + sum(events log t) - d E_w[log t] and
     l_p''(a) = -d / a^2 - d Var_w[log t] < 0, moments under w = t^a. Every
     row starts at a = 1, the exponential. Each pass sums w, w log t and
-    w (log t)^2, with log t less the row's largest so that no exp
-    overflows, and takes one Newton step for l_p' = 0 in 1 / a. A step past
-    the bracket that the signs of l_p' give goes to its geometric midpoint,
-    one past the bounds to their edge. Only live rows are carried,
-    compacted.
+    w (log t)^2, with log t less the row's largest so that no exp overflows,
+    and takes one Newton step for l_p' = 0 in 1 / a. A step past the bracket
+    that the signs of l_p' give goes to its geometric midpoint, one past the
+    bounds to their edge. Only live rows are carried, compacted.
 
     A row stops with FIT_OK once |a l_p'(a)| / n, at the profile the
     log-scale gradient norm, is <= grad_tol; with FIT_BOUNDARY at a bound
-    where the profile still rises, or converged to a scale out of bounds;
-    with FIT_MAX_ITER after max_iter steps. Returns what ``fit_newton``
-    does, from the sums of each row's last pass: there sum((t / b)^a) = d,
-    so with log u = log(t / b), mu = sum((t / b)^a log u) and
-    nu = sum((t / b)^a (log u)^2) the information is i00 = (d + a^2 nu) / n,
-    i01 = -a^2 mu / n and i11 = a^2 d / n.
+    where the profile still rises, or converged to a scale out of bounds
+    (around the upper median time); with FIT_MAX_ITER after max_iter steps.
+    Returns what ``fit_newton`` does, from the sums of each row's last
+    pass: there sum((t / b)^a) = d, so with log u = log(t / b),
+    mu = sum((t / b)^a log u) and nu = sum((t / b)^a (log u)^2) the
+    information is i00 = (d + a^2 nu) / n, i01 = -a^2 mu / n, i11 = a^2 d / n.
     """
     # np.where's unused branch may divide by zero or overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -233,16 +232,19 @@ def fit_weibull(logt, events, grad_tol, max_iter):
         edge = a == np.where(score > 0.0, _A_HIGH, _A_LOW)
         status = np.where(edge, FIT_BOUNDARY, FIT_MAX_ITER)
         status[grad_norm <= grad_tol] = FIT_OK
-        status[(status == FIT_OK) & (np.abs(top + logb) > _LOG_BOUND)] = FIT_BOUNDARY
+        # |log b - x| peaks at an end of the log-times: only a row out of
+        # bounds there needs its median
+        log_scale = top + logb
+        ends = np.maximum(np.abs(log_scale - logt.min(axis=-1)), np.abs(log_scale - top))
+        far = np.flatnonzero((status == FIT_OK) & (ends > _LOG_BOUND))
+        if far.size:
+            median = np.partition(logt[far], n // 2, axis=-1)[:, n // 2]
+            status[far[np.abs(log_scale[far] - median) > _LOG_BOUND]] = FIT_BOUNDARY
         m = mean - logb  # E_w[log u]
         a2d = a * a * d
-        fit = (
-            (d * (np.log(a) - a * logb - top - 1.0) + (a - 1.0) * es) / n,
-            (d + a2d * (var + m * m)) / n,
-            -a2d * m / n,
-            a2d / n,
-        )
-        return a, np.exp(top + logb), grad_norm, iterations, status, fit
+        f = (d * (np.log(a) - a * logb - top - 1.0) + (a - 1.0) * es) / n
+        fit = (f, (d + a2d * (var + m * m)) / n, -a2d * m / n, a2d / n)
+        return a, np.exp(log_scale), grad_norm, iterations, status, fit
 
 
 def fit_newton(times, events, x0, x1, grad_tol, max_iter):
@@ -358,9 +360,11 @@ def oslr_components(code, a, b, capped, log_capped):
     coded family.
 
     ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n), from
-    ``at_time``. Returns (expected, gbar0, gbar1), each (R,).
+    ``at_time`` (at each row's largest time, the times and their logs as
+    they are). Returns (expected, gbar0, gbar1), each (R,).
     """
-    b = b[:, None]
-    lam, g0, g1 = cumhaz_terms(code, a[:, None], b, capped, log_capped - np.log(b))
+    lam, g0, q = cumhaz_terms(code, a[:, None], capped, log_capped - np.log(b)[:, None])
     n = capped.shape[-1]
-    return lam.sum(axis=-1), g0.sum(axis=-1) / n, g1.sum(axis=-1) / n
+    expected = lam.sum(axis=-1)
+    q = expected if q is lam else q.sum(axis=-1)  # the Weibull's q is Lambda
+    return expected, g0.sum(axis=-1) / n, -(a / b) * q / n

@@ -146,8 +146,8 @@ def grad_cumulative_hazard(fam, theta, t):
         raise UsageError(f"gradient requires finite t > 0, got {t!r}")
     a, b = _ab(fam, theta)
     with np.errstate(over="ignore"):
-        terms = _kernels.cumhaz_terms(fam.code, a, b, t_arr, np.log(t_arr / b))
-    g = np.stack(terms[1:], axis=-1)[:, : fam.q]
+        _, da, q = _kernels.cumhaz_terms(fam.code, a, t_arr, np.log(t_arr / b))
+        g = np.stack((da, -(a / b) * q), axis=-1)[:, : fam.q]
     return g if np.ndim(t) else g[0]
 
 

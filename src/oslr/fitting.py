@@ -1,12 +1,12 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
 The exponential's MLE is closed form. The Weibull and the log-logistic fits
-divide the times by their upper median and run Newton until the log-scale
-gradient of the mean log-likelihood is small: the Weibull on its profile
-likelihood in the shape, from shape 1 (where the profile's scale is the
-exponential MLE), the log-logistic damped on both log-parameters from
-shape 1 and the median. Neither the start, the stopping rule nor the
-parameter bounds depend on the time unit, so every fit is scale-equivariant;
+run Newton until the log-scale gradient of the mean log-likelihood is small:
+the Weibull on its profile likelihood in the shape, from shape 1 (where the
+profile's scale is the exponential MLE), the log-logistic damped on both
+log-parameters from shape 1 and the upper median time. Neither the start,
+the stopping rule nor the bounds (the scale's lie around the upper median
+time) depend on the time unit, so every fit is scale-equivariant;
 no start is taken from the caller. A fit that stops on any status but
 converged raises FitError with that status's reason from FAILURES, the one
 table of them. The information, the average negated log-likelihood Hessian
@@ -124,8 +124,8 @@ def _fit_rows(fam, times, events):
     converged row; ``info`` is in log-parameter coordinates, so the
     natural-scale J(theta) is info / (theta theta')."""
     n_rows, n = times.shape
-    d = events.sum(axis=-1)
     if fam.code == _kernels.EXPONENTIAL:
+        d = events.sum(axis=-1)
         # an exposure of 0 or inf (subnormal or huge times) fails below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             exposure = times.sum(axis=-1)
@@ -135,26 +135,24 @@ def _fit_rows(fam, times, events):
         theta, info = rate[:, None], (d / n)[:, None, None]
         iterations = np.zeros(n_rows, dtype=np.int64)
         status = np.full(n_rows, _kernels.FIT_OK)
+    elif fam.code == _kernels.WEIBULL:  # the profile is shift-invariant in log t: no unit
+        fit = _kernels.fit_weibull(np.log(times), events, GRAD_TOL, MAX_ITER)
+        a, b, grad_norm, iterations, status, (f, *info) = fit
+        theta, loglik, info = np.stack((a, b), axis=-1), n * f, _symmetric(*info)
     else:
         # the unit only has to be a typical time; a partial sort finds the
-        # upper median without sorting everything
+        # upper median without sorting everything. A time past 1.8e308 times
+        # the unit overflows to inf, and the fit fails
         unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
-        if fam.code == _kernels.WEIBULL:
-            logt = np.log(times) - np.log(unit)[:, None]
-            fit = _kernels.fit_weibull(logt, events, GRAD_TOL, MAX_ITER)
-        else:
-            # a time past 1.8e308 times the unit overflows to inf, and the
-            # fit fails
-            with np.errstate(over="ignore"):
-                times = times / unit[:, None]
-            start = np.zeros((2, n_rows))  # shape 1 and the median
-            fit = _kernels.fit_newton(times, events, *start, GRAD_TOL, MAX_ITER)
-        a, b, grad_norm, iterations, status, (f, i00, i01, i11) = fit
+        with np.errstate(over="ignore"):
+            times = times / unit[:, None]
+        start = np.zeros((2, n_rows))  # shape 1 and the median
+        fit = _kernels.fit_newton(times, events, *start, GRAD_TOL, MAX_ITER)
+        a, b, grad_norm, iterations, status, (f, *info) = fit
         # back to the caller's unit, where a subnormal unit may overflow b
         with np.errstate(over="ignore"):
             theta = np.stack((a, b * unit), axis=-1)
-        loglik = n * f - d * np.log(unit)
-        info = _symmetric(i00, i01, i11)
+        loglik, info = n * f - events.sum(axis=-1) * np.log(unit), _symmetric(*info)
     positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
     status = np.where(positive, status, _kernels.FIT_BOUNDARY)
     return theta, status, iterations, grad_norm, loglik, info
@@ -214,12 +212,13 @@ def pseudo_inverse(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    mt = np.swapaxes(m, -1, -2)
-    size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * size):
-        raise ValueError("matrix is not symmetric within 1e-10")
+    gap = np.abs(m - np.swapaxes(m, -1, -2))
+    if gap.any():  # only a matrix that is not exactly symmetric needs its size
+        size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if np.any(gap.max(axis=(-2, -1)) > 1e-10 * size):
+            raise ValueError("matrix is not symmetric within 1e-10")
     if m.shape[-1] != 2:
         lam, v = np.linalg.eigh(m)
         return (v * _kept_inverse(lam)[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -238,11 +237,11 @@ def pseudo_inverse(m) -> np.ndarray:
     inv = _kept_inverse(lam)
     phi = 0.5 * np.arctan2(sign * b, sign * half)
     cos, sin = np.cos(phi), np.sin(phi)
-    return _symmetric(
-        inv[..., 0] * cos * cos + inv[..., 1] * sin * sin,
-        (inv[..., 0] - inv[..., 1]) * cos * sin,
-        inv[..., 0] * sin * sin + inv[..., 1] * cos * cos,
-    )
+    out = np.empty(m.shape)
+    out[..., 0, 0] = inv[..., 0] * cos * cos + inv[..., 1] * sin * sin
+    out[..., 0, 1] = out[..., 1, 0] = (inv[..., 0] - inv[..., 1]) * cos * sin
+    out[..., 1, 1] = inv[..., 0] * sin * sin + inv[..., 1] * cos * cos
+    return out
 
 
 def _kept_inverse(lam):

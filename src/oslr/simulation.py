@@ -11,16 +11,16 @@ The unit of work is a block of replicates held as (R, n) arrays, one
 replicate per row: the block is drawn, fitted (one batched Newton run on the
 Weibull profile likelihood in the shape, from shape 1, that carries only its
 unfinished rows; the sums of a row's last pass also give its information in
-log-parameters), tested against both reference curves over
-arm B's capped log-times taken once (the expected events alone for the true
-curve, one fused pass with the hazard gradient for the fitted curve; all six
-one-sample z-values follow from them arithmetically) and compared two-sample
-(one in-place sort per row of integer keys that carry each subject's time,
-arm and event) at once. A row's z-values do not depend on the other rows
-of its block, so the counts are the same for any chunking and worker count.
-A block's rows are drawn by resetting one Philox generator to each
-replicate's key, from a saved state of Python ints, not by building one
-generator per replicate.
+log-parameters), tested against both reference curves at arm B's largest
+time, which caps none, over its log-times taken once (the expected events
+alone for the true curve, one fused pass with the hazard gradient for the
+fitted curve; all six one-sample z-values follow from them arithmetically)
+and compared two-sample (one in-place sort per row of integer keys that
+carry each subject's time, arm and event) at once. A row's z-values do not
+depend on the other rows of its block, so the counts are the same for any
+chunking and worker count. A block's rows are drawn by resetting one Philox
+generator to each replicate's key, from a saved state of Python ints, not
+by building one generator per replicate.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
@@ -44,8 +44,8 @@ workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
 (n_A + n_B): one replicate's working arrays, its uniforms included, peak
-at about 112 bytes per observation (tracemalloc over one block at
-n_B = 10,000), so about 112 MB at that bound.
+at about 108 bytes per observation (tracemalloc over one block at
+n_B = 10,000), so about 108 MB at that bound.
 """
 
 from __future__ import annotations
@@ -269,38 +269,36 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
         scenario, u[:, 2 * n_a : 2 * n_a + n_b], u[:, 2 * n_a + n_b :]
     )
     times = np.concatenate((times_a, times_b), axis=1)
-    if not np.all(np.isfinite(times) & (times > 0)):
+    if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails both
         raise ValueError("times must be finite and positive")
     n_rows = u.shape[0]
     # each procedure's statistic and its variance, NaN where not evaluated
     m = np.full((n_rows, _N_PROC), np.nan)
     var = np.full((n_rows, _N_PROC), np.nan)
     w = np.array([0.0, 0.5])
-    # the analysis time of every one-sample test: arm B's largest time; the
-    # capped log-times serve both reference curves
-    n_events, capped, log_capped = _kernels.at_time(times_b, events_b, times_b.max(axis=1))
-    n_events = n_events[:, None]
+    # the analysis time of every one-sample test: arm B's largest time, which
+    # caps no time and observes every event
+    n_events, log_b = events_b.sum(axis=1)[:, None], np.log(times_b)
 
     # the true curve's tests need no hazard gradient
     kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
-    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, capped, log_capped)
+    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, times_b, log_b)
     m[:, :2], var[:, :2] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
 
     # rows without events have no fit; the information comes with the fit
     fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
-    theta, status, _, _, _, info = _fit_rows(WEIBULL, times_a[fitted], events_a[fitted])
+    arm_a = [v[fitted] if fitted.size < n_rows else v for v in (times_a, events_a)]
+    theta, status, _, _, _, info = _fit_rows(WEIBULL, *arm_a)
     ok = status == _kernels.FIT_OK
-    fitted, theta = fitted[ok], theta[ok]
+    fitted, (a, b) = fitted[ok], theta[ok].T
     if fitted.size < n_rows:
-        capped, log_capped, n_events = capped[fitted], log_capped[fitted], n_events[fitted]
+        times_b, log_b, n_events = times_b[fitted], log_b[fitted], n_events[fitted]
     else:
         fitted = slice(None)  # every row: no copies
     # a converged fit of extreme shape can overflow the curve; its z is NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        expected, g0, g1 = _kernels.oslr_components(
-            WEIBULL.code, theta[:, 0], theta[:, 1], capped, log_capped
-        )
-        v2 = _v2(n_b / n_a, theta[:, 0], theta[:, 1], g0, g1, pseudo_inverse(info[ok]))
+        expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
+        v2 = _v2(n_b / n_a, a, b, g0, g1, pseudo_inverse(info[ok]))
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1
@@ -333,8 +331,7 @@ def run_replicate(scenario: Scenario, rng: np.random.Generator):
     evaluated; degenerate tests mark their own procedure.
     """
     z = _block_z(scenario, rng.random(2 * (scenario.n_a + scenario.n_b))[None])
-    evaluated, rej_two, rej_one = _tally(z, critical_value(scenario.alpha))
-    return evaluated, rej_two, rej_one
+    return tuple(_tally(z, critical_value(scenario.alpha)))
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,52 @@ def test_weibull_boundary_only_where_the_profile_keeps_rising(data, tied):
     assert np.all(signs == signs[:1])
 
 
+@st.composite
+def _weibull_blocks(draw):
+    """A block of 1-4 rows of n (log-time, event) pairs, each row with an
+    event; log-times in [-20, 20], so a row spans up to e^40."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.floats(-20.0, 20.0), st.booleans())
+    row = st.lists(pair, min_size=n, max_size=n).filter(lambda r: any(e for _, e in r))
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+# ten events within e of each other and one e^40 later: the scale lies
+# within the bound of the upper median, not of the largest time
+_NEAR_MEDIAN = [(x, True) for x in np.linspace(-20.0, -19.0, 10).tolist()] + [(20.0, True)]
+# two events among nine censored times: the scale lies within the bound of
+# the largest time, not of the upper median
+_NEAR_LARGEST = [
+    (x, x in (12.2, -18.05))
+    for x in (12.2, 12.32, 0.61, -8.57, -17.84, -4.67, -3.66, -18.19, -18.05, 19.97, 6.09)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=_weibull_blocks())
+@example(block=[_NEAR_MEDIAN])
+@example(block=[_NEAR_LARGEST])
+@example(block=[_NEAR_MEDIAN, _NEAR_LARGEST])
+def test_weibull_scale_box_is_around_the_upper_median(block):
+    """A converged Weibull row ends FIT_OK exactly when its scale is finite,
+    positive and within e^_LOG_BOUND of the row's upper median time (its
+    partition median), and FIT_BOUNDARY otherwise; a row that did not
+    converge never ends FIT_OK."""
+    logt = np.array([[x for x, _ in row] for row in block])
+    events = np.array([[float(e) for _, e in row] for row in block])
+    times = np.exp(logt)
+    theta, status, _, grad_norm, _, _ = _fit_rows(family("weibull"), times, events)
+    n = times.shape[1]
+    median = np.log(np.partition(times, n // 2, axis=-1)[:, n // 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = np.abs(np.log(theta[:, 1]) - median) <= _kernels._LOG_BOUND
+    inside &= np.all(np.isfinite(theta) & (theta > 0), axis=-1)
+    converged = grad_norm <= GRAD_TOL
+    recheck = np.where(inside, _kernels.FIT_OK, _kernels.FIT_BOUNDARY)
+    assert status[converged].tolist() == recheck[converged].tolist()
+    assert np.all(status[~converged] != _kernels.FIT_OK)
+
+
 @pytest.mark.parametrize("name", ["exponential", "weibull", "loglogistic"])
 @settings(max_examples=25, deadline=None)
 @given(log10_factor=st.floats(-6.0, 6.0))

@@ -624,6 +624,18 @@ def test_block_composition_invariance(kappa, n_b, pi):
         assert np.concatenate(parts).tobytes() == whole, f"blocks of {size}"
 
 
+@pytest.mark.parametrize("arm", ["A", "B"])
+@pytest.mark.parametrize("value", [1.0, float("nan")])
+def test_block_refuses_times_not_finite_and_positive(arm, value):
+    """An event uniform of exactly 1 draws the event time 0, which censoring
+    cannot hide, and a NaN uniform a NaN time: the block refuses either."""
+    s = _scenario(replicates=3)
+    u = _uniforms(s, 0, s.replicates)
+    u[1, 0 if arm == "A" else 2 * s.n_a] = value
+    with pytest.raises(ValueError, match="times must be finite and positive"):
+        _block_z(s, u)
+
+
 def test_one_component_pass_per_reference_curve(monkeypatch):
     """A block makes one fused component pass for the fitted curve, which
     serves both the uncorrected and the corrected tests, and one Λ-only
