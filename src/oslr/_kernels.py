@@ -19,11 +19,14 @@ the corrected variance needs it, the cumulative hazard alone otherwise.
 
 Families are dispatched by integer code. Parameters are two values
 ``(a, b)``: rate for the exponential (``b`` unused), (shape, scale) for
-Weibull and log-logistic. The fit drivers stop on the log-scale gradient of
-the mean log-likelihood and bound the scale around the upper median time,
-so neither their stopping rule nor their bounds depend on the time unit.
-Status codes: 0 converged, 1 iteration budget exhausted, 2 line-search
-failure, 3 parameter ran against the working bounds.
+Weibull and log-logistic. Derivatives come out in the log-parameters
+(log a, log b), where none has a time unit or divides by a parameter; the
+public API derives the natural scale from them. The fit drivers stop on
+the log-scale gradient of the mean log-likelihood and bound the scale
+around the upper median time, so neither their stopping rule nor their
+bounds depend on the time unit. Status codes: 0 converged, 1 iteration
+budget exhausted, 2 line-search failure, 3 parameter ran against the
+working bounds.
 """
 
 import math
@@ -59,7 +62,8 @@ def cumhaz_at(code, a, t, logu):
 
 def cumhaz_terms(code, a, t, logu):
     """(Lambda, dLambda/da, q) at each time ``t`` given logu = log(t / b),
-    all broadcast, with one exp per element; dLambda/db = -(a / b) q."""
+    all broadcast, with one exp per element. In log-parameters the gradient
+    is (a dLambda/da, -a q), and dLambda/db = -(a / b) q."""
     lam = cumhaz_at(code, a, t, logu)
     if code == EXPONENTIAL:
         return lam, np.broadcast_to(t, lam.shape), np.zeros(lam.shape)
@@ -83,76 +87,45 @@ def _log_data(code, times, events):
     return logt, events if code == LOGLOGISTIC else None, d, (events * logt).sum(axis=-1)
 
 
-def _loglik_terms(code, a, b, logb, data):
-    """Total censored log-likelihood of each row with its natural-scale
-    derivatives, (f, g0, g1, h00, h01, h11), each (R,), at (R,) parameters
-    ``a``, ``b`` with logb = log b, from ``_log_data`` output."""
+def _loglik_terms(code, x0, x1, data):
+    """Total censored log-likelihood of each row with its gradient and
+    Hessian in the log-parameters (x0, x1) = (log a, log b), (f, g0, g1,
+    h00, h01, h11), each (R,), from ``_log_data`` output.
+
+    A record adds events x (x0 - x1 + (a - 1) log u) - r(z) at z = a log u,
+    u = t / b, and dz/dx0 = z, dz/dx1 = -a. With p = u^a, the 2-parameter
+    families share one formula in (r, r', r''): (p, p, p) for the Weibull,
+    (w log(1 + p), w q, w q (1 - q)) for the log-logistic, q = p / (1 + p)
+    and w = 1 + event.
+    """
     logt, events, d, s = data
+    a = np.exp(x0)
     if code == EXPONENTIAL:
         zero = np.zeros_like(d)
-        return d * np.log(a) - a * s, d / a - s, zero, -d / (a * a), zero, zero
-    ac = a[:, None]
-    logu = logt - logb[:, None]
-    dlogu = s - d * logb  # sum of events x log u
-    f = d * (np.log(a) - logb) + (a - 1.0) * dlogu
+        exposure = a * s
+        return d * x0 - exposure, d - exposure, zero, -exposure, zero, zero
+    logu = logt - x1[:, None]
+    z = a[:, None] * logu
     if code == WEIBULL:
-        p = np.exp(ac * logu)
-        pl = p * logu
-        sp = p.sum(axis=-1)
-        spl = pl.sum(axis=-1)
-        f -= sp
-        g0 = d / a + dlogu - spl
-        g1 = (a / b) * (sp - d)
-        h00 = -d / (a * a) - (pl * logu).sum(axis=-1)
-        h01 = (a * spl + sp - d) / b
-        h11 = (a / (b * b)) * (d - (1.0 + a) * sp)
-        return f, g0, g1, h00, h01, h11
-    w = events + 1.0
-    r = np.logaddexp(0.0, ac * logu)
-    # q = u^a / (1 + u^a), computed in log space to survive large u^a
-    q = np.exp(ac * logu - r)
-    wq = w * q
-    wqq = wq * (1.0 - q)
+        r = wq = wqq = np.exp(z)
+    else:
+        w = events + 1.0
+        softplus = np.logaddexp(0.0, z)
+        # q = u^a / (1 + u^a), computed in log space to survive large u^a
+        q = np.exp(z - softplus)
+        r = w * softplus
+        wq = w * q
+        wqq = wq * (1.0 - q)
+    dlogu = s - d * x1  # sum of events x log u
     wqql = wqq * logu
-    swq = wq.sum(axis=-1)
-    f -= (w * r).sum(axis=-1)
-    g0 = d / a + dlogu - (wq * logu).sum(axis=-1)
-    g1 = (a / b) * (swq - d)
-    h00 = -d / (a * a) - (wqql * logu).sum(axis=-1)
-    h01 = (a * wqql.sum(axis=-1) + swq - d) / b
-    h11 = (a / (b * b)) * (d - a * wqq.sum(axis=-1) - swq)
+    a2 = a * a
+    f = d * (x0 - x1) + (a - 1.0) * dlogu - r.sum(axis=-1)
+    g0 = d + a * (dlogu - (wq * logu).sum(axis=-1))
+    g1 = a * (wq.sum(axis=-1) - d)
+    h00 = g0 - d - a2 * (wqql * logu).sum(axis=-1)
+    h01 = g1 + a2 * wqql.sum(axis=-1)
+    h11 = -a2 * wqq.sum(axis=-1)
     return f, g0, g1, h00, h01, h11
-
-
-def loglik_derivs(code, a, b, times, events):
-    """Total censored log-likelihood of each row with its natural-scale
-    derivatives.
-
-    ``a``, ``b`` are (R,) and ``times``, ``events`` (R, n). Returns
-    (f, g0, g1, h00, h01, h11), each (R,): the value, the gradient and the
-    Hessian entries, all summed over the row in one pass.
-    """
-    return _loglik_terms(code, a, b, np.log(b), _log_data(code, times, events))
-
-
-def _mean_loglik_log_scale(code, x0, x1, data, inv_n):
-    """Mean log-likelihood of each row at log-parameters (x0, x1) with its
-    gradient and negated Hessian with respect to those log-parameters, from
-    ``_log_data`` output of rows of n = 1 / inv_n observations.
-
-    Returns (f, g0, g1, m00, m01, m11), each (R,).
-    """
-    a = np.exp(x0)
-    b = np.exp(x1)
-    f, ga, gb, haa, hab, hbb = _loglik_terms(code, a, b, x1, data)
-    # chain rule for theta = exp(x): d/dx_i = theta_i d/dtheta_i, and the
-    # second derivative picks up the first-derivative term on the diagonal
-    g0 = a * ga * inv_n
-    g1 = b * gb * inv_n
-    m00 = -(a * a * haa * inv_n + g0)
-    m01 = -(a * b * hab * inv_n)
-    m11 = -(b * b * hbb * inv_n + g1)
-    return f * inv_n, g0, g1, m00, m01, m11
 
 
 def fit_weibull(logt, events, grad_tol, max_iter):
@@ -271,9 +244,17 @@ def fit_newton(times, events, x0, x1, grad_tol, max_iter):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         data = _log_data(LOGLOGISTIC, times, events)
         inv_n = 1.0 / times.shape[-1]
+
+        def evaluate(x0, x1):
+            # the mean log-likelihood, its gradient and its Hessian, negated
+            f, g0, g1, h00, h01, h11 = _loglik_terms(LOGLOGISTIC, x0, x1, data)
+            return (
+                f * inv_n, g0 * inv_n, g1 * inv_n, -h00 * inv_n, -h01 * inv_n, -h11 * inv_n
+            )
+
         x0, x1 = (np.array(x, dtype=np.float64) for x in (x0, x1))
         # (x0, x1, f, g0, g1, m00, m01, m11) of every row, frozen once it stops
-        state = (x0, x1, *_mean_loglik_log_scale(LOGLOGISTIC, x0, x1, data, inv_n))
+        state = (x0, x1, *evaluate(x0, x1))
         status = np.full(x0.size, -1)
         iterations = np.zeros(x0.size, dtype=np.int64)
         for passes in range(max_iter + 1):
@@ -284,7 +265,7 @@ def fit_newton(times, events, x0, x1, grad_tol, max_iter):
             if passes == max_iter or not live.any():
                 break
             d0, d1 = _newton_direction(g0, g1, m00, m01, m11)
-            accepted, t0, t1, trial = _line_search(data, inv_n, x0, x1, f, d0, d1, live)
+            accepted, t0, t1, trial = _line_search(evaluate, x0, x1, f, d0, d1, live)
             moved = live & accepted & (np.abs(t0) <= _LOG_BOUND) & (np.abs(t1) <= _LOG_BOUND)
             failed = live & ~moved
             status[failed] = np.where(accepted, FIT_BOUNDARY, FIT_LINE_SEARCH)[failed]
@@ -312,16 +293,17 @@ def _newton_direction(g0, g1, m00, m01, m11):
     return (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
 
 
-def _line_search(data, inv_n, x0, x1, f, d0, d1, live):
+def _line_search(evaluate, x0, x1, f, d0, d1, live):
     """Halve each row's step from 1 until its trial is accepted, at most 60
-    trials, until every ``live`` row is. Returns (accepted, t0, t1, trial
+    trials, until every ``live`` row is; ``evaluate`` gives a trial's values
+    at the stepped log-parameters. Returns (accepted, t0, t1, trial
     values) at each row's last step: an accepted row keeps its step, so its
     trial is evaluated alike on every later round."""
     step = np.ones_like(x0)
     for _ in range(60):
         t0 = x0 + step * d0
         t1 = x1 + step * d1
-        values = _mean_loglik_log_scale(LOGLOGISTIC, t0, t1, data, inv_n)
+        values = evaluate(t0, t1)
         # a NaN or infinite trial fails this test and backtracks, as does one
         # where exp() of a log-parameter would overflow; the allowance is
         # float rounding of f, which near the optimum exceeds the true gain
@@ -361,10 +343,12 @@ def oslr_components(code, a, b, capped, log_capped):
 
     ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n), from
     ``at_time`` (at each row's largest time, the times and their logs as
-    they are). Returns (expected, gbar0, gbar1), each (R,).
+    they are). Returns (expected, gbar0, gbar1), each (R,), the gradient in
+    the log-parameters (log a, log b), where it has no time unit; the
+    factor a multiplies the row sums, not the terms.
     """
-    lam, g0, q = cumhaz_terms(code, a[:, None], capped, log_capped - np.log(b)[:, None])
+    lam, da, q = cumhaz_terms(code, a[:, None], capped, log_capped - np.log(b)[:, None])
     n = capped.shape[-1]
     expected = lam.sum(axis=-1)
     q = expected if q is lam else q.sum(axis=-1)  # the Weibull's q is Lambda
-    return expected, g0.sum(axis=-1) / n, -(a / b) * q / n
+    return expected, da.sum(axis=-1) / n * a, -a * q / n

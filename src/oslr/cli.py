@@ -128,6 +128,10 @@ def cmd_test(args) -> None:
         raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     cohort_b = _load_cohort(args.experimental, prefer=("experimental", "B"))
     if args.fixed_reference:
+        # a known curve is neither fitted from a control arm nor corrected
+        for flag, value in (("--control", args.control), ("--pi", args.pi)):
+            if value is not None:
+                raise UsageError(f"{flag} has no use with --fixed-reference")
         ref = _parse_fixed_reference(args.fixed_reference)
     else:
         if not args.control:

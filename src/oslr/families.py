@@ -16,7 +16,8 @@ Times are continuous and nonnegative; the cumulative hazard gradients are
 defined for t > 0 (their t -> 0 limits are zero for the shipped families).
 A cohort's log-likelihood sums ``log f(theta, X)`` over its events and
 ``log S(theta, X)`` over its censored records; gradients and Hessians are
-exact analytic derivatives on the natural parameter scale.
+exact analytic derivatives on the natural parameter scale, derived once
+from the kernel's derivatives in log-parameters.
 """
 
 from __future__ import annotations
@@ -156,17 +157,17 @@ def loglik_derivatives(fam, theta, cohort: Cohort):
     (q, q), summed over its records in one kernel pass.
 
     A record contributes log f(theta, X) if an event and log S(theta, X) if
-    censored; derivatives are analytic and on the natural scale.
+    censored; derivatives are analytic and on the natural scale, taken from
+    the kernel's log-parameter g and H as g / theta and
+    (H - diag g) / theta theta'.
     """
     fam = family(fam)
     theta = check_theta(fam, theta)
     a, b = _ab(fam, theta)
+    data = _kernels._log_data(fam.code, cohort.times[None], cohort.events[None])
     value, g0, g1, h00, h01, h11 = (
-        x[0]
-        for x in _kernels.loglik_derivs(
-            fam.code, a, b, cohort.times[None], cohort.events[None]
-        )
+        x[0] for x in _kernels._loglik_terms(fam.code, np.log(a), np.log(b), data)
     )
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]
-    return float(value), grad, hess
+    return float(value), grad / theta, (hess - np.diag(grad)) / np.outer(theta, theta)

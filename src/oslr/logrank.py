@@ -158,18 +158,16 @@ def _compensated_and_v1(n_events, expected, n, w):
     return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
 
 
-def _v2(pi, a, b, g0, g1, info_pinv):
+def _v2(pi, g0, g1, info_pinv):
     """V2 = pi * gbar' J^+ gbar, written out elementwise so that a row of a
     (R, q, q) stack is computed alike in any block. Both are taken in
     log-parameters, where neither has a time unit: J^+ is the pseudo-inverse
-    there, and gbar is the natural-scale mean hazard gradient (g0, g1)[:q]
-    times the parameters (a, b)[:q]."""
+    there, and gbar = (g0, g1)[:q] the mean hazard gradient from
+    ``_kernels.oslr_components``."""
     p = info_pinv
-    g0 = g0 * a
     h0 = pi * g0
     if p.shape[-1] == 1:
         return h0 * p[..., 0, 0] * g0
-    g1 = g1 * b
     h1 = pi * g1
     return (h0 * p[..., 0, 0] + h1 * p[..., 1, 0]) * g0 + (
         h0 * p[..., 0, 1] + h1 * p[..., 1, 1]
@@ -206,7 +204,7 @@ def _statistics(
             float(v[0])
             for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
         )
-        v2 = None if pi is None else float(_v2(pi, a[0], b[0], g0, g1, ref.info_pinv))
+        v2 = None if pi is None else float(_v2(pi, g0, g1, ref.info_pinv))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     return n_events, expected, m, v1, v2
 
@@ -229,7 +227,8 @@ def v1_hat(cohort_b: Cohort, ref: ReferenceCurve, w: float, t: float) -> float:
 def v2_hat(ref: ReferenceCurve, cohort_b: Cohort, t: float, pi: float) -> float:
     """The paper's reference-uncertainty variance V2(t) = pi gbar' J^+ gbar,
     gbar the cumulative-hazard gradient at min(X_i, t) averaged over the
-    cohort."""
+    cohort; J and gbar are taken in log-parameters, which leaves V2 as it
+    is."""
     return _statistics(ref, cohort_b, t, pi=pi)[4]
 
 

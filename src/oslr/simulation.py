@@ -298,7 +298,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     # a converged fit of extreme shape can overflow the curve; its z is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
-        v2 = _v2(n_b / n_a, a, b, g0, g1, pseudo_inverse(info[ok]))
+        v2 = _v2(n_b / n_a, g0, g1, pseudo_inverse(info[ok]))
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1
@@ -640,7 +640,8 @@ def read_json(path):
 def load_scenarios(source) -> list[Scenario]:
     """Expand a scenario dict or JSON file into cells.
 
-    kappa, n_b and pi may be lists; the grid is their cartesian product.
+    kappa, n_b and pi may be non-empty lists; the grid is their cartesian
+    product.
     """
     if isinstance(source, (str, os.PathLike)):
         spec = read_json(source)
@@ -658,7 +659,10 @@ def load_scenarios(source) -> list[Scenario]:
 
     def listify(key):
         value = spec[key]
-        return list(value) if isinstance(value, (list, tuple)) else [value]
+        values = list(value) if isinstance(value, (list, tuple)) else [value]
+        if not values:
+            raise UsageError(f"scenario {key} is an empty list: the grid has no cells")
+        return values
 
     grid = ("kappa", "n_b", "pi")
     fixed = {key: value for key, value in spec.items() if key not in grid}

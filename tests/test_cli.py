@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -331,12 +332,54 @@ def test_test_fixed_reference_zero_z(tmp_path, capsys):
         assert r["p_two_sided"] == pytest.approx(1.0)
 
 
-def test_test_fixed_reference_parse_errors(tmp_path):
+def test_test_fixed_reference_parse_errors(tmp_path, capsys):
     path = _write(tmp_path / "b.csv", [(1, 1)])
     base = ["test", "--experimental", path, "--fixed-reference"]
     assert main(base + ["exponential"]) == 1
     assert main(base + ["exponential:abc"]) == 1
     assert main(base + ["gamma:1.0"]) == 1
+    # a known curve is neither fitted nor corrected: a run that ignored
+    # --control or --pi would print uncorrected rows only
+    for extra in (["--pi", "2"], ["--control", DATA_CONTROL]):
+        capsys.readouterr()
+        assert main(base + ["exponential:1.0", *extra]) == 1
+        captured = capsys.readouterr()
+        assert extra[0] in captured.err and captured.out == ""
+
+
+_ANALYSIS_REFERENCE = pathlib.Path(__file__).resolve().parent / "analysis_reference.json"
+# the extra flags of each recorded `oslr test` run
+_TEST_RUNS = {"default": [], "pi_w_horizon": ["--pi", "2", "--w", "0.25", "--horizon", "1.5"]}
+
+
+@pytest.mark.parametrize("fam", ["exponential", "weibull", "loglogistic"])
+def test_analysis_outputs_match_recorded_values(capsys, fam):
+    """`oslr fit` and `oslr test --format json` of each family on the bundled
+    data reproduce values recorded before the likelihood kernel moved to
+    log-parameters, to rtol 1e-10; iterations and the missing V2 exactly."""
+    recorded = json.loads(_ANALYSIS_REFERENCE.read_text())[fam]
+
+    def run(*argv):
+        assert main([*argv, "--family", fam]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def check(got, want):
+        assert set(want) <= set(got)
+        for key, value in want.items():
+            if value is None or isinstance(value, int):
+                assert got[key] == value, key
+            else:
+                assert_allclose(got[key], value, rtol=1e-10, err_msg=key)
+
+    check(run("fit", "--control", DATA_CONTROL), recorded["fit"])
+    for name, extra in _TEST_RUNS.items():
+        reports = run(
+            "test", "--control", DATA_CONTROL, "--experimental", DATA_EXPERIMENTAL,
+            "--format", "json", *extra,
+        )
+        assert len(reports) == len(recorded[f"test {name}"])
+        for got, want in zip(reports, recorded[f"test {name}"]):
+            check(got, want)
 
 
 def test_test_missing_control_exits_one(tmp_path):

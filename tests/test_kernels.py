@@ -150,46 +150,52 @@ def test_zero_row_block_returns_at_once(monkeypatch):
 
 
 def test_exponential_kernel_closed_forms():
-    """Rate-a exponential: loglik = d log a - a sum(x), information d/a^2."""
+    """Rate-a exponential at x = log a: loglik = d x - a sum(t), gradient
+    d - a sum(t), and Hessian less gradient -d, the information d / a^2 in
+    the rate times a^2."""
     times = np.array([1.0, 2.0, 3.0])
     events = np.array([1.0, 1.0, 0.0])
+    data = _kernels._log_data(_kernels.EXPONENTIAL, times[None], events[None])
     f, g0, g1, h00, h01, h11 = (
         float(v[0])
-        for v in _kernels.loglik_derivs(
-            _kernels.EXPONENTIAL, np.array([0.4]), np.array([1.0]),
-            times[None], events[None],
+        for v in _kernels._loglik_terms(
+            _kernels.EXPONENTIAL, np.log([0.4]), np.zeros(1), data
         )
     )
     assert_allclose(f, 2 * math.log(0.4) - 0.4 * 6.0, rtol=1e-14)
-    assert_allclose(g0, 2 / 0.4 - 6.0, rtol=1e-14)
+    assert_allclose(g0, 2 - 0.4 * 6.0, rtol=1e-14)
     assert g1 == 0.0
-    assert_allclose(h00, -2 / 0.16, rtol=1e-14)
+    assert_allclose(h00 - g0, -2.0, rtol=1e-14)
     assert h01 == 0.0 and h11 == 0.0
 
 
 def test_log_time_evaluation_matches_finite_differences():
-    """The fit's log-time evaluation: its gradient and negated Hessian in the
-    log-parameters match central differences of its value and gradient, in
-    every family, on a block of two rows."""
+    """The likelihood kernel's gradient and Hessian in the log-parameters
+    match central differences of its total and gradient, in every family,
+    on a block of two rows; also with the times scaled by e^+-400 and
+    log b = +-400.1, where b^2 overflows or underflows."""
     times, events = _sample()
-    block_t = np.stack((times, times[::-1] * 1.7))
+    base_t = np.stack((times, times[::-1] * 1.7))
     block_e = np.stack((events, events[::-1]))
-    for code in (_kernels.EXPONENTIAL, _kernels.WEIBULL, _kernels.LOGLOGISTIC):
-        q = 1 if code == _kernels.EXPONENTIAL else 2
-        data = _kernels._log_data(code, block_t, block_e)
+    for shift, x1 in ((0.0, [-0.1, 0.4]), (400.0, [400.1] * 2), (-400.0, [-400.1] * 2)):
+        block_t = base_t * math.exp(shift)
+        x = np.array([[0.3, -0.2], x1])
+        for code in (_kernels.EXPONENTIAL, _kernels.WEIBULL, _kernels.LOGLOGISTIC):
+            q = 1 if code == _kernels.EXPONENTIAL else 2
+            data = _kernels._log_data(code, block_t, block_e)
 
-        def evaluate(x):
-            return _kernels._mean_loglik_log_scale(code, x[0], x[1], data, 1.0 / times.size)
+            def evaluate(x):
+                return _kernels._loglik_terms(code, x[0], x[1], data)
 
-        x = np.array([[0.3, -0.2], [-0.1, 0.4]])
-        f, g0, g1, m00, m01, m11 = evaluate(x)
-        grad = np.stack((g0, g1))
-        hess = np.stack((np.stack((m00, m01)), np.stack((m01, m11))))
-        for j in range(q):
-            h = np.zeros((2, 1))
-            h[j] = 1e-5
-            up, down = evaluate(x + h), evaluate(x - h)
-            assert_allclose(grad[j], (up[0] - down[0]) / 2e-5, rtol=1e-7)
-            for k in range(q):
-                fd = -(up[1 + k] - down[1 + k]) / 2e-5
-                assert_allclose(hess[k, j], fd, rtol=1e-6, atol=1e-9)
+            f, g0, g1, h00, h01, h11 = evaluate(x)
+            grad = np.stack((g0, g1))
+            hess = np.stack((np.stack((h00, h01)), np.stack((h01, h11))))
+            assert np.isfinite(hess).all()
+            for j in range(q):
+                h = np.zeros((2, 1))
+                h[j] = 1e-5
+                up, down = evaluate(x + h), evaluate(x - h)
+                assert_allclose(grad[j], (up[0] - down[0]) / 2e-5, rtol=1e-7)
+                for k in range(q):
+                    fd = (up[1 + k] - down[1 + k]) / 2e-5
+                    assert_allclose(hess[k, j], fd, rtol=1e-6, atol=1e-9)

@@ -640,9 +640,9 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
     """A block makes one fused component pass for the fitted curve, which
     serves both the uncorrected and the corrected tests, and one Λ-only
     evaluation for the true curve, whose tests need no hazard gradient. It
-    takes the information from the fit: no natural-scale likelihood pass
-    (``loglik_derivs``, which ``families.loglik_derivatives`` runs)."""
-    calls = {"oslr_components": 0, "expected_events": 0, "cumhaz_terms": 0, "loglik_derivs": 0}
+    takes the information from the fit: no likelihood kernel pass
+    (``_loglik_terms``, which ``families.loglik_derivatives`` runs)."""
+    calls = {"oslr_components": 0, "expected_events": 0, "cumhaz_terms": 0, "_loglik_terms": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -660,7 +660,7 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
         "oslr_components": 1,
         "expected_events": 1,
         "cumhaz_terms": 1,
-        "loglik_derivs": 0,
+        "_loglik_terms": 0,
     }
 
 
@@ -796,6 +796,11 @@ def test_load_scenarios_validation(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(UsageError):
         load_scenarios(path)
+    # an empty grid list would run no cell and report nothing
+    for key in ("kappa", "n_b", "pi"):
+        spec = {"kappa": 1.0, "n_b": 10, "pi": 1.0, "replicates": 5, "seed": 1, key: []}
+        with pytest.raises(UsageError, match=f"{key} is an empty list"):
+            load_scenarios(spec)
 
 
 def test_fixed_truth_z_magnitude(truth_z_sample):
