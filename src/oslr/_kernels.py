@@ -2,13 +2,15 @@
 
 These are the hot inner loops of the package: the censored log-likelihood
 with its gradient and Hessian in one pass, the fit drivers and the
-one-sample test components. Each kernel works on a block of R rows: times
-and events are (R, n) arrays, one cohort per row, and per-row parameters are
-(R,) arrays. The single-cohort API in :mod:`oslr.families`,
-:mod:`oslr.fitting` and :mod:`oslr.logrank` calls them with R = 1, and the
-Monte Carlo engine in :mod:`oslr.simulation` with a block of replicates. A
-row's results never depend on the other rows of its block: sums run along
-the row and the 2 x 2 algebra is written out elementwise.
+one-sample test components. The kernels the Monte Carlo engine in
+:mod:`oslr.simulation` runs (``fit_weibull``, ``expected_events``,
+``oslr_components``) take a block of R rows, one cohort per row: (R, n)
+times and events and (R,) parameters; the single-cohort API passes them a
+block of one. A row's results never depend on the other rows of its block:
+sums run along the row and the 2 x 2 algebra is written out elementwise.
+The likelihood kernel and the log-logistic fit take one cohort, 1-d times
+and events and scalar parameters: only the single-cohort API in
+:mod:`oslr.families` and :mod:`oslr.fitting` runs them.
 
 The kernels read log-times, taken once per call. The fit drivers, Newton on
 the Weibull profile likelihood in the shape and damped 2-D Newton on the
@@ -75,22 +77,22 @@ def cumhaz_terms(code, a, t, logu):
 
 
 def _log_data(code, times, events):
-    """What the likelihood kernels read of (R, n) times and events:
-    (log-times, events, d, s) with the parameter-free row sums d = sum of
-    events and s = sum of times (exponential) or of events x log-times. An
-    array the family does not read is None: the exponential reads neither,
-    the Weibull no events."""
-    d = events.sum(axis=-1)
+    """What the likelihood kernel reads of one cohort's times and events:
+    (log-times, events, d, s) with the parameter-free sums d = sum of events
+    and s = sum of times (exponential) or of events x log-times. An array
+    the family does not read is None: the exponential reads neither, the
+    Weibull no events."""
+    d = events.sum()
     if code == EXPONENTIAL:
-        return None, None, d, times.sum(axis=-1)
+        return None, None, d, times.sum()
     logt = np.log(times)
-    return logt, events if code == LOGLOGISTIC else None, d, (events * logt).sum(axis=-1)
+    return logt, events if code == LOGLOGISTIC else None, d, (events * logt).sum()
 
 
 def _loglik_terms(code, x0, x1, data):
-    """Total censored log-likelihood of each row with its gradient and
+    """A cohort's total censored log-likelihood with its gradient and
     Hessian in the log-parameters (x0, x1) = (log a, log b), (f, g0, g1,
-    h00, h01, h11), each (R,), from ``_log_data`` output.
+    h00, h01, h11), from ``_log_data`` output.
 
     A record adds events x (x0 - x1 + (a - 1) log u) - r(z) at z = a log u,
     u = t / b, and dz/dx0 = z, dz/dx1 = -a. With p = u^a, the 2-parameter
@@ -101,11 +103,10 @@ def _loglik_terms(code, x0, x1, data):
     logt, events, d, s = data
     a = np.exp(x0)
     if code == EXPONENTIAL:
-        zero = np.zeros_like(d)
         exposure = a * s
-        return d * x0 - exposure, d - exposure, zero, -exposure, zero, zero
-    logu = logt - x1[:, None]
-    z = a[:, None] * logu
+        return d * x0 - exposure, d - exposure, 0.0, -exposure, 0.0, 0.0
+    logu = logt - x1
+    z = a * logu
     if code == WEIBULL:
         r = wq = wqq = np.exp(z)
     else:
@@ -119,12 +120,12 @@ def _loglik_terms(code, x0, x1, data):
     dlogu = s - d * x1  # sum of events x log u
     wqql = wqq * logu
     a2 = a * a
-    f = d * (x0 - x1) + (a - 1.0) * dlogu - r.sum(axis=-1)
-    g0 = d + a * (dlogu - (wq * logu).sum(axis=-1))
-    g1 = a * (wq.sum(axis=-1) - d)
-    h00 = g0 - d - a2 * (wqql * logu).sum(axis=-1)
-    h01 = g1 + a2 * wqql.sum(axis=-1)
-    h11 = -a2 * wqq.sum(axis=-1)
+    f = d * (x0 - x1) + (a - 1.0) * dlogu - r.sum()
+    g0 = d + a * (dlogu - (wq * logu).sum())
+    g1 = a * (wq.sum() - d)
+    h00 = g0 - d - a2 * (wqql * logu).sum()
+    h01 = g1 + a2 * wqql.sum()
+    h11 = -a2 * wqq.sum()
     return f, g0, g1, h00, h01, h11
 
 
@@ -145,8 +146,9 @@ def fit_weibull(logt, events, grad_tol, max_iter):
     log-scale gradient norm, is <= grad_tol; with FIT_BOUNDARY at a bound
     where the profile still rises, or converged to a scale out of bounds
     (around the upper median time); with FIT_MAX_ITER after max_iter steps.
-    Returns what ``fit_newton`` does, from the sums of each row's last
-    pass: there sum((t / b)^a) = d, so with log u = log(t / b),
+    Returns (a, b, grad_norm, iterations, status, fit), each (R,), ``fit``
+    the (f, i00, i01, i11) of ``fit_loglogistic`` from the sums of each
+    row's last pass: there sum((t / b)^a) = d, so with log u = log(t / b),
     mu = sum((t / b)^a log u) and nu = sum((t / b)^a (log u)^2) the
     information is i00 = (d + a^2 nu) / n, i01 = -a^2 mu / n, i11 = a^2 d / n.
     """
@@ -220,113 +222,82 @@ def fit_weibull(logt, events, grad_tol, max_iter):
         return a, np.exp(log_scale), grad_norm, iterations, status, fit
 
 
-def fit_newton(times, events, x0, x1, grad_tol, max_iter):
-    """Damped Newton ascent of each row's mean log-logistic log-likelihood
-    on log-parameters, from (R,) starts ``x0``, ``x1``, on (R, n) times in
-    units of their median and events.
+def fit_loglogistic(times, events, x0, x1, grad_tol, max_iter):
+    """Damped Newton ascent of one cohort's mean log-logistic log-likelihood
+    on log-parameters, from (x0, x1), on 1-d times in units of their median
+    and events.
 
-    A row stops with FIT_OK once the log-parameter gradient has norm
-    <= grad_tol, and is then frozen while the others go on. Each step
-    solves with the analytic Hessian M, negated; where M is not positive
-    definite it is shifted Levenberg-Marquardt style: with
-    D = diag(1 + |M_ii|), by D times the smallest eigenvalue of
-    D^-1/2 M D^-1/2 plus 1e-3 * (1 + |its trace|). Each row then halves its
-    own step until the mean log-likelihood does not worsen and the trial is
-    finite; a row whose step finds no such trial, or leaves the working
-    bounds, stops where it stood with FIT_LINE_SEARCH or FIT_BOUNDARY.
+    The fit stops with FIT_OK once the log-parameter gradient has norm
+    <= grad_tol. Each step solves with the analytic Hessian M, negated;
+    where M is not positive definite it is shifted Levenberg-Marquardt
+    style: with D = diag(1 + |M_ii|), by D times the smallest eigenvalue of
+    D^-1/2 M D^-1/2 plus 1e-3 * (1 + |its trace|). The step is then halved,
+    at most 60 trials, until the mean log-likelihood does not worsen and the
+    trial is finite; a step that finds no such trial, or leaves the working
+    bounds, stops the fit where it stood with FIT_LINE_SEARCH or
+    FIT_BOUNDARY.
 
-    Returns (a, b, grad_norm, iterations, status, fit), the first five
-    (R,) and (a, b) on failure the row's last iterate inside the bounds.
-    ``fit`` holds (f, i00, i01, i11), each (R,), from the last evaluation:
-    the mean log-likelihood and the information in log-parameters,
-    M_ij + delta_ij g_i with g the gradient.
+    Returns (a, b, grad_norm, iterations, status, fit), (a, b) on failure
+    the last iterate inside the bounds. ``fit`` holds (f, i00, i01, i11)
+    from the last evaluation: the mean log-likelihood and the information
+    in log-parameters, M_ij + delta_ij g_i with g the gradient.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         data = _log_data(LOGLOGISTIC, times, events)
-        inv_n = 1.0 / times.shape[-1]
+        inv_n = 1.0 / times.size
 
         def evaluate(x0, x1):
             # the mean log-likelihood, its gradient and its Hessian, negated
-            f, g0, g1, h00, h01, h11 = _loglik_terms(LOGLOGISTIC, x0, x1, data)
-            return (
-                f * inv_n, g0 * inv_n, g1 * inv_n, -h00 * inv_n, -h01 * inv_n, -h11 * inv_n
-            )
+            f, g0, g1, h00, h01, h11 = map(float, _loglik_terms(LOGLOGISTIC, x0, x1, data))
+            return f * inv_n, g0 * inv_n, g1 * inv_n, -h00 * inv_n, -h01 * inv_n, -h11 * inv_n
 
-        x0, x1 = (np.array(x, dtype=np.float64) for x in (x0, x1))
-        # (x0, x1, f, g0, g1, m00, m01, m11) of every row, frozen once it stops
-        state = (x0, x1, *evaluate(x0, x1))
-        status = np.full(x0.size, -1)
-        iterations = np.zeros(x0.size, dtype=np.int64)
-        for passes in range(max_iter + 1):
-            x0, x1, f, g0, g1, m00, m01, m11 = state
-            grad = np.sqrt(g0 * g0 + g1 * g1)
-            status[(status < 0) & (grad <= grad_tol)] = FIT_OK
-            live = status < 0
-            if passes == max_iter or not live.any():
+        f, g0, g1, m00, m01, m11 = evaluate(x0, x1)
+        status = FIT_MAX_ITER
+        for iterations in range(max_iter + 1):
+            grad = math.sqrt(g0 * g0 + g1 * g1)
+            if grad <= grad_tol:
+                status = FIT_OK
+            if status != FIT_MAX_ITER or iterations == max_iter:
                 break
             d0, d1 = _newton_direction(g0, g1, m00, m01, m11)
-            accepted, t0, t1, trial = _line_search(evaluate, x0, x1, f, d0, d1, live)
-            moved = live & accepted & (np.abs(t0) <= _LOG_BOUND) & (np.abs(t1) <= _LOG_BOUND)
-            failed = live & ~moved
-            status[failed] = np.where(accepted, FIT_BOUNDARY, FIT_LINE_SEARCH)[failed]
-            iterations += live
-            state = tuple(np.where(moved, t, v) for t, v in zip((t0, t1, *trial), state))
-        status[status < 0] = FIT_MAX_ITER
+            # a NaN or infinite trial backtracks, as does one where exp() of a
+            # log-parameter would overflow; the allowance is float rounding of
+            # f, which near the optimum exceeds the true gain of a full step
+            for halvings in range(60):
+                t0, t1 = x0 + 0.5**halvings * d0, x1 + 0.5**halvings * d1
+                trial = evaluate(t0, t1)
+                if abs(t0) < 700.0 and abs(t1) < 700.0 and all(map(math.isfinite, trial)):
+                    if trial[0] >= f - 1e-14 * (1.0 + abs(f)):
+                        break
+            else:  # a failed step stands where it was; the next pass ends the fit
+                status = FIT_LINE_SEARCH
+                continue
+            if abs(t0) > _LOG_BOUND or abs(t1) > _LOG_BOUND:
+                status = FIT_BOUNDARY
+            else:
+                x0, x1, (f, g0, g1, m00, m01, m11) = t0, t1, trial
         return np.exp(x0), np.exp(x1), grad, iterations, status, (f, m00 + g0, m01, m11 + g1)
 
 
 def _newton_direction(g0, g1, m00, m01, m11):
-    """Solve the (shifted) 2 x 2 Newton system of each row, elementwise."""
+    """Solve the (shifted) 2 x 2 Newton system."""
     # scaling by each coordinate's own curvature lets a flat direction beside
     # a steep one (the ridge of a fit running off to the boundary) still take
     # long steps
-    s0 = 1.0 + np.abs(m00)
-    s1 = 1.0 + np.abs(m11)
+    s0 = 1.0 + abs(m00)
+    s1 = 1.0 + abs(m11)
     k00 = m00 / s0
     k11 = m11 / s1
-    k01 = m01 / np.sqrt(s0 * s1)
-    lam_min = 0.5 * (k00 + k11) - np.sqrt(0.25 * (k00 - k11) ** 2 + k01 * k01)
-    shift = np.where(lam_min > 0.0, 0.0, 1e-3 * (1.0 + np.abs(k00 + k11)) - lam_min)
+    k01 = m01 / math.sqrt(s0 * s1)
+    gap = k00 - k11
+    lam_min = 0.5 * (k00 + k11) - math.sqrt(0.25 * (gap * gap) + k01 * k01)
+    shift = 0.0 if lam_min > 0.0 else 1e-3 * (1.0 + abs(k00 + k11)) - lam_min
     m00 = m00 + shift * s0
     m11 = m11 + shift * s1
     det = m00 * m11 - m01 * m01
+    if det == 0.0:  # a NaN step, which no trial accepts: FIT_LINE_SEARCH
+        return math.nan, math.nan
     return (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
-
-
-def _line_search(evaluate, x0, x1, f, d0, d1, live):
-    """Halve each row's step from 1 until its trial is accepted, at most 60
-    trials, until every ``live`` row is; ``evaluate`` gives a trial's values
-    at the stepped log-parameters. Returns (accepted, t0, t1, trial
-    values) at each row's last step: an accepted row keeps its step, so its
-    trial is evaluated alike on every later round."""
-    step = np.ones_like(x0)
-    for _ in range(60):
-        t0 = x0 + step * d0
-        t1 = x1 + step * d1
-        values = evaluate(t0, t1)
-        # a NaN or infinite trial fails this test and backtracks, as does one
-        # where exp() of a log-parameter would overflow; the allowance is
-        # float rounding of f, which near the optimum exceeds the true gain
-        # of a full Newton step
-        accepted = (
-            (np.abs(t0) < 700.0)
-            & (np.abs(t1) < 700.0)
-            & np.isfinite(values).all(axis=0)
-            & (values[0] >= f - 1e-14 * (1.0 + np.abs(f)))
-        )
-        if np.all(accepted | ~live):
-            break
-        step = np.where(accepted, step, 0.5 * step)
-    return accepted, t0, t1, values
-
-
-def at_time(times, events, t):
-    """Each row's events observed by its analysis time t, (R,), with its
-    (R, n) times capped at t and their logs, which every reference curve
-    the rows are tested against shares (see ``oslr_components``)."""
-    t = t[:, None]
-    capped = np.minimum(times, t)
-    return (events * (times <= t)).sum(axis=-1), capped, np.log(capped)
 
 
 def expected_events(code, a, b, capped, log_capped):
@@ -341,11 +312,12 @@ def oslr_components(code, a, b, capped, log_capped):
     time, in one fused pass over the reference cumulative hazard of the
     coded family.
 
-    ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n), from
-    ``at_time`` (at each row's largest time, the times and their logs as
-    they are). Returns (expected, gbar0, gbar1), each (R,), the gradient in
-    the log-parameters (log a, log b), where it has no time unit; the
-    factor a multiplies the row sums, not the terms.
+    ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n): each row's
+    times capped at its analysis time and their logs (at the row's largest
+    time, the times and their logs as they are). Returns (expected, gbar0,
+    gbar1), each (R,), the gradient in the log-parameters (log a, log b),
+    where it has no time unit; the factor a multiplies the row sums, not
+    the terms.
     """
     lam, da, q = cumhaz_terms(code, a[:, None], capped, log_capped - np.log(b)[:, None])
     n = capped.shape[-1]

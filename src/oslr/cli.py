@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import ingest_csv
+from .data import DECIMAL, ingest_csv
 from .errors import (
     DegenerateTestError,
     FitError,
@@ -55,11 +55,10 @@ def _parse_fixed_reference(text: str) -> ReferenceCurve:
         raise UsageError(
             f"--fixed-reference must look like 'family:p1[,p2]', got {text!r}"
         )
-    try:
-        theta = [float(part) for part in raw.split(",")]
-    except ValueError:
-        raise UsageError(f"--fixed-reference parameters {raw!r} are not numbers") from None
-    return ReferenceCurve.fixed(name, theta)
+    parts = [part.strip() for part in raw.split(",")]
+    if not all(map(DECIMAL.fullmatch, parts)):
+        raise UsageError(f"--fixed-reference parameters {raw!r} are not numbers")
+    return ReferenceCurve.fixed(name, [float(part) for part in parts])
 
 
 def _select_fit(cohort, family_name: str):
@@ -129,7 +128,8 @@ def cmd_test(args) -> None:
     cohort_b = _load_cohort(args.experimental, prefer=("experimental", "B"))
     if args.fixed_reference:
         # a known curve is neither fitted from a control arm nor corrected
-        for flag, value in (("--control", args.control), ("--pi", args.pi)):
+        flags = ("--control", args.control), ("--pi", args.pi), ("--family", args.family)
+        for flag, value in flags:
             if value is not None:
                 raise UsageError(f"{flag} has no use with --fixed-reference")
         ref = _parse_fixed_reference(args.fixed_reference)
@@ -137,7 +137,7 @@ def cmd_test(args) -> None:
         if not args.control:
             raise UsageError("test needs --control unless --fixed-reference is given")
         cohort_a = _load_cohort(args.control, prefer=("control", "A"))
-        ref = ReferenceCurve.from_fit(_select_fit(cohort_a, args.family))
+        ref = ReferenceCurve.from_fit(_select_fit(cohort_a, args.family or "auto"))
     weights = [0.0, 0.5]
     if args.w is not None and args.w not in weights:
         weights.append(args.w)
@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="one-sample log-rank test")
     p_test.add_argument("--control", help="control-arm CSV (fit source)")
     p_test.add_argument("--experimental", required=True, help="experimental-arm CSV")
-    p_test.add_argument("--family", default="auto", choices=family_choices)
+    p_test.add_argument("--family", choices=family_choices, help="default auto")
     p_test.add_argument("--w", type=float, default=None, help="extra weight row")
     p_test.add_argument("--horizon", type=float, default=None, help="analysis time")
     p_test.add_argument("--alpha", type=float, default=0.05)

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 
 import numpy as np
 
 from .errors import RowValidationError, SchemaError, UsageError
+
+# an ASCII decimal literal: what float() reads, less inf, nan, digit-group
+# underscores and non-ASCII digits
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class Cohort:
@@ -125,12 +130,11 @@ def ingest_csv(path):
                 )
             raw_time = row[at_time].strip()
             raw_event = row[at_event].strip()
-            try:
-                time = float(raw_time)
-            except ValueError:
+            if not DECIMAL.fullmatch(raw_time):
                 raise RowValidationError(
                     row_number, f"time {raw_time!r} is not a decimal number"
-                ) from None
+                )
+            time = float(raw_time)
             if not math.isfinite(time) or time <= 0:
                 raise RowValidationError(
                     row_number, f"time must be positive and finite, got {raw_time!r}"

@@ -164,9 +164,9 @@ def loglik_derivatives(fam, theta, cohort: Cohort):
     fam = family(fam)
     theta = check_theta(fam, theta)
     a, b = _ab(fam, theta)
-    data = _kernels._log_data(fam.code, cohort.times[None], cohort.events[None])
-    value, g0, g1, h00, h01, h11 = (
-        x[0] for x in _kernels._loglik_terms(fam.code, np.log(a), np.log(b), data)
+    data = _kernels._log_data(fam.code, cohort.times, cohort.events)
+    value, g0, g1, h00, h01, h11 = _kernels._loglik_terms(
+        fam.code, np.log(a[0]), np.log(b[0]), data
     )
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]

@@ -1,21 +1,22 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
 The exponential's MLE is closed form. The Weibull and the log-logistic fits
-run Newton until the log-scale gradient of the mean log-likelihood is small:
-the Weibull on its profile likelihood in the shape, from shape 1 (where the
-profile's scale is the exponential MLE), the log-logistic damped on both
-log-parameters from shape 1 and the upper median time. Neither the start,
-the stopping rule nor the bounds (the scale's lie around the upper median
-time) depend on the time unit, so every fit is scale-equivariant;
-no start is taken from the caller. A fit that stops on any status but
-converged raises FitError with that status's reason from FAILURES, the one
-table of them. The information, the average negated log-likelihood Hessian
-at the estimate, comes from the fit's last pass in log-parameter
-coordinates, where it has no time unit and cannot overflow on huge or tiny
-times; the natural-scale matrix is derived from it once per fit. Its
-pseudo-inverse is in closed form for 2 x 2 matrices, elementwise over a
-stack; the corrected test takes it in log-parameter coordinates, which keeps
-that test free of the time unit.
+run Newton until the log-scale gradient of the mean log-likelihood is
+small: the Weibull on its profile likelihood in the shape, from shape 1
+(where the profile's scale is the exponential MLE), the log-logistic damped
+on both log-parameters from shape 1 and the upper median time, one cohort
+at a time (the Monte Carlo engine fits only the Weibull, in blocks of
+replicates). Neither the start, the stopping rule nor the bounds (the
+scale's lie around the upper median time) depend on the time unit, so every
+fit is scale-equivariant; no start is taken from the caller. A fit that
+stops on any status but converged raises FitError with that status's reason
+from FAILURES, the one table of them. The information, the average negated
+log-likelihood Hessian at the estimate, comes from the fit's last pass in
+log-parameter coordinates, where it has no time unit and cannot overflow on
+huge or tiny times; the natural-scale matrix is derived from it once per
+fit. Its pseudo-inverse is in closed form for 2 x 2 matrices, elementwise
+over a stack; the corrected test takes it in log-parameter coordinates,
+which keeps that test free of the time unit.
 """
 
 from __future__ import annotations
@@ -118,11 +119,12 @@ def _symmetric(x00, x01, x11):
 
 def _fit_rows(fam, times, events):
     """``fit_mle`` for each row of (R, n) times and events, every row holding
-    an event, in one batched run. A row whose estimate is not finite and
-    positive gets FIT_BOUNDARY. Returns (theta (R, q), status, iterations,
-    grad_norm, loglik (R,), info (R, q, q)), the last two at theta for a
-    converged row; ``info`` is in log-parameter coordinates, so the
-    natural-scale J(theta) is info / (theta theta')."""
+    an event: the exponential in closed form and the Weibull in one batched
+    run over the rows, the log-logistic row by row. A row whose estimate is
+    not finite and positive gets FIT_BOUNDARY. Returns (theta (R, q),
+    status, iterations, grad_norm, loglik (R,), info (R, q, q)), the last
+    two at theta for a converged row; ``info`` is in log-parameter
+    coordinates, so the natural-scale J(theta) is info / (theta theta')."""
     n_rows, n = times.shape
     if fam.code == _kernels.EXPONENTIAL:
         d = events.sum(axis=-1)
@@ -146,9 +148,13 @@ def _fit_rows(fam, times, events):
         unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
         with np.errstate(over="ignore"):
             times = times / unit[:, None]
-        start = np.zeros((2, n_rows))  # shape 1 and the median
-        fit = _kernels.fit_newton(times, events, *start, GRAD_TOL, MAX_ITER)
-        a, b, grad_norm, iterations, status, (f, *info) = fit
+        fits = [  # one cohort per fit, from shape 1 and the median
+            _kernels.fit_loglogistic(t, e, 0.0, 0.0, GRAD_TOL, MAX_ITER)
+            for t, e in zip(times, events)
+        ]
+        flat = np.reshape([(*fit[:5], *fit[5]) for fit in fits], (n_rows, 9)).T
+        a, b, grad_norm, iterations, status, f, *info = flat
+        iterations, status = iterations.astype(np.int64), status.astype(np.int64)
         # back to the caller's unit, where a subnormal unit may overflow b
         with np.errstate(over="ignore"):
             theta = np.stack((a, b * unit), axis=-1)

@@ -193,16 +193,14 @@ def _statistics(
         if not math.isfinite(pi) or pi <= 0.0:
             raise UsageError(f"allocation ratio pi must be positive and finite, got {pi}")
     a, b = _ab(ref.family, ref.theta)
-    n_events, capped, log_capped = _kernels.at_time(
-        cohort_b.times[None], cohort_b.events[None], np.array([t], dtype=np.float64)
-    )
-    n_events = float(n_events[0])
+    n_events = float((cohort_b.events * (cohort_b.times <= t)).sum())
+    capped = np.minimum(cohort_b.times, t)[None]
     # times far past the reference's own overflow E_B or V2 to inf (or V2 to
     # NaN); zscore refuses such a test
     with np.errstate(over="ignore", invalid="ignore"):
         expected, g0, g1 = (
             float(v[0])
-            for v in _kernels.oslr_components(ref.family.code, a, b, capped, log_capped)
+            for v in _kernels.oslr_components(ref.family.code, a, b, capped, np.log(capped))
         )
         v2 = None if pi is None else float(_v2(pi, g0, g1, ref.info_pinv))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)

@@ -18,16 +18,13 @@ fitted curve; all six one-sample z-values follow from them arithmetically)
 and compared two-sample (one in-place sort per row of integer keys that
 carry each subject's time, arm and event) at once. A row's z-values do not
 depend on the other rows of its block, so the counts are the same for any
-chunking and worker count. A block's rows are drawn by resetting one Philox
-generator to each replicate's key, from a saved state of Python ints, not
-by building one generator per replicate.
+chunking and worker count.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
 and send their counts back through a pipe while the calling process computes
 share 0; elsewhere the shares run one after another in the calling process.
-Either way the integer counts add up to the same result. Each share runs as
-the fewest near-equal blocks that fit the block size.
+Each share runs as the fewest near-equal blocks that fit the block size.
 
 The share workers persist: a process forks them on its first call that
 needs them, and more only when a later call asks for more, so later calls
@@ -167,16 +164,8 @@ class Scenario:
         return math.log(2.0) ** (-1.0 / self.kappa)
 
     def to_json_dict(self) -> dict:
-        return {
-            "accrual_years": self.accrual_years,
-            "followup_years": self.followup_years,
-            "kappa": self.kappa,
-            "n_b": self.n_b,
-            "pi": self.pi,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
+        keys = ("accrual_years", "followup_years", "kappa", "n_b", "pi", "replicates", "seed")
+        return {key: getattr(self, key) for key in (*keys, "alpha")}
 
 
 def _stream_key(seed: int, index: int) -> np.ndarray:
@@ -372,7 +361,7 @@ class SimulationResult:
             }
             for sided in ("two", "one"):
                 rate = row[f"{sided}_sided_rate"]
-                interval = mc_error_interval(rate, n) if n else (float("nan"), float("nan"))
+                interval = mc_error_interval(rate, n) if n else (math.nan, math.nan)
                 row[f"{sided}_sided_interval"] = list(interval)
             procs[name] = row
         return {"scenario": self.scenario.to_json_dict(), "procedures": procs}
@@ -383,7 +372,8 @@ class SimulationResult:
 
 def record_rows(record: dict) -> list[dict]:
     """CSV rows, one per procedure and sidedness, from a result's JSON record
-    (``SimulationResult.to_json_dict()`` or a record read back from disk)."""
+    (``SimulationResult.to_json_dict()`` or a record read back from disk).
+    Raises TypeError unless n_b and n_eff are integers and the rest numbers."""
     s = record["scenario"]
     rows = []
     for name, stats in record["procedures"].items():
@@ -391,6 +381,11 @@ def record_rows(record: dict) -> list[dict]:
             lo, hi = stats[f"{sided}_sided_interval"]
             values = (s["kappa"], s["n_b"], s["pi"], name, sided, stats[f"{sided}_sided_rate"])
             rows.append(dict(zip(CSV_FIELDS, (*values, lo, hi, stats["n_evaluated"]))))
+    for row in rows:
+        for key in ("kappa", "n_b", "pi", "rate", "lo", "hi", "n_eff"):
+            kind = numbers.Integral if key in ("n_b", "n_eff") else numbers.Real
+            if isinstance(row[key], bool) or not isinstance(row[key], kind):
+                raise TypeError(f"{key} must be {kind.__name__}, got {row[key]!r}")
     return rows
 
 
@@ -643,10 +638,7 @@ def load_scenarios(source) -> list[Scenario]:
     kappa, n_b and pi may be non-empty lists; the grid is their cartesian
     product.
     """
-    if isinstance(source, (str, os.PathLike)):
-        spec = read_json(source)
-    else:
-        spec = dict(source)
+    spec = read_json(source) if isinstance(source, (str, os.PathLike)) else dict(source)
     if not isinstance(spec, dict):
         raise UsageError("scenario file must hold a JSON object")
     known = {f.name: f for f in fields(Scenario)}

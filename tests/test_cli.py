@@ -338,9 +338,12 @@ def test_test_fixed_reference_parse_errors(tmp_path, capsys):
     assert main(base + ["exponential"]) == 1
     assert main(base + ["exponential:abc"]) == 1
     assert main(base + ["gamma:1.0"]) == 1
+    # float() would read these as 4 and 0.4
+    assert main(base + ["exponential:0_4"]) == 1
+    assert main(base + ["exponential:０.４"]) == 1
     # a known curve is neither fitted nor corrected: a run that ignored
-    # --control or --pi would print uncorrected rows only
-    for extra in (["--pi", "2"], ["--control", DATA_CONTROL]):
+    # --control, --pi or --family would print the known curve's rows
+    for extra in (["--pi", "2"], ["--control", DATA_CONTROL], ["--family", "weibull"]):
         capsys.readouterr()
         assert main(base + ["exponential:1.0", *extra]) == 1
         captured = capsys.readouterr()
@@ -805,6 +808,24 @@ def test_report_malformed_input_exits_one(tmp_path, capsys):
     missing_keys = tmp_path / "missing.json"
     missing_keys.write_text('[{"scenario": {}}]')
     assert main(["report", str(missing_keys)]) == 1
+    # a count that is not an integer, or a rate that is not a number, would
+    # reach the table's format codes
+    stats = {"two_sided_rate": 0.05, "one_sided_rate": 0.025, "n_evaluated": 40,
+             "two_sided_interval": [0.0, 0.1], "one_sided_interval": [0.0, 0.07]}
+    good = {"scenario": {"kappa": 1.0, "n_b": 50, "pi": 1.0}, "procedures": {"true_w0": stats}}
+    bad_records = [
+        {**good, "scenario": {**good["scenario"], "n_b": 50.5}},
+        {**good, "scenario": {**good["scenario"], "n_b": "x"}},
+        {**good, "procedures": {"true_w0": {**stats, "n_evaluated": 40.0}}},
+        {**good, "procedures": {"true_w0": {**stats, "two_sided_rate": "x"}}},
+    ]
+    record = tmp_path / "record.json"
+    for fmt in ("table", "csv"):
+        record.write_text(json.dumps([good]))
+        assert main(["report", str(record), "--format", fmt]) == 0
+        for bad_record in bad_records:
+            record.write_text(json.dumps([bad_record]))
+            assert main(["report", str(record), "--format", fmt]) == 1
 
 
 def test_report_oversize_json_integer_exits_one(tmp_path, capsys):

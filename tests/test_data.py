@@ -133,7 +133,8 @@ def test_ingest_schema_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["x,1", "-1,1", "0,1", "inf,0", "2,2", "2,", "2,yes", "1.0,1,junk"],
+    # float() reads "1_0" as 10 and the full-width "１" as 1
+    ["x,1", "-1,1", "0,1", "inf,0", "2,2", "2,", "2,yes", "1.0,1,junk", "1_0,1", "１,1"],
 )
 def test_ingest_row_errors(tmp_path, row):
     p = tmp_path / "bad.csv"

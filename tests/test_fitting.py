@@ -496,7 +496,7 @@ def test_pseudo_inverse():
         )
         for scale in (1e-12, 1.0, 1e12):
             for m in (scale * general, scale * special):
-                expected = np.linalg.pinv(m, rtol=1e-12 * 2, hermitian=True)
+                expected = np.linalg.pinv(m, rcond=1e-12 * 2, hermitian=True)
                 size = np.abs(expected).max(axis=(-2, -1), keepdims=True)
                 assert np.all(np.abs(pseudo_inverse(m) - expected) <= 1e-10 * size)
         # badly scaled, as an information matrix in a large time unit: every
@@ -506,7 +506,7 @@ def test_pseudo_inverse():
         assert_allclose(pseudo_inverse(m), np.linalg.pinv(m, hermitian=True), rtol=1e-9)
         b = rng.normal(size=(20, 3, 2))
         m = b @ np.swapaxes(b, -1, -2)  # rank 2 of 3
-        expected = np.linalg.pinv(m, rtol=1e-12 * 3, hermitian=True)
+        expected = np.linalg.pinv(m, rcond=1e-12 * 3, hermitian=True)
         assert_allclose(pseudo_inverse(m), expected, atol=1e-10 * np.abs(expected).max())
 
 

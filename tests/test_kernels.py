@@ -1,8 +1,9 @@
-"""Tests for the row-batched numeric kernels.
+"""Tests for the numeric kernels.
 
 Oracles: closed forms of the exponential family, finite differences and
 the fit drivers' own status codes on inputs built to reach each of them. A
-row's result must not depend on the other rows of its block.
+row's result must not depend on the other rows of its block, where a
+kernel takes a block.
 """
 
 import math
@@ -10,7 +11,8 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from oslr import _kernels
+from oslr import _kernels, families
+from oslr.fitting import _fit_rows
 
 MASTER_SEED = 20260815
 
@@ -96,57 +98,52 @@ def test_weibull_rows_match_single_rows_in_every_status():
             assert got[one].tobytes() == want.tobytes()
 
 
-def test_driver_rows_match_single_rows_in_every_status():
-    """One log-logistic block holding a row of each status of the 2-D
-    driver, the rows stopping on different passes: every row's outputs,
-    ``fit`` included, are bitwise those of the row fitted alone, so carrying
-    only the live rows changes no bit."""
+def test_loglogistic_fit_reaches_every_status():
+    """Five log-logistic cohorts, each ending in its own status of the 2-D
+    driver after its own number of steps; a fit that stops on a failed step
+    reports the iterate it stood at."""
     times, events = _sample()
     # (times, events, start log-shape, start log-scale): converges in 5
     # steps; identical event times run the shape to the bound in 28; a far
     # start spends the budget of 30; at shape e^600 the likelihood is not
     # finite, so no trial is accepted
-    rows = [
+    cases = [
         (times, events, 0.0, 0.0),
         (np.full(times.shape, 2.0), np.ones(times.shape), 0.0, 0.0),
         (times, events, 25.0, -25.0),
         (times, events, 600.0, 0.0),
         (times, events, 3.0, 3.0),
     ]
-    t, e, x0, x1 = (np.array(v) for v in zip(*rows))
-    block = _kernels.fit_newton(t, e, x0, x1, 1e-8, 30)
-    assert block[4].tolist() == [
+    fits = [_kernels.fit_loglogistic(*case, 1e-8, 30) for case in cases]
+    assert [fit[4] for fit in fits] == [
         _kernels.FIT_OK,
         _kernels.FIT_BOUNDARY,
         _kernels.FIT_MAX_ITER,
         _kernels.FIT_LINE_SEARCH,
         _kernels.FIT_OK,
     ]
-    a, b, _, iterations, _, _ = block
-    assert iterations.tolist()[2:4] == [30, 1] and len(set(iterations.tolist())) == len(rows)
-    # a row that stops on a failed step reports the iterate it stood at
-    assert max(abs(math.log(a[1])), abs(math.log(b[1]))) <= _kernels._LOG_BOUND
-    assert (a[3], b[3]) == (np.exp(600.0), 1.0)
-    for i in range(len(rows)):
-        one = slice(i, i + 1)
-        alone = _kernels.fit_newton(t[one], e[one], x0[one], x1[one], 1e-8, 30)
-        for got, want in zip((*block[:5], *block[5]), (*alone[:5], *alone[5])):
-            assert got[one].tobytes() == want.tobytes()
+    iterations = [fit[3] for fit in fits]
+    assert iterations[2:4] == [30, 1] and len(set(iterations)) == len(cases)
+    assert all(fits[i][2] <= 1e-8 for i in (0, 4))
+    a, b = fits[1][:2]
+    assert max(abs(math.log(a)), abs(math.log(b))) <= _kernels._LOG_BOUND
+    assert fits[3][:2] == (np.exp(600.0), 1.0)
+    # a curvature whose 2 x 2 determinant underflows gives a NaN step, which
+    # no trial accepts, and no ZeroDivisionError
+    assert all(map(math.isnan, _kernels._newton_direction(1.0, 1.0, 1e-170, 0.0, 1e-170)))
 
 
-def test_zero_row_block_returns_at_once(monkeypatch):
-    """A block without rows returns empty outputs without taking a step: a
-    driver that runs until no live row is left must still stop at once."""
-
-    def no_step(*args):
-        raise AssertionError("a zero-row block took a step")
-
-    monkeypatch.setattr(_kernels, "_line_search", no_step)
+def test_zero_row_block_returns_at_once():
+    """A block without rows returns empty outputs: a driver that runs until
+    no live row is left must still stop at once."""
     empty = np.empty((0, 5))
-    out = _kernels.fit_newton(empty, empty, np.empty(0), np.empty(0), 1e-8, 200)
-    assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 9
     out = _kernels.fit_weibull(empty, empty, 1e-8, 200)
     assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 9
+    # the log-logistic, fitted cohort by cohort, gives the same shapes
+    for fam in (families.EXPONENTIAL, families.WEIBULL, families.LOGLOGISTIC):
+        out = _fit_rows(fam, empty, empty)
+        assert [v.shape for v in out] == [(0, fam.q)] + [(0,)] * 4 + [(0, fam.q, fam.q)]
+        assert out[1].dtype == out[2].dtype == np.int64
 
 
 def test_exponential_kernel_closed_forms():
@@ -155,13 +152,9 @@ def test_exponential_kernel_closed_forms():
     the rate times a^2."""
     times = np.array([1.0, 2.0, 3.0])
     events = np.array([1.0, 1.0, 0.0])
-    data = _kernels._log_data(_kernels.EXPONENTIAL, times[None], events[None])
-    f, g0, g1, h00, h01, h11 = (
-        float(v[0])
-        for v in _kernels._loglik_terms(
-            _kernels.EXPONENTIAL, np.log([0.4]), np.zeros(1), data
-        )
-    )
+    data = _kernels._log_data(_kernels.EXPONENTIAL, times, events)
+    terms = _kernels._loglik_terms(_kernels.EXPONENTIAL, math.log(0.4), 0.0, data)
+    f, g0, g1, h00, h01, h11 = map(float, terms)
     assert_allclose(f, 2 * math.log(0.4) - 0.4 * 6.0, rtol=1e-14)
     assert_allclose(g0, 2 - 0.4 * 6.0, rtol=1e-14)
     assert g1 == 0.0
@@ -172,30 +165,30 @@ def test_exponential_kernel_closed_forms():
 def test_log_time_evaluation_matches_finite_differences():
     """The likelihood kernel's gradient and Hessian in the log-parameters
     match central differences of its total and gradient, in every family,
-    on a block of two rows; also with the times scaled by e^+-400 and
-    log b = +-400.1, where b^2 overflows or underflows."""
+    on two cohorts; also with the times scaled by e^+-400 and log b =
+    +-400.1, where b^2 overflows or underflows."""
     times, events = _sample()
-    base_t = np.stack((times, times[::-1] * 1.7))
-    block_e = np.stack((events, events[::-1]))
+    cohorts = ((times, events), (times[::-1] * 1.7, events[::-1]))
     for shift, x1 in ((0.0, [-0.1, 0.4]), (400.0, [400.1] * 2), (-400.0, [-400.1] * 2)):
-        block_t = base_t * math.exp(shift)
-        x = np.array([[0.3, -0.2], x1])
-        for code in (_kernels.EXPONENTIAL, _kernels.WEIBULL, _kernels.LOGLOGISTIC):
-            q = 1 if code == _kernels.EXPONENTIAL else 2
-            data = _kernels._log_data(code, block_t, block_e)
+        for (base_t, cohort_e), start in zip(cohorts, zip((0.3, -0.2), x1)):
+            cohort_t = base_t * math.exp(shift)
+            x = np.array(start)
+            for code in (_kernels.EXPONENTIAL, _kernels.WEIBULL, _kernels.LOGLOGISTIC):
+                q = 1 if code == _kernels.EXPONENTIAL else 2
+                data = _kernels._log_data(code, cohort_t, cohort_e)
 
-            def evaluate(x):
-                return _kernels._loglik_terms(code, x[0], x[1], data)
+                def evaluate(x):
+                    return np.array(_kernels._loglik_terms(code, x[0], x[1], data))
 
-            f, g0, g1, h00, h01, h11 = evaluate(x)
-            grad = np.stack((g0, g1))
-            hess = np.stack((np.stack((h00, h01)), np.stack((h01, h11))))
-            assert np.isfinite(hess).all()
-            for j in range(q):
-                h = np.zeros((2, 1))
-                h[j] = 1e-5
-                up, down = evaluate(x + h), evaluate(x - h)
-                assert_allclose(grad[j], (up[0] - down[0]) / 2e-5, rtol=1e-7)
-                for k in range(q):
-                    fd = (up[1 + k] - down[1 + k]) / 2e-5
-                    assert_allclose(hess[k, j], fd, rtol=1e-6, atol=1e-9)
+                f, g0, g1, h00, h01, h11 = evaluate(x)
+                grad = np.array((g0, g1))
+                hess = np.array(((h00, h01), (h01, h11)))
+                assert np.isfinite(hess).all()
+                for j in range(q):
+                    h = np.zeros(2)
+                    h[j] = 1e-5
+                    up, down = evaluate(x + h), evaluate(x - h)
+                    assert_allclose(grad[j], (up[0] - down[0]) / 2e-5, rtol=1e-7)
+                    for k in range(q):
+                        fd = (up[1 + k] - down[1 + k]) / 2e-5
+                        assert_allclose(hess[k, j], fd, rtol=1e-6, atol=1e-9)
