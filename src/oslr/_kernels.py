@@ -2,15 +2,14 @@
 
 These are the hot inner loops of the package: the censored log-likelihood
 with its gradient and Hessian in one pass, the fit drivers and the
-one-sample test components. The kernels the Monte Carlo engine in
-:mod:`oslr.simulation` runs (``fit_weibull``, ``expected_events``,
-``oslr_components``) take a block of R rows, one cohort per row: (R, n)
-times and events and (R,) parameters; the single-cohort API passes them a
-block of one. A row's results never depend on the other rows of its block:
-sums run along the row and the 2 x 2 algebra is written out elementwise.
-The likelihood kernel and the log-logistic fit take one cohort, 1-d times
-and events and scalar parameters: only the single-cohort API in
-:mod:`oslr.families` and :mod:`oslr.fitting` runs them.
+one-sample test components. ``fit_weibull`` takes a block of R rows, one
+cohort per row, (R, n) times and events: the Monte Carlo engine in
+:mod:`oslr.simulation` runs it on blocks of replicates, ``fitting.fit_mle``
+on a block of one. The test components take such a block with (R,)
+parameters, or one cohort as it is, 1-d times and scalar parameters. A
+row's results never depend on the other rows of its block: sums run along
+the row and the 2 x 2 algebra is written out elementwise. The likelihood
+kernel and the log-logistic fit take one cohort.
 
 The kernels read log-times, taken once per call. The fit drivers, Newton on
 the Weibull profile likelihood in the shape and damped 2-D Newton on the
@@ -146,6 +145,7 @@ def fit_weibull(logt, events, grad_tol, max_iter):
     log-scale gradient norm, is <= grad_tol; with FIT_BOUNDARY at a bound
     where the profile still rises, or converged to a scale out of bounds
     (around the upper median time); with FIT_MAX_ITER after max_iter steps.
+    Any row whose scale overflows or underflows float64 ends FIT_BOUNDARY.
     Returns (a, b, grad_norm, iterations, status, fit), each (R,), ``fit``
     the (f, i00, i01, i11) of ``fit_loglogistic`` from the sums of each
     row's last pass: there sum((t / b)^a) = d, so with log u = log(t / b),
@@ -215,11 +215,13 @@ def fit_weibull(logt, events, grad_tol, max_iter):
         if far.size:
             median = np.partition(logt[far], n // 2, axis=-1)[:, n // 2]
             status[far[np.abs(log_scale[far] - median) > _LOG_BOUND]] = FIT_BOUNDARY
+        b = np.exp(log_scale)  # which may overflow or underflow inside the box
+        status[~((b > 0.0) & (b < np.inf))] = FIT_BOUNDARY
         m = mean - logb  # E_w[log u]
         a2d = a * a * d
         f = (d * (np.log(a) - a * logb - top - 1.0) + (a - 1.0) * es) / n
         fit = (f, (d + a2d * (var + m * m)) / n, -a2d * m / n, a2d / n)
-        return a, np.exp(log_scale), grad_norm, iterations, status, fit
+        return a, b, grad_norm, iterations, status, fit
 
 
 def fit_loglogistic(times, events, x0, x1, grad_tol, max_iter):
@@ -304,7 +306,7 @@ def expected_events(code, a, b, capped, log_capped):
     """Expected events of each row by its analysis time, (R,): the row sum
     of the reference cumulative hazard, ``oslr_components`` without the
     hazard gradient. Arguments as for ``oslr_components``."""
-    return cumhaz_at(code, a[:, None], capped, log_capped - np.log(b)[:, None]).sum(axis=-1)
+    return cumhaz_at(code, a[..., None], capped, log_capped - np.log(b)[..., None]).sum(-1)
 
 
 def oslr_components(code, a, b, capped, log_capped):
@@ -314,12 +316,12 @@ def oslr_components(code, a, b, capped, log_capped):
 
     ``a``, ``b`` are (R,) and ``capped``, ``log_capped`` (R, n): each row's
     times capped at its analysis time and their logs (at the row's largest
-    time, the times and their logs as they are). Returns (expected, gbar0,
-    gbar1), each (R,), the gradient in the log-parameters (log a, log b),
-    where it has no time unit; the factor a multiplies the row sums, not
-    the terms.
+    time, the times and their logs as they are), or scalars and (n,) for one
+    cohort. Returns (expected, gbar0, gbar1), each (R,) or scalar, the
+    gradient in the log-parameters (log a, log b), where it has no time
+    unit; the factor a multiplies the row sums, not the terms.
     """
-    lam, da, q = cumhaz_terms(code, a[:, None], capped, log_capped - np.log(b)[:, None])
+    lam, da, q = cumhaz_terms(code, a[..., None], capped, log_capped - np.log(b)[..., None])
     n = capped.shape[-1]
     expected = lam.sum(axis=-1)
     q = expected if q is lam else q.sum(axis=-1)  # the Weibull's q is Lambda

@@ -49,6 +49,19 @@ def _load_cohort(path, prefer):
     )
 
 
+def _ascii(convert):
+    """An argparse type that reads with ``convert`` (float or int) only an
+    ASCII decimal literal (``data.DECIMAL``), all digits for int: float()
+    and int() alone also read 1_5 and non-ASCII digits, float() inf and nan."""
+
+    def parse(text: str):
+        if not DECIMAL.fullmatch(text) or (convert is int and not text.isdigit()):
+            raise argparse.ArgumentTypeError(f"{text!r} is not an ASCII {convert.__name__}")
+        return convert(text)
+
+    return parse
+
+
 def _parse_fixed_reference(text: str) -> ReferenceCurve:
     name, sep, raw = text.partition(":")
     if not sep or not raw.strip():
@@ -293,10 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--control", help="control-arm CSV (fit source)")
     p_test.add_argument("--experimental", required=True, help="experimental-arm CSV")
     p_test.add_argument("--family", choices=family_choices, help="default auto")
-    p_test.add_argument("--w", type=float, default=None, help="extra weight row")
-    p_test.add_argument("--horizon", type=float, default=None, help="analysis time")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--pi", type=float, default=None, help="allocation ratio")
+    p_test.add_argument("--w", type=_ascii(float), default=None, help="extra weight row")
+    p_test.add_argument("--horizon", type=_ascii(float), default=None, help="analysis time")
+    p_test.add_argument("--alpha", type=_ascii(float), default=0.05)
+    p_test.add_argument("--pi", type=_ascii(float), default=None, help="allocation ratio")
     p_test.add_argument(
         "--fixed-reference",
         default=None,
@@ -320,9 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario grid")
     p_sim.add_argument("scenario", help="scenario JSON (kappa/n_b/pi may be lists)")
-    p_sim.add_argument("--workers", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sim.add_argument("--alpha", type=float, default=None, help="override alpha")
+    p_sim.add_argument("--workers", type=_ascii(int), default=None)
+    p_sim.add_argument("--seed", type=_ascii(int), default=None, help="override scenario seed")
+    p_sim.add_argument("--alpha", type=_ascii(float), default=None, help="override alpha")
     p_sim.add_argument("--format", default="json", choices=["json", "csv"])
     p_sim.add_argument("--out", help="prefix for <out>.json and <out>.csv")
     p_sim.set_defaults(func=cmd_simulate)

@@ -102,51 +102,55 @@ def ingest_csv(path):
     otherwise a single unlabeled Cohort.
 
     Header names are matched after stripping surrounding spaces; blank lines
-    are skipped. Raises SchemaError for missing or repeated columns and
+    are skipped. Raises SchemaError for missing or repeated columns or an
+    unreadable file (not UTF-8, or a cell past 131,072 characters) and
     RowValidationError (carrying the 1-based data row number) for invalid
     values or a row whose cell count differs from the header's.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (row for row in csv.reader(fh) if row)
-        header = next(rows, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        fields = [name.strip() for name in header]
-        if len(set(fields)) != len(fields):
-            raise SchemaError(f"{path}: repeated column name in header {fields}")
-        if "time" not in fields or "event" not in fields:
-            raise SchemaError(
-                f"{path}: required columns 'time' and 'event' not found in "
-                f"header {fields}"
-            )
-        at_time, at_event = fields.index("time"), fields.index("event")
-        at_group = fields.index("group") if "group" in fields else None
-        # label -> (times, events), filled row by row
-        groups: dict[str, tuple[list[float], list[int]]] = {}
-        for row_number, row in enumerate(rows, start=1):
-            if len(row) != len(fields):
-                raise RowValidationError(
-                    row_number, f"{len(row)} cells, the header has {len(fields)}"
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = (row for row in csv.reader(fh) if row)
+            header = next(rows, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header row required")
+            fields = [name.strip() for name in header]
+            if len(set(fields)) != len(fields):
+                raise SchemaError(f"{path}: repeated column name in header {fields}")
+            if "time" not in fields or "event" not in fields:
+                raise SchemaError(
+                    f"{path}: required columns 'time' and 'event' not found in "
+                    f"header {fields}"
                 )
-            raw_time = row[at_time].strip()
-            raw_event = row[at_event].strip()
-            if not DECIMAL.fullmatch(raw_time):
-                raise RowValidationError(
-                    row_number, f"time {raw_time!r} is not a decimal number"
-                )
-            time = float(raw_time)
-            if not math.isfinite(time) or time <= 0:
-                raise RowValidationError(
-                    row_number, f"time must be positive and finite, got {raw_time!r}"
-                )
-            if raw_event not in ("0", "1"):
-                raise RowValidationError(
-                    row_number, f"event must be 0 or 1, got {raw_event!r}"
-                )
-            key = "" if at_group is None else row[at_group].strip()
-            times, events = groups.setdefault(key, ([], []))
-            times.append(time)
-            events.append(int(raw_event))
+            at_time, at_event = fields.index("time"), fields.index("event")
+            at_group = fields.index("group") if "group" in fields else None
+            # label -> (times, events), filled row by row
+            groups: dict[str, tuple[list[float], list[int]]] = {}
+            for row_number, row in enumerate(rows, start=1):
+                if len(row) != len(fields):
+                    raise RowValidationError(
+                        row_number, f"{len(row)} cells, the header has {len(fields)}"
+                    )
+                raw_time = row[at_time].strip()
+                raw_event = row[at_event].strip()
+                if not DECIMAL.fullmatch(raw_time):
+                    raise RowValidationError(
+                        row_number, f"time {raw_time!r} is not a decimal number"
+                    )
+                time = float(raw_time)
+                if not math.isfinite(time) or time <= 0:
+                    raise RowValidationError(
+                        row_number, f"time must be positive and finite, got {raw_time!r}"
+                    )
+                if raw_event not in ("0", "1"):
+                    raise RowValidationError(
+                        row_number, f"event must be 0 or 1, got {raw_event!r}"
+                    )
+                key = "" if at_group is None else row[at_group].strip()
+                times, events = groups.setdefault(key, ([], []))
+                times.append(time)
+                events.append(int(raw_event))
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell past its limit
+        raise SchemaError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     if not groups:
         raise SchemaError(f"{path}: no data rows")
     if at_group is not None:

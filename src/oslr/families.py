@@ -76,12 +76,9 @@ def check_theta(fam: FamilyDescriptor, theta) -> np.ndarray:
     return theta
 
 
-def _ab(fam: FamilyDescriptor, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # kernels take one (a, b) per row; this is one row, and the exponential
-    # ignores b
-    a = theta[:1]
-    b = theta[1:2] if fam.q == 2 else np.ones(1)
-    return a, b
+def _ab(fam: FamilyDescriptor, theta: np.ndarray) -> tuple[np.float64, np.float64]:
+    """The kernels' (a, b) as numpy scalars; the exponential ignores b."""
+    return theta[0], theta[1] if fam.q == 2 else np.float64(1.0)
 
 
 def _eval(fam, theta, t, func):
@@ -165,9 +162,7 @@ def loglik_derivatives(fam, theta, cohort: Cohort):
     theta = check_theta(fam, theta)
     a, b = _ab(fam, theta)
     data = _kernels._log_data(fam.code, cohort.times, cohort.events)
-    value, g0, g1, h00, h01, h11 = _kernels._loglik_terms(
-        fam.code, np.log(a[0]), np.log(b[0]), data
-    )
+    value, g0, g1, h00, h01, h11 = _kernels._loglik_terms(fam.code, np.log(a), np.log(b), data)
     grad = np.array([g0, g1])[: fam.q]
     hess = np.array([[h00, h01], [h01, h11]])[: fam.q, : fam.q]
     return float(value), grad / theta, (hess - np.diag(grad)) / np.outer(theta, theta)

@@ -1,22 +1,23 @@
 """Censored maximum-likelihood fitting and information-matrix utilities.
 
-The exponential's MLE is closed form. The Weibull and the log-logistic fits
-run Newton until the log-scale gradient of the mean log-likelihood is
-small: the Weibull on its profile likelihood in the shape, from shape 1
-(where the profile's scale is the exponential MLE), the log-logistic damped
-on both log-parameters from shape 1 and the upper median time, one cohort
-at a time (the Monte Carlo engine fits only the Weibull, in blocks of
-replicates). Neither the start, the stopping rule nor the bounds (the
-scale's lie around the upper median time) depend on the time unit, so every
-fit is scale-equivariant; no start is taken from the caller. A fit that
-stops on any status but converged raises FitError with that status's reason
-from FAILURES, the one table of them. The information, the average negated
-log-likelihood Hessian at the estimate, comes from the fit's last pass in
-log-parameter coordinates, where it has no time unit and cannot overflow on
-huge or tiny times; the natural-scale matrix is derived from it once per
-fit. Its pseudo-inverse is in closed form for 2 x 2 matrices, elementwise
-over a stack; the corrected test takes it in log-parameter coordinates,
-which keeps that test free of the time unit.
+``fit_mle`` fits one family to one cohort. The exponential's MLE is
+closed form. The Weibull and the log-logistic fits run Newton until the
+log-scale gradient of the mean log-likelihood is small: the Weibull on its
+profile likelihood in the shape, from shape 1 (where the profile's scale
+is the exponential MLE), the log-logistic damped on both log-parameters
+from shape 1 and the upper median time. The Monte Carlo engine runs the
+Weibull kernel itself, on blocks of replicates. Neither the start, the
+stopping rule nor the bounds (the scale's lie around the upper median
+time) depend on the time unit, so every fit is scale-equivariant; no start
+is taken from the caller. A fit that stops on any status but converged
+raises FitError with that status's reason from FAILURES, the one table of
+them. The information, the average negated log-likelihood Hessian at the
+estimate, comes from the fit's last pass in log-parameter coordinates,
+where it has no time unit and cannot overflow on huge or tiny times; the
+natural-scale matrix is derived from it once per fit. Its pseudo-inverse
+is in closed form for 2 x 2 matrices, elementwise over a stack; the
+corrected test takes it in log-parameter coordinates, which keeps that
+test free of the time unit.
 """
 
 from __future__ import annotations
@@ -113,55 +114,8 @@ class FitResult:
 
 
 def _symmetric(x00, x01, x11):
-    """(R, 2, 2) symmetric matrices from their (R,) entries."""
+    """(R, 2, 2) symmetric matrices from their (R,) entries, or one from scalars."""
     return np.stack((np.stack((x00, x01), axis=-1), np.stack((x01, x11), axis=-1)), axis=-2)
-
-
-def _fit_rows(fam, times, events):
-    """``fit_mle`` for each row of (R, n) times and events, every row holding
-    an event: the exponential in closed form and the Weibull in one batched
-    run over the rows, the log-logistic row by row. A row whose estimate is
-    not finite and positive gets FIT_BOUNDARY. Returns (theta (R, q),
-    status, iterations, grad_norm, loglik (R,), info (R, q, q)), the last
-    two at theta for a converged row; ``info`` is in log-parameter
-    coordinates, so the natural-scale J(theta) is info / (theta theta')."""
-    n_rows, n = times.shape
-    if fam.code == _kernels.EXPONENTIAL:
-        d = events.sum(axis=-1)
-        # an exposure of 0 or inf (subnormal or huge times) fails below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            exposure = times.sum(axis=-1)
-            rate = d / exposure
-            grad_norm = np.abs(d - rate * exposure) / n
-            loglik = d * np.log(rate) - d
-        theta, info = rate[:, None], (d / n)[:, None, None]
-        iterations = np.zeros(n_rows, dtype=np.int64)
-        status = np.full(n_rows, _kernels.FIT_OK)
-    elif fam.code == _kernels.WEIBULL:  # the profile is shift-invariant in log t: no unit
-        fit = _kernels.fit_weibull(np.log(times), events, GRAD_TOL, MAX_ITER)
-        a, b, grad_norm, iterations, status, (f, *info) = fit
-        theta, loglik, info = np.stack((a, b), axis=-1), n * f, _symmetric(*info)
-    else:
-        # the unit only has to be a typical time; a partial sort finds the
-        # upper median without sorting everything. A time past 1.8e308 times
-        # the unit overflows to inf, and the fit fails
-        unit = np.partition(times, n // 2, axis=-1)[:, n // 2]
-        with np.errstate(over="ignore"):
-            times = times / unit[:, None]
-        fits = [  # one cohort per fit, from shape 1 and the median
-            _kernels.fit_loglogistic(t, e, 0.0, 0.0, GRAD_TOL, MAX_ITER)
-            for t, e in zip(times, events)
-        ]
-        flat = np.reshape([(*fit[:5], *fit[5]) for fit in fits], (n_rows, 9)).T
-        a, b, grad_norm, iterations, status, f, *info = flat
-        iterations, status = iterations.astype(np.int64), status.astype(np.int64)
-        # back to the caller's unit, where a subnormal unit may overflow b
-        with np.errstate(over="ignore"):
-            theta = np.stack((a, b * unit), axis=-1)
-        loglik, info = n * f - events.sum(axis=-1) * np.log(unit), _symmetric(*info)
-    positive = np.all(np.isfinite(theta) & (theta > 0), axis=-1)
-    status = np.where(positive, status, _kernels.FIT_BOUNDARY)
-    return theta, status, iterations, grad_norm, loglik, info
 
 
 def fit_mle(fam, cohort: Cohort) -> FitResult:
@@ -171,19 +125,38 @@ def fit_mle(fam, cohort: Cohort) -> FitResult:
     fam = family(fam)
     if cohort.n_events == 0:
         raise FitError("no events: likelihood unbounded/degenerate")
-    theta_hat, status, iters, grad_norm, loglik, log_info = (
-        v[0] for v in _fit_rows(fam, cohort.times[None], cohort.events[None])
-    )
+    times, events, n = cohort.times, cohort.events, cohort.n
+    # huge or tiny times may overflow an estimate or a scaled time: the fit fails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if fam.code == _kernels.EXPONENTIAL:
+            d, exposure = events.sum(), times.sum()
+            rate = d / exposure
+            status = _kernels.FIT_OK if 0.0 < rate < np.inf else _kernels.FIT_BOUNDARY
+            theta, iters, log_info = np.array([rate]), 0, [[d / n]]
+            grad_norm, loglik = abs(d - rate * exposure) / n, d * np.log(rate) - d
+        elif fam.code == _kernels.WEIBULL:  # the profile is shift-invariant in log t: no unit
+            fit = _kernels.fit_weibull(np.log(times)[None], events[None], GRAD_TOL, MAX_ITER)
+            a, b, grad_norm, iters, status, f, *info = (v[0] for v in (*fit[:5], *fit[5]))
+            theta, loglik, log_info = np.array([a, b]), n * f, _symmetric(*info)
+        else:
+            # the unit, a typical time: the upper median, by a partial sort
+            unit = np.partition(times, n // 2)[n // 2]
+            a, b, grad_norm, iters, status, (f, *info) = _kernels.fit_loglogistic(
+                times / unit, events, 0.0, 0.0, GRAD_TOL, MAX_ITER
+            )
+            theta = np.array([a, b * unit])  # the shape stays inside its bounds
+            status = status if 0.0 < theta[1] < np.inf else _kernels.FIT_BOUNDARY
+            loglik, log_info = n * f - events.sum() * np.log(unit), _symmetric(*info)
     if status != _kernels.FIT_OK:
-        raise FitError(f"{fam.name} fit {FAILURES[int(status)]}", last_theta=theta_hat)
+        raise FitError(f"{fam.name} fit {FAILURES[int(status)]}", last_theta=theta)
     loglik = float(loglik)
     return FitResult(
         family=fam,
-        theta_hat=theta_hat,
+        theta_hat=theta,
         log_info=log_info,
         loglik=loglik,
         aic=2.0 * fam.q - 2.0 * loglik,
-        n=cohort.n,
+        n=n,
         iterations=int(iters),
         grad_norm=float(grad_norm),
     )

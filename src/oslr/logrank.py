@@ -194,14 +194,12 @@ def _statistics(
             raise UsageError(f"allocation ratio pi must be positive and finite, got {pi}")
     a, b = _ab(ref.family, ref.theta)
     n_events = float((cohort_b.events * (cohort_b.times <= t)).sum())
-    capped = np.minimum(cohort_b.times, t)[None]
+    capped = np.minimum(cohort_b.times, t)
     # times far past the reference's own overflow E_B or V2 to inf (or V2 to
     # NaN); zscore refuses such a test
     with np.errstate(over="ignore", invalid="ignore"):
-        expected, g0, g1 = (
-            float(v[0])
-            for v in _kernels.oslr_components(ref.family.code, a, b, capped, np.log(capped))
-        )
+        components = _kernels.oslr_components(ref.family.code, a, b, capped, np.log(capped))
+        expected, g0, g1 = map(float, components)
         v2 = None if pi is None else float(_v2(pi, g0, g1, ref.info_pinv))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     return n_events, expected, m, v1, v2

@@ -8,17 +8,17 @@ counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
 
 The unit of work is a block of replicates held as (R, n) arrays, one
-replicate per row: the block is drawn, fitted (one batched Newton run on the
-Weibull profile likelihood in the shape, from shape 1, that carries only its
-unfinished rows; the sums of a row's last pass also give its information in
-log-parameters), tested against both reference curves at arm B's largest
-time, which caps none, over its log-times taken once (the expected events
-alone for the true curve, one fused pass with the hazard gradient for the
-fitted curve; all six one-sample z-values follow from them arithmetically)
-and compared two-sample (one in-place sort per row of integer keys that
-carry each subject's time, arm and event) at once. A row's z-values do not
-depend on the other rows of its block, so the counts are the same for any
-chunking and worker count.
+replicate per row: the block is drawn, fitted (one ``_kernels.fit_weibull``
+call, Newton on the profile likelihood in the shape from shape 1, that
+carries only its unfinished rows; the sums of a row's last pass also give
+its information in log-parameters), tested against both reference curves
+at arm B's largest time, which caps none, over its log-times taken once
+(the expected events alone for the true curve, one fused pass with the
+hazard gradient for the fitted curve; all six one-sample z-values follow
+from them arithmetically) and compared two-sample (one in-place sort per
+row of integer keys that carry each subject's time, arm and event) at
+once. A row's z-values do not depend on the other rows of its block, so
+the counts are the same for any chunking and worker count.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
@@ -65,7 +65,7 @@ from . import _kernels
 from .data import Cohort
 from .errors import UsageError
 from .families import WEIBULL
-from .fitting import _fit_rows, pseudo_inverse
+from .fitting import GRAD_TOL, MAX_ITER, _symmetric, pseudo_inverse
 from .logrank import (
     _compensated_and_v1,
     _two_sample_scores,
@@ -276,10 +276,10 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
 
     # rows without events have no fit; the information comes with the fit
     fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
-    arm_a = [v[fitted] if fitted.size < n_rows else v for v in (times_a, events_a)]
-    theta, status, _, _, _, info = _fit_rows(WEIBULL, *arm_a)
+    arm_a = [v[fitted] if fitted.size < n_rows else v for v in (np.log(times_a), events_a)]
+    a, b, _, _, status, (_, *info) = _kernels.fit_weibull(*arm_a, GRAD_TOL, MAX_ITER)
     ok = status == _kernels.FIT_OK
-    fitted, (a, b) = fitted[ok], theta[ok].T
+    fitted, a, b = fitted[ok], a[ok], b[ok]
     if fitted.size < n_rows:
         times_b, log_b, n_events = times_b[fitted], log_b[fitted], n_events[fitted]
     else:
@@ -287,7 +287,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     # a converged fit of extreme shape can overflow the curve; its z is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
-        v2 = _v2(n_b / n_a, g0, g1, pseudo_inverse(info[ok]))
+        v2 = _v2(n_b / n_a, g0, g1, pseudo_inverse(_symmetric(*info)[ok]))
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1

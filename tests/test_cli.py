@@ -309,6 +309,26 @@ def test_test_non_finite_pi_exits_one(capsys, pi):
     assert "pi" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["1_5", "\uff11.\uff15", "nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("test", flag) for flag in ("--w", "--horizon", "--alpha", "--pi")]
+    + [("simulate", flag) for flag in ("--alpha", "--seed", "--workers")],
+)
+def test_numeric_flags_take_only_ascii_literals(tmp_path, capsys, command, flag, value):
+    """float() and int() read 1_5 as 15 and the full-width 1.5 as 1.5, and
+    float() reads nan: every numeric flag refuses all three, a usage error
+    naming the flag before anything runs."""
+    if command == "test":
+        argv = ["test", "--control", DATA_CONTROL, "--experimental", DATA_EXPERIMENTAL]
+    else:
+        argv = ["simulate", _scenario_file(tmp_path, n_b=5, replicates=2), "--workers", "1"]
+    code = main([*argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert flag in captured.err and captured.out == ""
+
+
 def test_test_fixed_reference_zero_z(tmp_path, capsys):
     """Unit-exponential reference with one event at t=1: N(1)=E(1)=1, z=0."""
     path = _write(tmp_path / "b.csv", [(1, 1)])
@@ -666,6 +686,20 @@ _CSV_TEXTS = st.builds(
     control="time,event\n0.5,0\n0.5,0\n1e308,1\n",
     experimental="time,event\n",
 )
+# bytes that are not UTF-8 (written from the lone surrogate), and a cell past
+# the csv module's field size limit
+@example(
+    command="test",
+    family="auto",
+    control="time,event\n1.0,1\n",
+    experimental="time,event\n1.0,1\udcff\n",
+)
+@example(
+    command="fit",
+    family="auto",
+    control="time,event\n" + "1" * 131073 + ",1\n",
+    experimental="time,event\n",
+)
 def test_analysis_commands_never_end_in_a_traceback(
     tmp_path, command, family, control, experimental
 ):
@@ -676,7 +710,7 @@ def test_analysis_commands_never_end_in_a_traceback(
     paths = []
     for name, text in (("control", control), ("experimental", experimental)):
         path = tmp_path / f"{name}.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         paths.append(str(path))
     argv = [command, "--control", paths[0]]
     if command != "fit":

@@ -16,8 +16,8 @@ from oslr.errors import FitError, SelectionError
 from oslr.families import family, loglik_derivatives
 from oslr.fitting import (
     GRAD_TOL,
+    MAX_ITER,
     FitResult,
-    _fit_rows,
     _outer,
     fit_mle,
     pseudo_inverse,
@@ -123,14 +123,24 @@ def test_fit_errors():
 
 
 def test_subnormal_time_fails_at_the_boundary_without_warnings():
-    """A rate back in the unit of a subnormal time overflows to inf: the row
-    ends as FIT_BOUNDARY and fit_mle raises FitError, with no overflow
-    warning leaked."""
+    """A rate back in the unit of a subnormal time overflows to inf: fit_mle
+    raises FitError at the boundary, with no overflow warning leaked."""
     cohort = Cohort([1e-320], [1])
-    status = _fit_rows(family("exponential"), cohort.times[None], cohort.events[None])[1]
-    assert status[0] == _kernels.FIT_BOUNDARY
     with pytest.raises(FitError, match="boundary"):
         fit_mle("exponential", cohort)
+
+
+def test_weibull_scale_past_the_float_range_fails_at_the_boundary():
+    """The Weibull kernel converges here to a log-scale inside the box
+    around the upper median time, but past the largest float64: the kernel
+    itself reports FIT_BOUNDARY, not FIT_OK with an infinite scale, and so
+    fit_mle raises FitError."""
+    times = np.array([2.6970181415597055e303, 6.765317386829827e307])
+    events = np.array([1.0, 0.0])
+    status = _kernels.fit_weibull(np.log(times)[None], events[None], GRAD_TOL, MAX_ITER)[4]
+    assert status.tolist() == [_kernels.FIT_BOUNDARY]
+    with pytest.raises(FitError, match="boundary"):
+        fit_mle("weibull", Cohort(times, events))
 
 
 def _assert_scaled(name, fit0, fit1, factor):
@@ -153,7 +163,7 @@ def test_weibull_fit_starts_at_the_exponential_mle():
     cohorts = [exp_cohort(rng, 30, censor=2.0) for _ in range(5)]
     times = np.stack([c.times for c in cohorts])
     events = np.stack([c.events for c in cohorts])
-    exponential = _fit_rows(family("exponential"), times, events)[0][:, 0]
+    exponential = np.array([fit_mle("exponential", c).theta_hat[0] for c in cohorts])
     logt = np.log(times)
     a, b = _kernels.fit_weibull(logt, events, GRAD_TOL, 0)[:2]
     assert a.tolist() == [1.0] * 5
@@ -167,7 +177,9 @@ def test_weibull_fit_starts_at_the_exponential_mle():
         times = np.stack([c.times for c in cohorts])
         events = np.stack([c.events for c in cohorts])
         assert times.shape == (200, 50) and events.sum(axis=1).min() > 0
-        status, iterations = _fit_rows(family("weibull"), times, events)[1:3]
+        _, _, _, iterations, status, _ = _kernels.fit_weibull(
+            np.log(times), events, GRAD_TOL, MAX_ITER
+        )
         assert np.all(status == _kernels.FIT_OK)
         assert iterations.mean() <= most, (kappa, iterations.mean())
 
@@ -226,7 +238,7 @@ def test_weibull_boundary_only_where_the_profile_keeps_rising(data, tied):
     logt = np.array([float(k) if tied else x for k, x, _ in data])
     events = np.array([float(e) for _, _, e in data])
     times = np.exp(logt)
-    status = _fit_rows(family("weibull"), times[None], events[None])[1][0]
+    status = _kernels.fit_weibull(np.log(times)[None], events[None], GRAD_TOL, MAX_ITER)[4][0]
     if status != _kernels.FIT_BOUNDARY:
         return
     n = logt.size
@@ -272,7 +284,10 @@ def test_weibull_scale_box_is_around_the_upper_median(block):
     logt = np.array([[x for x, _ in row] for row in block])
     events = np.array([[float(e) for _, e in row] for row in block])
     times = np.exp(logt)
-    theta, status, _, grad_norm, _, _ = _fit_rows(family("weibull"), times, events)
+    a, b, grad_norm, _, status, _ = _kernels.fit_weibull(
+        np.log(times), events, GRAD_TOL, MAX_ITER
+    )
+    theta = np.stack((a, b), axis=-1)
     n = times.shape[1]
     median = np.log(np.partition(times, n // 2, axis=-1)[:, n // 2])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -376,9 +391,12 @@ def test_information_from_the_fit_is_the_information_at_the_estimate(name):
     times = rng.weibull(1.4, (40, 60)) * 5.0 + 1e-3
     events = (rng.random((40, 60)) < 0.7).astype(np.float64)
     events[:, 0] = 1.0
-    theta, status, _, _, loglik, info = _fit_rows(fam, times, events)
-    assert np.all(status == _kernels.FIT_OK)
     rows = [Cohort(t, e) for t, e in zip(times, events)]
+    # fit_mle raises FitError on any status but FIT_OK
+    fits = [fit_mle(fam, row) for row in rows]
+    theta = np.array([f.theta_hat for f in fits])
+    loglik = [f.loglik for f in fits]
+    info = np.array([f.log_info for f in fits])
     want_loglik = [loglik_derivatives(fam, th, row)[0] for th, row in zip(theta, rows)]
     want_info = np.array([information(fam, th, row) for th, row in zip(theta, rows)])
     assert_allclose(loglik, want_loglik, rtol=1e-10)

@@ -11,8 +11,7 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from oslr import _kernels, families
-from oslr.fitting import _fit_rows
+from oslr import _kernels
 
 MASTER_SEED = 20260815
 
@@ -139,11 +138,6 @@ def test_zero_row_block_returns_at_once():
     empty = np.empty((0, 5))
     out = _kernels.fit_weibull(empty, empty, 1e-8, 200)
     assert [v.shape for v in (*out[:5], *out[5])] == [(0,)] * 9
-    # the log-logistic, fitted cohort by cohort, gives the same shapes
-    for fam in (families.EXPONENTIAL, families.WEIBULL, families.LOGLOGISTIC):
-        out = _fit_rows(fam, empty, empty)
-        assert [v.shape for v in out] == [(0, fam.q)] + [(0,)] * 4 + [(0, fam.q, fam.q)]
-        assert out[1].dtype == out[2].dtype == np.int64
 
 
 def test_exponential_kernel_closed_forms():
