@@ -263,7 +263,7 @@ def cmd_report(args) -> None:
         raise UsageError(f"{args.results}: expected a JSON list of result records")
     try:
         rows = [row for record in records for row in record_rows(record)]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.results}: malformed record ({exc})") from exc
     if args.format == "csv":
         if args.out:

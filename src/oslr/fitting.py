@@ -15,9 +15,9 @@ them. The information, the average negated log-likelihood Hessian at the
 estimate, comes from the fit's last pass in log-parameter coordinates,
 where it has no time unit and cannot overflow on huge or tiny times; the
 natural-scale matrix is derived from it once per fit. Its pseudo-inverse
-is in closed form for 2 x 2 matrices, elementwise over a stack; the
-corrected test takes it in log-parameter coordinates, which keeps that
-test free of the time unit.
+is in closed form for 2 x 2 matrices from their three entries, which the
+engine passes straight from the Weibull kernel; the corrected test takes it
+in log-parameter coordinates, which keeps that test free of the time unit.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class FitResult:
 
 
 def _symmetric(x00, x01, x11):
-    """(R, 2, 2) symmetric matrices from their (R,) entries, or one from scalars."""
+    """(..., 2, 2) symmetric matrices from their (...) entries, or one from scalars."""
     return np.stack((np.stack((x00, x01), axis=-1), np.stack((x01, x11), axis=-1)), axis=-2)
 
 
@@ -182,11 +182,10 @@ def _outer(theta) -> np.ndarray:
 def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
     (..., q, q) stack, via its eigendecomposition: in closed form for
-    q = 2, elementwise over the stack, and through LAPACK otherwise.
+    q = 2 (``_pinv_2x2``, elementwise), through LAPACK otherwise.
 
     The singular values of a symmetric matrix are its eigenvalues' moduli;
-    eigenvalues with |lambda| <= 1e-12 * q * max |lambda| count as zero for
-    q x q matrices.
+    those with |lambda| <= 1e-12 * q * max |lambda| count as zero.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -200,32 +199,31 @@ def pseudo_inverse(m) -> np.ndarray:
             raise ValueError("matrix is not symmetric within 1e-10")
     if m.shape[-1] != 2:
         lam, v = np.linalg.eigh(m)
-        return (v * _kept_inverse(lam)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    # [[a, b], [b, c]] has eigenvalues mid +- hypot(half, b). The one of larger
-    # modulus, big, takes the sign of mid, which avoids cancellation; the other
-    # is the determinant over big, computed without cancellation or overflow as
-    # LAPACK's dlaev2 does. Only the zero matrix has big = 0. big's eigenvector
-    # is (cos phi, sin phi), with 2 phi the angle of sign * (a - c, 2b), and the
-    # other eigenvector is orthogonal to it.
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+        size = np.abs(lam)
+        keep = size > 1e-12 * m.shape[-1] * size.max(axis=-1, keepdims=True)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+        return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return _symmetric(*_pinv_2x2(m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]))
+
+
+def _pinv_2x2(a, b, c):
+    """Entries (p00, p01, p11) of ``pseudo_inverse`` of [[a, b], [b, c]],
+    elementwise, with its cut 1e-12 * 2 * max |lambda|. The eigenvalues are
+    mid +- hypot(half, b): big, the one of larger modulus, takes the sign of
+    mid, which avoids cancellation, and small is the determinant over big,
+    computed without cancellation or overflow as LAPACK's dlaev2 does. Only
+    the zero matrix has big = 0. big's eigenvector is (cos phi, sin phi),
+    2 phi the angle of sign * (a - c, 2b); small's is orthogonal to it."""
     mid, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
     sign = np.copysign(1.0, mid)
     big = mid + sign * np.hypot(half, b)
     safe = np.where(big == 0.0, 1.0, big)
-    lam = np.stack((big, (a / safe) * c - (b / safe) * b), axis=-1)
-    inv = _kept_inverse(lam)
+    small = (a / safe) * c - (b / safe) * b
+    cut = 2e-12 * np.maximum(np.abs(big), np.abs(small))
+    inv_big = np.divide(1.0, big, out=np.zeros_like(big), where=np.abs(big) > cut)
+    inv_small = np.divide(1.0, small, out=np.zeros_like(small), where=np.abs(small) > cut)
     phi = 0.5 * np.arctan2(sign * b, sign * half)
     cos, sin = np.cos(phi), np.sin(phi)
-    out = np.empty(m.shape)
-    out[..., 0, 0] = inv[..., 0] * cos * cos + inv[..., 1] * sin * sin
-    out[..., 0, 1] = out[..., 1, 0] = (inv[..., 0] - inv[..., 1]) * cos * sin
-    out[..., 1, 1] = inv[..., 0] * sin * sin + inv[..., 1] * cos * cos
-    return out
-
-
-def _kept_inverse(lam):
-    """1 / lambda for each of q eigenvalues with |lambda| > 1e-12 * q *
-    max |lambda| along the last axis, 0 for the others."""
-    size = np.abs(lam)
-    keep = size > 1e-12 * lam.shape[-1] * size.max(axis=-1, keepdims=True)
-    return np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    p00 = inv_big * cos * cos + inv_small * sin * sin
+    p11 = inv_big * sin * sin + inv_small * cos * cos
+    return p00, (inv_big - inv_small) * cos * sin, p11

@@ -158,20 +158,17 @@ def _compensated_and_v1(n_events, expected, n, w):
     return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
 
 
-def _v2(pi, g0, g1, info_pinv):
-    """V2 = pi * gbar' J^+ gbar, written out elementwise so that a row of a
-    (R, q, q) stack is computed alike in any block. Both are taken in
-    log-parameters, where neither has a time unit: J^+ is the pseudo-inverse
-    there, and gbar = (g0, g1)[:q] the mean hazard gradient from
-    ``_kernels.oslr_components``."""
-    p = info_pinv
+def _v2(pi, g0, g1, p00, p01=None, p11=None):
+    """V2 = pi * gbar' J^+ gbar, written out elementwise from J^+'s entries
+    (p00 for q = 1; p00, p01, p11 for q = 2) so that a row of a block is
+    computed alike in any block. Both are in log-parameters, where neither
+    has a time unit: J^+ is the pseudo-inverse there, and gbar = (g0, g1)[:q]
+    the mean hazard gradient from ``_kernels.oslr_components``."""
     h0 = pi * g0
-    if p.shape[-1] == 1:
-        return h0 * p[..., 0, 0] * g0
+    if p01 is None:
+        return h0 * p00 * g0
     h1 = pi * g1
-    return (h0 * p[..., 0, 0] + h1 * p[..., 1, 0]) * g0 + (
-        h0 * p[..., 0, 1] + h1 * p[..., 1, 1]
-    ) * g1
+    return (h0 * p00 + h1 * p01) * g0 + (h0 * p01 + h1 * p11) * g1
 
 
 def _statistics(
@@ -200,7 +197,8 @@ def _statistics(
     with np.errstate(over="ignore", invalid="ignore"):
         components = _kernels.oslr_components(ref.family.code, a, b, capped, np.log(capped))
         expected, g0, g1 = map(float, components)
-        v2 = None if pi is None else float(_v2(pi, g0, g1, ref.info_pinv))
+        p = ref.info_pinv  # _v2 takes its entries on and above the diagonal
+        v2 = None if pi is None else float(_v2(pi, g0, g1, *p[np.triu_indices(len(p))]))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
     return n_events, expected, m, v1, v2
 

@@ -11,14 +11,15 @@ The unit of work is a block of replicates held as (R, n) arrays, one
 replicate per row: the block is drawn, fitted (one ``_kernels.fit_weibull``
 call, Newton on the profile likelihood in the shape from shape 1, that
 carries only its unfinished rows; the sums of a row's last pass also give
-its information in log-parameters), tested against both reference curves
-at arm B's largest time, which caps none, over its log-times taken once
-(the expected events alone for the true curve, one fused pass with the
-hazard gradient for the fitted curve; all six one-sample z-values follow
-from them arithmetically) and compared two-sample (one in-place sort per
-row of integer keys that carry each subject's time, arm and event) at
-once. A row's z-values do not depend on the other rows of its block, so
-the counts are the same for any chunking and worker count.
+its information's three entries in log-parameters, and V2 follows from them
+elementwise), tested against both reference curves at arm B's largest time,
+which caps none, over its log-times taken once (the expected events alone
+for the true curve, one fused pass with the hazard gradient for the fitted
+curve; all six one-sample z-values follow from them arithmetically) and
+compared two-sample (one in-place sort per row of integer keys that carry
+each subject's time, arm and event) at once. A row's z-values do not depend
+on the other rows of its block, so the counts are the same for any chunking
+and worker count.
 
 With N workers a cell's replicates split into N equal contiguous shares.
 Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
@@ -65,7 +66,7 @@ from . import _kernels
 from .data import Cohort
 from .errors import UsageError
 from .families import WEIBULL
-from .fitting import GRAD_TOL, MAX_ITER, _symmetric, pseudo_inverse
+from .fitting import GRAD_TOL, MAX_ITER, _pinv_2x2
 from .logrank import (
     _compensated_and_v1,
     _two_sample_scores,
@@ -279,7 +280,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     arm_a = [v[fitted] if fitted.size < n_rows else v for v in (np.log(times_a), events_a)]
     a, b, _, _, status, (_, *info) = _kernels.fit_weibull(*arm_a, GRAD_TOL, MAX_ITER)
     ok = status == _kernels.FIT_OK
-    fitted, a, b = fitted[ok], a[ok], b[ok]
+    fitted, a, b, *info = (v[ok] for v in (fitted, a, b, *info))
     if fitted.size < n_rows:
         times_b, log_b, n_events = times_b[fitted], log_b[fitted], n_events[fitted]
     else:
@@ -287,7 +288,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     # a converged fit of extreme shape can overflow the curve; its z is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
-        v2 = _v2(n_b / n_a, g0, g1, pseudo_inverse(_symmetric(*info)[ok]))
+        v2 = _v2(n_b / n_a, g0, g1, *_pinv_2x2(*info))
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1

@@ -852,6 +852,7 @@ def test_report_malformed_input_exits_one(tmp_path, capsys):
         {**good, "scenario": {**good["scenario"], "n_b": "x"}},
         {**good, "procedures": {"true_w0": {**stats, "n_evaluated": 40.0}}},
         {**good, "procedures": {"true_w0": {**stats, "two_sided_rate": "x"}}},
+        {**good, "procedures": []},
     ]
     record = tmp_path / "record.json"
     for fmt in ("table", "csv"):

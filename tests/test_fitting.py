@@ -19,6 +19,7 @@ from oslr.fitting import (
     MAX_ITER,
     FitResult,
     _outer,
+    _pinv_2x2,
     fit_mle,
     pseudo_inverse,
     select_model,
@@ -510,13 +511,24 @@ def test_pseudo_inverse():
                 np.array([np.diag(d) for d in [(3.0, -2.0), (-2.0, 3.0), (-5.0, 1e-3),
                                                (-1.0, -4.0), (0.0, -2.0), (-7.0, 0.0)]]),
                 np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [2.0, -1.0]]]),
+                # either side of the cut 1e-12 * 2 * max |lambda|: dropped, kept
+                np.diag([1.0, 1.9e-12])[None],
+                np.diag([1.0, 2.1e-12])[None],
             ]
         )
+        assert pseudo_inverse(special[-2])[1, 1] == 0.0
+        assert pseudo_inverse(special[-1])[1, 1] > 1e11
         for scale in (1e-12, 1.0, 1e12):
             for m in (scale * general, scale * special):
                 expected = np.linalg.pinv(m, rcond=1e-12 * 2, hermitian=True)
                 size = np.abs(expected).max(axis=(-2, -1), keepdims=True)
-                assert np.all(np.abs(pseudo_inverse(m) - expected) <= 1e-10 * size)
+                plus = pseudo_inverse(m)
+                assert np.all(np.abs(plus - expected) <= 1e-10 * size)
+                # the engine's V2 takes the helper's entries: the same bits
+                entries = _pinv_2x2(m[..., 0, 0], m[..., 0, 1], m[..., 1, 1])
+                for (i, j), p in zip(((0, 0), (0, 1), (1, 1)), entries):
+                    assert np.array_equal(p, plus[..., i, j])
+                assert np.array_equal(plus[..., 1, 0], plus[..., 0, 1])
         # badly scaled, as an information matrix in a large time unit: every
         # entry to rtol 1e-9, which the small eigenvalue as mid - radius misses
         d = np.array([1.0, 1e-3])

@@ -20,15 +20,17 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
-from oslr.fitting import fit_mle
+from oslr.fitting import GRAD_TOL, MAX_ITER, fit_mle
 from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
 from oslr import _kernels, cli, simulation
 from oslr.simulation import (
     MAX_OBSERVATIONS,
     PROCEDURES,
+    RANGES,
     Scenario,
     SimulationResult,
     _block_z,
@@ -598,18 +600,69 @@ def _single_cohort_z(scenario, index):
     return z
 
 
-ENGINE_CELLS = [(1.0, 50, 1.0), (2.0, 50, 0.5), (0.5, 50, 2.0), (1.0, 10, 1.0)]
+ENGINE_CELLS = [
+    (1.0, 50, 1.0),
+    (2.0, 50, 0.5),
+    (0.5, 50, 2.0),
+    (1.0, 10, 1.0),
+    # failed fits (no events, boundary) and curves that overflow
+    (0.05, 5, 1.0),
+    (100.0, 5, 2.0),
+]
 
 
 @pytest.mark.parametrize("kappa, n_b, pi", ENGINE_CELLS)
 def test_block_engine_matches_single_cohort_api(kappa, n_b, pi):
     """Per replicate, the block engine's z-values and evaluated procedures
-    equal those of the single-cohort API."""
+    equal those of the single-cohort API bit for bit: both routes run the
+    same kernels and the same closed-form V2."""
     s = _scenario(kappa=kappa, n_b=n_b, pi=pi, replicates=300)
     engine = _block_z(s, _uniforms(s, 0, s.replicates))
     oracle = np.array([_single_cohort_z(s, i) for i in range(s.replicates)])
-    assert np.array_equal(np.isfinite(engine), np.isfinite(oracle))
-    assert_allclose(engine, oracle, rtol=1e-7, atol=1e-7)
+    assert np.array_equal(engine, oracle, equal_nan=True)
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A Scenario of 3 replicates with kappa log-uniform over its range,
+    1 <= n_b <= 30, pi such that n_a <= 60, and any seed."""
+    lo, hi = RANGES["kappa"]
+    kappa = math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+    n_b = draw(st.integers(1, 30))
+    pi = draw(st.floats(n_b / 60.0, 1e3))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return Scenario(kappa=min(max(kappa, lo), hi), n_b=n_b, pi=pi, replicates=3, seed=seed)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_small_scenarios())
+def test_block_engine_matches_single_cohort_api_across_ranges(s):
+    """The bitwise equality of the two routes holds across small scenarios,
+    not only on the fixed cells above."""
+    engine = _block_z(s, _uniforms(s, 0, s.replicates))
+    oracle = np.array([_single_cohort_z(s, i) for i in range(s.replicates)])
+    assert np.array_equal(engine, oracle, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario(kappa=0.05, n_b=5, pi=1.0, replicates=1000, seed=77),
+        Scenario(kappa=100.0, n_b=5, pi=2.0, replicates=60, seed=11),
+    ],
+)
+def test_converged_weibull_fits_have_finite_information(scenario):
+    """The engine computes V2 from fit_weibull's information entries with no
+    finiteness check: every FIT_OK row's entries are finite, on cells where
+    fits fail and fitted curves overflow."""
+    n_a = scenario.n_a
+    u = _uniforms(scenario, 0, scenario.replicates)
+    times, events = simulation._observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a])
+    rows = events.sum(axis=1) > 0
+    fit = _kernels.fit_weibull(np.log(times[rows]), events[rows], GRAD_TOL, MAX_ITER)
+    ok = fit[4] == _kernels.FIT_OK
+    assert 0 < ok.sum()
+    assert np.isfinite(np.array(fit[5][1:])[:, ok]).all()
 
 
 @pytest.mark.parametrize("kappa, n_b, pi", ENGINE_CELLS)
