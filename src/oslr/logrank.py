@@ -284,8 +284,10 @@ def _two_sample_scores(times, events, n_a):
     more than ~2^1024 apart) keys on its dense time ranks instead, which
     keep order and ties. Inside a tie group subjects sort by (arm, event),
     so the scores do not depend on the order of subjects within an arm.
-    Every operand stays uint64: numpy < 2 promotes uint64 with int64 to
-    float64."""
+    Every key operand stays uint64: numpy < 2 promotes uint64 with int64 to
+    float64. The flags are unpacked as floats, exact as the counts are, and
+    the keys released before the sums; ``times`` and ``events`` are only
+    read."""
     n = times.shape[-1]
     bits = times.view(np.uint64)
     keys = bits - bits.min(axis=-1, keepdims=True)
@@ -293,25 +295,34 @@ def _two_sample_scores(times, events, n_a):
         keys[r] = np.unique(times[r], return_inverse=True)[1]
     keys <<= _U2
     keys[:, n_a:] |= _U2
-    keys |= events.astype(np.uint64)
+    np.bitwise_or(keys, events, out=keys, dtype=np.uint64, casting="unsafe")
     keys.sort(axis=-1)
-    events = (keys & _U1).astype(np.float64)
-    in_b = keys >> _U1
-    in_b &= _U1
+    # adjacent keys of equal time differ in the two flag bits only
+    tied = np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < _U4, axis=-1))
+    tied_times = keys[tied] >> _U2
+    events = np.empty(keys.shape)
+    np.bitwise_and(keys, _U1, out=events, casting="unsafe")
+    keys >>= _U1
+    in_b = np.empty(keys.shape)
+    np.bitwise_and(keys, _U1, out=in_b, casting="unsafe")
+    del keys
     y = np.arange(n, 0, -1.0)
     # arm B's subjects from each rank to the row's end
-    frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1] / y
-    var = frac * (1.0 - frac)
-    # adjacent keys of equal time differ in the two flag bits only
-    for r in np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < _U4, axis=-1)):
-        t = keys[r] >> _U2
+    frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1]
+    frac /= y
+    var = 1.0 - frac
+    var *= frac
+    for r, t in zip(tied, tied_times):
         lo = np.searchsorted(t, t, "left")
         hi = np.searchsorted(t, t, "right")
         d = np.concatenate(([0.0], np.cumsum(events[r])))
         d = d[hi] - d[lo]
         frac[r] = frac[r, lo]
         var[r] = var[r, lo] * (y[lo] - d) / np.maximum(y[lo] - 1.0, 1.0)
-    return np.sum(events * (in_b - frac), axis=-1), np.sum(events * var, axis=-1)
+    in_b -= frac
+    in_b *= events
+    var *= events
+    return in_b.sum(axis=-1), var.sum(axis=-1)
 
 
 def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:

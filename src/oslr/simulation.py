@@ -41,9 +41,10 @@ emptied. At interpreter exit an atexit hook closes the pipes and reaps the
 workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
-(n_A + n_B): one replicate's working arrays, its uniforms included, peak
-at about 108 bytes per observation (tracemalloc over one block at
-n_B = 10,000), so about 108 MB at that bound.
+(n_A + n_B): a block's working arrays, its uniforms included, peak at
+52-57 bytes per observation (tracemalloc at kappa = 1 over blocks at
+n_B = 50 and 10,000, and over one replicate at that bound, where the peak
+is about 57 MB).
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ PROCEDURES = (
 )
 _N_PROC = len(PROCEDURES)
 
-# a block of R replicates holds at most this many observations, R * (n_a + n_b)
-_BLOCK_ELEMENTS = 2**15
+# a block of R replicates holds at most this many observations, R * (n_a + n_b);
+# this bounds its working memory, ~55 bytes per observation, to ~3.5 MB, about
+# one core's L2 cache
+_BLOCK_ELEMENTS = 2**16
 
 # largest n_a + n_b of one replicate that a Scenario admits
 MAX_OBSERVATIONS = 1_000_000
@@ -216,14 +219,19 @@ def _uniforms(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     return u
 
 
-def _observe(scenario: Scenario, u_event, u_censor):
+def _observe(scenario: Scenario, u_event, u_censor, times=None, events=None):
     """Observed times and 0/1 event flags from uniforms: Weibull event times
     by inversion, t = sigma (-log u)^(1/kappa), and censoring times
-    c = followup + accrual * u, uniform on [followup, accrual + followup]."""
+    c = followup + accrual * u, uniform on [followup, accrual + followup].
+    Written into ``times`` and ``events`` (float64, say views of a block's
+    pooled arrays) when given; the uniforms are left as they are."""
     with np.errstate(divide="ignore"):
         t = scenario.sigma * (-np.log(u_event)) ** (1.0 / scenario.kappa)
     c = scenario.followup_years + scenario.accrual_years * u_censor
-    return np.minimum(t, c), (t <= c).astype(np.float64)
+    if events is None:
+        events = np.empty(t.shape)
+    np.less_equal(t, c, out=events)
+    return np.minimum(t, c, out=times), events
 
 
 def generate_cohort(scenario: Scenario, group: str, rng: np.random.Generator) -> Cohort:
@@ -252,16 +260,22 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     two ``generate_cohort`` calls draw them (arm A, then arm B). A z is NaN
     where its procedure is not evaluated: a failed fit, or a test whose
     variance is not positive.
+
+    Each array is dropped once its last use is past, so that the block's
+    working memory peaks at ~55 bytes per observation, the uniforms
+    included; ``u`` is read, never written.
     """
     n_a, n_b = scenario.n_a, scenario.n_b
-    times_a, events_a = _observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a])
-    times_b, events_b = _observe(
-        scenario, u[:, 2 * n_a : 2 * n_a + n_b], u[:, 2 * n_a + n_b :]
-    )
-    times = np.concatenate((times_a, times_b), axis=1)
+    n_rows = u.shape[0]
+    # the pooled arrays, arm A in the first n_a columns; each arm's are views
+    times, events = np.empty((2, n_rows, n_a + n_b))
+    times_a, times_b = times[:, :n_a], times[:, n_a:]
+    events_a, events_b = events[:, :n_a], events[:, n_a:]
+    _observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a], times_a, events_a)
+    _observe(scenario, u[:, 2 * n_a : 2 * n_a + n_b], u[:, 2 * n_a + n_b :], times_b, events_b)
+    del u  # frees a caller's temporary: the uniforms are the block's largest array
     if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails both
         raise ValueError("times must be finite and positive")
-    n_rows = u.shape[0]
     # each procedure's statistic and its variance, NaN where not evaluated
     m = np.full((n_rows, _N_PROC), np.nan)
     var = np.full((n_rows, _N_PROC), np.nan)
@@ -279,6 +293,7 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
     arm_a = [v[fitted] if fitted.size < n_rows else v for v in (np.log(times_a), events_a)]
     a, b, _, _, status, (_, *info) = _kernels.fit_weibull(*arm_a, GRAD_TOL, MAX_ITER)
+    del arm_a
     ok = status == _kernels.FIT_OK
     fitted, a, b, *info = (v[ok] for v in (fitted, a, b, *info))
     if fitted.size < n_rows:
@@ -289,14 +304,13 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
         v2 = _v2(n_b / n_a, g0, g1, *_pinv_2x2(*info))
+    del times_b, log_b
     m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
     m[fitted, 2:6] = m_fit
     var[fitted, 2:4] = v1
     var[fitted, 4:6] = v1 + v2[:, None]
 
-    m[:, 6], var[:, 6] = _two_sample_scores(
-        times, np.concatenate((events_a, events_b), axis=1), n_a
-    )
+    m[:, 6], var[:, 6] = _two_sample_scores(times, events, n_a)
     return _z_or_nan(m, var)
 
 

@@ -425,6 +425,16 @@ def test_two_sample_scores_rows_match_single_rows():
     assert u[1] == v[1] == u[4] == v[4] == 0.0
 
 
+def test_two_sample_scores_leave_their_inputs_unchanged():
+    """The scores work in place on arrays of their own: the caller's times
+    and events are bitwise as they were, on tied, untied, event-free and
+    wide-span rows."""
+    times, events, n_a = _mixed_block()
+    before = times.tobytes(), events.tobytes()
+    _two_sample_scores(times, events, n_a)
+    assert (times.tobytes(), events.tobytes()) == before
+
+
 def test_two_sample_scores_ignore_subject_order_within_an_arm():
     """Permuting the subjects of arm A among themselves, and of arm B, leaves
     U and V bitwise unchanged on tied rows, a wide-span one included."""

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
 from oslr.fitting import GRAD_TOL, MAX_ITER, fit_mle
-from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
+from oslr.logrank import ReferenceCurve, critical_value, oslr_test, two_sample_logrank
 from oslr import _kernels, cli, simulation
 from oslr.simulation import (
     MAX_OBSERVATIONS,
@@ -34,6 +35,7 @@ from oslr.simulation import (
     Scenario,
     SimulationResult,
     _block_z,
+    _tally,
     _uniforms,
     generate_cohort,
     load_scenarios,
@@ -668,13 +670,48 @@ def test_converged_weibull_fits_have_finite_information(scenario):
 @pytest.mark.parametrize("kappa, n_b, pi", ENGINE_CELLS)
 def test_block_composition_invariance(kappa, n_b, pi):
     """Each row's z-values are bitwise the same in one block of R, in blocks
-    of 1 and in blocks of 37: counts cannot depend on chunking or workers."""
+    of 1 and in blocks of 37: counts cannot depend on chunking or workers.
+    No block writes into the uniforms it is given."""
     s = _scenario(kappa=kappa, n_b=n_b, pi=pi, replicates=300)
     u = _uniforms(s, 0, s.replicates)
+    drawn = u.tobytes()
     whole = _block_z(s, u).tobytes()
     for size in (1, 37):
         parts = [_block_z(s, u[i : i + size]) for i in range(0, s.replicates, size)]
         assert np.concatenate(parts).tobytes() == whole, f"blocks of {size}"
+    assert u.tobytes() == drawn
+
+
+def _block_peak_bytes(s):
+    """tracemalloc's peak over one block of all of ``s``'s replicates, from
+    drawing its uniforms to tallying its z-values, above what was traced
+    before."""
+    crit = critical_value(s.alpha)
+    _tally(_block_z(s, _uniforms(s, 0, s.replicates)), crit)  # any first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _tally(_block_z(s, _uniforms(s, 0, s.replicates)), crit)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_b, replicates", [(50, 200), (10_000, 2)])
+def test_block_working_memory_per_observation(n_b, replicates):
+    """A block's working arrays, its uniforms included, peak at no more than
+    64 bytes per observation: the block size is set by that figure."""
+    s = _scenario(n_b=n_b, replicates=replicates)
+    peak = _block_peak_bytes(s)
+    assert peak / (replicates * (s.n_a + s.n_b)) <= 64.0
+
+
+def test_full_block_working_memory():
+    """A block of _BLOCK_ELEMENTS observations, 100 per replicate, peaks at
+    no more than 4 MiB."""
+    s = _scenario(replicates=simulation._BLOCK_ELEMENTS // 100)
+    assert _block_peak_bytes(s) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("arm", ["A", "B"])
