@@ -40,16 +40,12 @@ from .fitting import FitResult, fit_mle, pseudo_inverse, select_model
 from .logrank import (
     ReferenceCurve,
     TestReport,
-    compensated_process,
     critical_value,
-    expected_events,
     normal_quantile,
     oslr_test,
     p_one_sided,
     p_two_sided,
     two_sample_logrank,
-    v1_hat,
-    v2_hat,
     zscore,
 )
 from .nonparametric import StepCurve, kaplan_meier, nelson_aalen
@@ -61,7 +57,6 @@ _SIMULATION_NAMES = (
     "SimulationResult",
     "generate_cohort",
     "replicate_rng",
-    "run_replicate",
     "run_scenario",
     "mc_error_interval",
     "load_scenarios",
@@ -99,10 +94,6 @@ __all__ = [
     "pseudo_inverse",
     "ReferenceCurve",
     "TestReport",
-    "expected_events",
-    "compensated_process",
-    "v1_hat",
-    "v2_hat",
     "oslr_test",
     "two_sample_logrank",
     "zscore",

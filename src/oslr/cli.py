@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -117,7 +118,7 @@ def _method_label(report) -> str:
     return f"{kind} w={report.w:g}"
 
 
-def _table1(reports, alpha: float) -> str:
+def _table1(reports, alpha: float, crit: float) -> str:
     header = f"{'method':<22} {'M_OSLR':>9} {'V1':>9} {'V2':>9} {'Z':>9} {'p':>9}"
     lines = [header, "-" * len(header)]
     for r in reports:
@@ -128,7 +129,7 @@ def _table1(reports, alpha: float) -> str:
         )
     lines.append(
         f"(p is one-sided; two-sided critical value at alpha={alpha:g}: "
-        f"{critical_value(alpha):.4f})"
+        f"{crit:.4f})"
     )
     return "\n".join(lines)
 
@@ -136,8 +137,7 @@ def _table1(reports, alpha: float) -> str:
 def cmd_test(args) -> None:
     if args.w is not None and not 0.0 <= args.w <= 1.0:
         raise UsageError(f"--w must be in [0, 1], got {args.w}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+    crit = critical_value(args.alpha)  # refuses an alpha before any file is read
     cohort_b = _load_cohort(args.experimental, prefer=("experimental", "B"))
     if args.fixed_reference:
         # a known curve is neither fitted from a control arm nor corrected
@@ -172,7 +172,7 @@ def cmd_test(args) -> None:
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     if args.out:
         _emit(payload, args.out)
-    print(payload if args.format == "json" else _table1(reports, args.alpha))
+    print(payload if args.format == "json" else _table1(reports, args.alpha, crit))
 
 
 def cmd_km(args) -> None:
@@ -213,18 +213,22 @@ def cmd_km(args) -> None:
         print(path)
 
 
-def _replace(path, write, newline=None) -> None:
-    """Write a file through ``write(fh)`` into a temporary file beside
-    ``path``, then rename it over ``path``: a reader sees the old file or
-    the new one, never a part."""
+def _replace(path, text: str, newline=None) -> None:
+    """Write ``text`` into a temporary file beside ``path``, then rename it
+    over ``path``: a reader sees the old file or the new one, never a part."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", newline=newline) as fh:
-            write(fh)
+            fh.write(text)
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)
+
+
+def _json_list(texts) -> str:
+    """``json.dumps(records, indent=2)`` from each record's text, indented."""
+    return "[\n  " + ",\n  ".join(texts) + "\n]"
 
 
 def cmd_simulate(args) -> None:
@@ -240,19 +244,21 @@ def cmd_simulate(args) -> None:
         overrides["alpha"] = args.alpha
     if overrides:
         scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
-    records, rows = [], []
+    texts, table = [], io.StringIO()
+    write_rows_csv(table, [])  # the header
     for scenario in scenarios:
-        records.append(run_scenario(scenario, workers=args.workers).to_json_dict())
-        rows.extend(record_rows(records[-1]))
+        record = run_scenario(scenario, workers=args.workers).to_json_dict()
+        # each record is serialized once; every output joins these texts
+        texts.append(json.dumps(record, indent=2).replace("\n", "\n  "))
+        write_rows_csv(table, record_rows(record), header=False)
         # after every cell, so that an interrupted grid keeps the cells it ran
         if args.out:
-            text = json.dumps(records, indent=2) + "\n"
-            _replace(f"{args.out}.json", lambda fh: fh.write(text))
-            _replace(f"{args.out}.csv", lambda fh: write_rows_csv(fh, rows), newline="")
+            _replace(f"{args.out}.json", _json_list(texts) + "\n")
+            _replace(f"{args.out}.csv", table.getvalue(), newline="")
     if args.format == "csv":
-        write_rows_csv(sys.stdout, rows)
+        sys.stdout.write(table.getvalue())
     else:
-        print(json.dumps(records, indent=2))
+        print(_json_list(texts))
 
 
 def cmd_report(args) -> None:

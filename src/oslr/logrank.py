@@ -9,7 +9,6 @@ test is included as a comparator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import InitVar, asdict, dataclass, field
 
@@ -39,10 +38,14 @@ def p_one_sided(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+# alpha with a critical value: below 2^-52, 1 - alpha / 2 rounds to 1
+_ALPHA_RANGE = (2.0**-52, 1.0 - 2.0**-53)
+
+
 def critical_value(alpha: float) -> float:
-    """Two-sided rejection threshold on |z| at level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
+    """Two-sided rejection threshold on |z| at level alpha in [2^-52, 1)."""
+    if not _ALPHA_RANGE[0] <= alpha <= _ALPHA_RANGE[1]:
+        raise UsageError(f"alpha must be in [2^-52, 1), got {alpha}")
     return normal_quantile(1.0 - alpha / 2.0)
 
 
@@ -148,9 +151,6 @@ class TestReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _compensated_and_v1(n_events, expected, n, w):
     """M(t) = n^{-1/2} (N(t) - E(t)) and V1(w, t) = (w N(t) + (1-w) E(t)) / n,
@@ -171,15 +171,31 @@ def _v2(pi, g0, g1, p00, p01=None, p11=None):
     return (h0 * p00 + h1 * p01) * g0 + (h0 * p01 + h1 * p11) * g1
 
 
-def _statistics(
+def oslr_test(
     ref: ReferenceCurve,
     cohort_b: Cohort,
-    t: float,
+    t: float | None = None,
     w: float = 0.0,
+    corrected: bool = False,
     pi: float | None = None,
-):
-    """(N_B(t), E_B(t), M(t), V1(w, t), V2(t)) from one kernel pass over the
-    cohort; V2 is None unless the allocation ratio pi is given."""
+) -> TestReport:
+    """One-sample log-rank test of cohort_b against a reference curve at time t
+    (default: cohort_b's largest time). One kernel pass gives the paper's N_B(t)
+    (``n_events``), E_B(t) = sum_i Lambda_ref(min(X_i, t))
+    (``expected_events``), M(t) = n_B^{-1/2} (N_B(t) - E_B(t)) (``m_oslr``),
+    V1(w, t) = (w N_B(t) + (1-w) E_B(t)) / n_B, w in [0, 1] (``v1``) and, when
+    corrected, V2(t) = pi gbar' J^+ gbar (``v2``, pi by default n_B / n_A), gbar
+    the cohort's mean parameter gradient of Lambda_ref at min(X_i, t); J and
+    gbar are in log-parameters, which leaves V2 as it is. z = M(t) /
+    sqrt(V1 [+ V2]); a sum not positive and finite raises DegenerateTestError."""
+    if t is None:
+        t = cohort_b.max_time()
+    if not corrected:
+        pi = None
+    elif pi is None:
+        if ref.n_a is None:
+            raise UsageError("corrected test needs pi or a reference fitted from data")
+        pi = cohort_b.n / ref.n_a
     if not np.isfinite(t) or t <= 0.0:
         raise UsageError(f"analysis time must be positive and finite, got {t}")
     if not 0.0 <= w <= 1.0:
@@ -200,60 +216,12 @@ def _statistics(
         p = ref.info_pinv  # _v2 takes its entries on and above the diagonal
         v2 = None if pi is None else float(_v2(pi, g0, g1, *p[np.triu_indices(len(p))]))
     m, v1 = _compensated_and_v1(n_events, expected, cohort_b.n, w)
-    return n_events, expected, m, v1, v2
-
-
-def expected_events(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
-    """The paper's E_B(t) = sum over the cohort of Lambda_ref(min(X_i, t))."""
-    return float(_statistics(ref, cohort_b, t)[1])
-
-
-def compensated_process(ref: ReferenceCurve, cohort_b: Cohort, t: float) -> float:
-    """The paper's compensated process M(t) = n_B^{-1/2} (N_B(t) - E_B(t))."""
-    return _statistics(ref, cohort_b, t)[2]
-
-
-def v1_hat(cohort_b: Cohort, ref: ReferenceCurve, w: float, t: float) -> float:
-    """The paper's V1(w, t) = (w N_B(t) + (1-w) E_B(t)) / n_B, w in [0, 1]."""
-    return _statistics(ref, cohort_b, t, w)[3]
-
-
-def v2_hat(ref: ReferenceCurve, cohort_b: Cohort, t: float, pi: float) -> float:
-    """The paper's reference-uncertainty variance V2(t) = pi gbar' J^+ gbar,
-    gbar the cumulative-hazard gradient at min(X_i, t) averaged over the
-    cohort; J and gbar are taken in log-parameters, which leaves V2 as it
-    is."""
-    return _statistics(ref, cohort_b, t, pi=pi)[4]
-
-
-def oslr_test(
-    ref: ReferenceCurve,
-    cohort_b: Cohort,
-    t: float | None = None,
-    w: float = 0.0,
-    corrected: bool = False,
-    pi: float | None = None,
-) -> TestReport:
-    """One-sample log-rank test of cohort_b against a reference curve.
-
-    z = M(t) / sqrt(V1 + V2) with V2 included only when corrected. The
-    default analysis time is the largest observed time in cohort_b.
-    """
-    if t is None:
-        t = cohort_b.max_time()
-    if not corrected:
-        pi = None
-    elif pi is None:
-        if ref.n_a is None:
-            raise UsageError("corrected test needs pi or a reference fitted from data")
-        pi = cohort_b.n / ref.n_a
-    n_events, expected, m, v1, v2 = _statistics(ref, cohort_b, t, w, pi)
     z = zscore(m, v1, v2 if corrected else 0.0)
     return TestReport(
         t=float(t),
         m_oslr=m,
         n_events=int(n_events),
-        expected_events=float(expected),
+        expected_events=expected,
         v1=v1,
         v2=v2,
         w=w,

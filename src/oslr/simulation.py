@@ -69,6 +69,7 @@ from .errors import UsageError
 from .families import WEIBULL
 from .fitting import GRAD_TOL, MAX_ITER, _pinv_2x2
 from .logrank import (
+    _ALPHA_RANGE,
     _compensated_and_v1,
     _two_sample_scores,
     _v2,
@@ -97,12 +98,11 @@ MAX_OBSERVATIONS = 1_000_000
 
 # closed range of each real Scenario field. Below kappa = 0.05 the smallest
 # event times, sigma (-log u)^(1/kappa) at u = 1 - 2^-53, underflow to zero;
-# far above 100 they all collapse onto sigma. Below alpha = 2^-52 the critical
-# value's 1 - alpha / 2 rounds to 1. Censoring times stay positive and finite.
+# far above 100 they all collapse onto sigma. Censoring times stay positive and finite.
 RANGES = {
     "kappa": (0.05, 100.0),
     "pi": (math.ulp(0.0), sys.float_info.max),
-    "alpha": (2.0**-52, 1.0 - 2.0**-53),
+    "alpha": _ALPHA_RANGE,
     "accrual_years": (1e-6, 1e6),
     "followup_years": (0.0, 1e6),
 }
@@ -327,17 +327,6 @@ def _tally(z: np.ndarray, crit: float) -> np.ndarray:
     )
 
 
-def run_replicate(scenario: Scenario, rng: np.random.Generator):
-    """Run all seven procedures once.
-
-    Returns (evaluated, reject_two, reject_one) int arrays aligned with
-    PROCEDURES. A failed fit marks only the fit-based procedures as not
-    evaluated; degenerate tests mark their own procedure.
-    """
-    z = _block_z(scenario, rng.random(2 * (scenario.n_a + scenario.n_b))[None])
-    return tuple(_tally(z, critical_value(scenario.alpha)))
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Aggregated rejection counts for one scenario cell."""
@@ -404,10 +393,11 @@ def record_rows(record: dict) -> list[dict]:
     return rows
 
 
-def write_rows_csv(fh, rows) -> None:
-    """Header plus rows, in CSV_FIELDS order, to an open text file."""
+def write_rows_csv(fh, rows, header: bool = True) -> None:
+    """Rows in CSV_FIELDS order, after the header if ``header``, to an open text file."""
     writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-    writer.writeheader()
+    if header:
+        writer.writeheader()
     writer.writerows(rows)
 
 

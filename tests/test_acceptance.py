@@ -23,7 +23,7 @@ from oslr.families import (
     loglik_derivatives,
 )
 from oslr.fitting import fit_mle, pseudo_inverse
-from oslr.logrank import ReferenceCurve, oslr_test, p_one_sided, v2_hat, zscore
+from oslr.logrank import ReferenceCurve, oslr_test, p_one_sided, zscore
 from oslr.simulation import mc_error_interval
 
 MASTER_SEED = 20260815
@@ -240,8 +240,8 @@ def test_acceptance_7_corrected_test_structure(criterion):
             if cor.v2 > 0.0:
                 assert cor.p_two_sided > unc.p_two_sided
             t = cohort_b.max_time()
-            base = v2_hat(ref, cohort_b, t, 0.37)
-            assert v2_hat(ref, cohort_b, t, 0.74) == 2.0 * base
+            base = oslr_test(ref, cohort_b, t, corrected=True, pi=0.37).v2
+            assert oslr_test(ref, cohort_b, t, corrected=True, pi=0.74).v2 == 2.0 * base
             assert _penrose_ok(fit.info_matrix, pseudo_inverse(fit.info_matrix))
 
 

@@ -90,8 +90,7 @@ def test_simulation_exports_load_on_first_use():
 import json, sys
 import oslr
 lazy = ["PROCEDURES", "Scenario", "SimulationResult", "generate_cohort",
-        "load_scenarios", "mc_error_interval", "replicate_rng", "run_replicate",
-        "run_scenario"]
+        "load_scenarios", "mc_error_interval", "replicate_rng", "run_scenario"]
 report = {"listed": all(name in dir(oslr) for name in lazy),
           "loaded_by_dir": "oslr.simulation" in sys.modules}
 report["same"] = oslr.run_scenario is sys.modules["oslr.simulation"].run_scenario
@@ -307,6 +306,22 @@ def test_test_non_finite_pi_exits_one(capsys, pi):
     captured = capsys.readouterr()
     assert code == 1
     assert "pi" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_test_alpha_without_a_critical_value_exits_one(capsys, fmt):
+    """Below alpha = 2^-52, 1 - alpha / 2 rounds to 1, which has no normal
+    quantile: a usage error in either format, raised before any file is
+    read or fitted, not a traceback. 2^-52 itself still has one."""
+    argv = ["test", "--control", DATA_CONTROL, "--experimental", DATA_EXPERIMENTAL,
+            "--format", fmt, "--alpha"]
+    assert main([*argv, "1e-17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: alpha") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert main([*argv, repr(2.0**-52)]) == 0
+    if fmt == "table":
+        assert "8.2095" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["1_5", "\uff11.\uff15", "nan"])
@@ -738,6 +753,21 @@ def test_simulate_grid_and_outputs(tmp_path, capsys):
     assert [r["scenario"]["kappa"] for r in records] == [0.5, 1.0]
     csv_lines = (tmp_path / "run.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 1 + 2 * 7 * 2
+
+
+def test_simulate_out_files_equal_its_stdout(tmp_path, capsys):
+    """<out>.json holds byte for byte what simulate prints, the indented
+    dump of the record list, and <out>.csv what simulate --format csv
+    prints."""
+    path = _scenario_file(tmp_path, kappa=[0.5, 1.0, 2.0], n_b=5, replicates=3)
+    out = tmp_path / "run"
+    assert main(["simulate", path, "--workers", "1", "--out", str(out)]) == 0
+    printed_json = capsys.readouterr().out
+    assert main(["simulate", path, "--workers", "1", "--format", "csv"]) == 0
+    printed_csv = capsys.readouterr().out
+    assert printed_json == json.dumps(json.loads(printed_json), indent=2) + "\n"
+    assert (tmp_path / "run.json").read_bytes() == printed_json.encode()
+    assert (tmp_path / "run.csv").read_bytes() == printed_csv.encode()
 
 
 def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, capsys, monkeypatch):

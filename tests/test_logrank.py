@@ -22,16 +22,12 @@ from oslr.fitting import fit_mle
 from oslr.logrank import (
     ReferenceCurve,
     _two_sample_scores,
-    compensated_process,
     critical_value,
-    expected_events,
     normal_quantile,
     oslr_test,
     p_one_sided,
     p_two_sided,
     two_sample_logrank,
-    v1_hat,
-    v2_hat,
     zscore,
 )
 
@@ -54,9 +50,11 @@ def test_normal_helpers_match_scipy():
 def test_critical_value():
     assert critical_value(0.05) == pytest.approx(1.959963984540054, rel=1e-14)
     assert_allclose(critical_value(0.01), stats.norm.ppf(0.995), rtol=1e-14)
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    for bad in (0.0, 1.0, -0.1, 1.5, 2.0**-53, 1e-17, math.nan):
         with pytest.raises(UsageError):
             critical_value(bad)
+    # the smallest alpha whose 1 - alpha / 2 does not round to 1
+    assert_allclose(critical_value(2.0**-52), stats.norm.isf(2.0**-53), rtol=1e-12)
 
 
 def test_zscore_and_degenerate():
@@ -120,16 +118,16 @@ def test_expected_events_hand_examples():
     """Unit exponential has Lambda(t) = t, so E is a sum of truncated times."""
     ref = ReferenceCurve.fixed("exponential", [1.0])
     c = Cohort([0.5, 1.5, 2.0], [1, 1, 0])
-    assert expected_events(ref, c, 1.0) == pytest.approx(0.5 + 1.0 + 1.0)
+    assert oslr_test(ref, c, 1.0).expected_events == pytest.approx(0.5 + 1.0 + 1.0)
     # Lambda(0+) = 0
-    assert expected_events(ref, c, 1e-12) < 1e-9
+    assert oslr_test(ref, c, 1e-12).expected_events < 1e-9
     with pytest.raises(UsageError):
-        expected_events(ref, c, 0.0)
+        oslr_test(ref, c, 0.0)
     with pytest.raises(UsageError):
-        expected_events(ref, c, float("nan"))
+        oslr_test(ref, c, float("nan"))
     # log-logistic single-subject evaluation from the worked analysis
     ll = ReferenceCurve.fixed("loglogistic", [1.0760, 0.5328])
-    assert expected_events(ll, Cohort([4.5], [1]), 4.5) == pytest.approx(
+    assert oslr_test(ll, Cohort([4.5], [1]), 4.5).expected_events == pytest.approx(
         2.3918, abs=1e-3
     )
 
@@ -137,10 +135,10 @@ def test_expected_events_hand_examples():
 def test_compensated_process_hand_examples():
     ref = ReferenceCurve.fixed("exponential", [1.0])
     # N(1) = 1 and E(1) = Lambda(1) = 1 cancel exactly
-    assert compensated_process(ref, Cohort([1.0], [1]), 1.0) == 0.0
+    assert oslr_test(ref, Cohort([1.0], [1]), 1.0).m_oslr == 0.0
     c = Cohort([0.5, 1.5], [1, 0])
     # N = 1, E = 0.5 + 1.0, n_B = 2
-    assert compensated_process(ref, c, 1.0) == pytest.approx(-0.5 / math.sqrt(2.0))
+    assert oslr_test(ref, c, 1.0).m_oslr == pytest.approx(-0.5 / math.sqrt(2.0))
 
 
 def test_v1_hat_mixture():
@@ -148,13 +146,13 @@ def test_v1_hat_mixture():
     ref = ReferenceCurve.fixed("exponential", [0.5])
     c = Cohort([1.0] * 10 + [1.4] * 10, [1] * 10 + [0] * 10)
     # E(2) = 0.5 * (10*1.0 + 10*1.4) = 12
-    assert expected_events(ref, c, 2.0) == pytest.approx(12.0)
-    assert v1_hat(c, ref, 0.5, 2.0) == pytest.approx(0.55)
-    assert v1_hat(c, ref, 0.0, 2.0) == pytest.approx(12.0 / 20.0)
-    assert v1_hat(c, ref, 1.0, 2.0) == pytest.approx(10.0 / 20.0)
+    assert oslr_test(ref, c, 2.0).expected_events == pytest.approx(12.0)
+    assert oslr_test(ref, c, 2.0, w=0.5).v1 == pytest.approx(0.55)
+    assert oslr_test(ref, c, 2.0, w=0.0).v1 == pytest.approx(12.0 / 20.0)
+    assert oslr_test(ref, c, 2.0, w=1.0).v1 == pytest.approx(10.0 / 20.0)
     for bad in (-0.1, 1.0001):
         with pytest.raises(UsageError):
-            v1_hat(c, ref, bad, 2.0)
+            oslr_test(ref, c, 2.0, w=bad)
 
 
 def test_v2_hat_closed_form_composition():
@@ -164,12 +162,12 @@ def test_v2_hat_closed_form_composition():
         family="exponential", theta=[0.5], info_matrix=[[4.0]], n_a=3
     )
     cb = Cohort([1.0], [1])
-    assert v2_hat(ref, cb, 1.0, 1.0) == pytest.approx(0.25, rel=1e-12)
+    v2 = oslr_test(ref, cb, 1.0, corrected=True, pi=1.0).v2
+    assert v2 == pytest.approx(0.25, rel=1e-12)
     # same composition through an actual fit of [1, 2, 3] all-event data
     fit = fit_mle("exponential", Cohort([1.0, 2.0, 3.0], [1, 1, 1]))
-    assert v2_hat(ReferenceCurve.from_fit(fit), cb, 1.0, 1.0) == pytest.approx(
-        0.25, rel=1e-6
-    )
+    v2 = oslr_test(ReferenceCurve.from_fit(fit), cb, 1.0, corrected=True, pi=1.0).v2
+    assert v2 == pytest.approx(0.25, rel=1e-6)
 
 
 def test_v2_hat_linear_in_pi():
@@ -181,23 +179,24 @@ def test_v2_hat_linear_in_pi():
     ref = ReferenceCurve.from_fit(fit)
     cb = Cohort(rng.exponential(2.0, 25), np.ones(25, dtype=np.int64))
     t = float(np.max(cb.times))
-    base = v2_hat(ref, cb, t, 0.4)
+    base = oslr_test(ref, cb, t, corrected=True, pi=0.4).v2
     assert base > 0
     # scaling pi by 2 is exact (single multiplication by pi)
-    assert v2_hat(ref, cb, t, 0.8) == 2.0 * base
-    assert v2_hat(ref, cb, t, 0.1) == pytest.approx(base / 4.0, rel=1e-14)
+    assert oslr_test(ref, cb, t, corrected=True, pi=0.8).v2 == 2.0 * base
+    quarter = oslr_test(ref, cb, t, corrected=True, pi=0.1).v2
+    assert quarter == pytest.approx(base / 4.0, rel=1e-14)
 
 
 def test_v2_hat_usage_errors():
     fixed = ReferenceCurve.fixed("exponential", [1.0])
     cb = Cohort([1.0], [1])
     with pytest.raises(UsageError):
-        v2_hat(fixed, cb, 1.0, 1.0)
+        oslr_test(fixed, cb, 1.0, corrected=True, pi=1.0)
     fitted = ReferenceCurve(
         family="exponential", theta=[0.5], info_matrix=[[4.0]], n_a=3
     )
     with pytest.raises(UsageError):
-        v2_hat(fitted, cb, 1.0, 0.0)
+        oslr_test(fitted, cb, 1.0, corrected=True, pi=0.0)
 
 
 @pytest.mark.parametrize("pi", [math.nan, math.inf, -math.inf])
@@ -209,7 +208,7 @@ def test_non_finite_pi_is_a_usage_error(pi):
     )
     cb = Cohort([1.0, 2.0], [1, 0])
     with pytest.raises(UsageError, match="pi"):
-        v2_hat(fitted, cb, 1.0, pi)
+        oslr_test(fitted, cb, 1.0, corrected=True, pi=pi)
     with pytest.raises(UsageError, match="pi"):
         oslr_test(fitted, cb, corrected=True, pi=pi)
 

@@ -43,7 +43,6 @@ from oslr.simulation import (
     record_rows,
     replicate_rng,
     resolve_workers,
-    run_replicate,
     run_scenario,
     write_rows_csv,
 )
@@ -165,8 +164,8 @@ def test_generate_cohort_group_sizes_and_validation():
 
 def test_run_replicate_deterministic():
     s = _scenario(n_b=30)
-    first = run_replicate(s, replicate_rng(MASTER_SEED, 7))
-    second = run_replicate(s, replicate_rng(MASTER_SEED, 7))
+    first = simulation._chunk_counts(s, 7, 8)
+    second = simulation._chunk_counts(s, 7, 8)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
         assert x.shape == (len(PROCEDURES),)
@@ -186,7 +185,7 @@ def test_run_replicate_all_censored_arm():
             break
     else:
         pytest.fail("no fully censored replicate found in 5000 streams")
-    evaluated, rej_two, rej_one = run_replicate(s, replicate_rng(MASTER_SEED, index))
+    evaluated, rej_two, rej_one = simulation._chunk_counts(s, index, index + 1)
     assert evaluated.tolist() == [1, 1, 0, 0, 0, 0, 0]
     assert rej_two[2:].tolist() == [0, 0, 0, 0, 0]
     assert rej_one[2:].tolist() == [0, 0, 0, 0, 0]

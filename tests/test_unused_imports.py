@@ -3,7 +3,8 @@ every name a module defines is read somewhere in the package or exported.
 
 No linter is a test dependency, so this walks each module's syntax tree with
 the standard library's ``ast``. ``__init__.py`` is left out of the import
-check: its imports are the package's exports.
+check: its imports are the package's exports. The import check also reads the
+tests and ``data/generate.py``.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pathlib
 import oslr
 
 PACKAGE = pathlib.Path(oslr.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,8 +42,11 @@ def test_the_check_finds_an_unused_import():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    """The package's modules, the tests and the bundled data's generator."""
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    tests = sorted(TESTS.glob("*.py"))
+    modules = [*package, *tests, TESTS.parent / "data" / "generate.py"]
+    assert package and tests
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
 
