@@ -172,12 +172,14 @@ def fit_weibull(logt, events, grad_tol, max_iter):
             if not rows.size:
                 break
             a, lo, hi, s, es_live, d_live = state
-            # sums per row: einsum's order depends on the row count past 8,192
-            w = np.exp(a[:, None] * s)
+            # sums per row: einsum's order depends on the row count past 8,192;
+            # w's buffer is reused for w s^2, so a pass holds two (R, n) arrays
+            w = a[:, None] * s
+            np.exp(w, out=w)
             ws = w * s
             s0 = w.sum(axis=-1)
             mean = ws.sum(axis=-1) / s0
-            var = (ws * s).sum(axis=-1) / s0 - mean * mean
+            var = np.multiply(ws, s, out=w).sum(axis=-1) / s0 - mean * mean
             d_a = d_live / a
             score = d_a + es_live - d_live * mean
             rising = score > 0.0

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .families import FAMILIES, survival
 from .fitting import fit_mle, select_model
-from .logrank import ReferenceCurve, critical_value, oslr_test
+from .logrank import ReferenceCurve, check_alpha, critical_value, oslr_test
 from .nonparametric import kaplan_meier, nelson_aalen
 from .render import render_curves
 
@@ -118,7 +118,7 @@ def _method_label(report) -> str:
     return f"{kind} w={report.w:g}"
 
 
-def _table1(reports, alpha: float, crit: float) -> str:
+def _table1(reports, alpha: float) -> str:
     header = f"{'method':<22} {'M_OSLR':>9} {'V1':>9} {'V2':>9} {'Z':>9} {'p':>9}"
     lines = [header, "-" * len(header)]
     for r in reports:
@@ -129,7 +129,7 @@ def _table1(reports, alpha: float, crit: float) -> str:
         )
     lines.append(
         f"(p is one-sided; two-sided critical value at alpha={alpha:g}: "
-        f"{crit:.4f})"
+        f"{critical_value(alpha):.4f})"
     )
     return "\n".join(lines)
 
@@ -137,7 +137,7 @@ def _table1(reports, alpha: float, crit: float) -> str:
 def cmd_test(args) -> None:
     if args.w is not None and not 0.0 <= args.w <= 1.0:
         raise UsageError(f"--w must be in [0, 1], got {args.w}")
-    crit = critical_value(args.alpha)  # refuses an alpha before any file is read
+    check_alpha(args.alpha)  # before any file is read
     cohort_b = _load_cohort(args.experimental, prefer=("experimental", "B"))
     if args.fixed_reference:
         # a known curve is neither fitted from a control arm nor corrected
@@ -172,7 +172,7 @@ def cmd_test(args) -> None:
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     if args.out:
         _emit(payload, args.out)
-    print(payload if args.format == "json" else _table1(reports, args.alpha, crit))
+    print(payload if args.format == "json" else _table1(reports, args.alpha))
 
 
 def cmd_km(args) -> None:

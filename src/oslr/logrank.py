@@ -42,10 +42,15 @@ def p_one_sided(z: float) -> float:
 _ALPHA_RANGE = (2.0**-52, 1.0 - 2.0**-53)
 
 
-def critical_value(alpha: float) -> float:
-    """Two-sided rejection threshold on |z| at level alpha in [2^-52, 1)."""
+def check_alpha(alpha: float) -> None:
+    """Refuse an alpha outside _ALPHA_RANGE, without loading the quantile."""
     if not _ALPHA_RANGE[0] <= alpha <= _ALPHA_RANGE[1]:
         raise UsageError(f"alpha must be in [2^-52, 1), got {alpha}")
+
+
+def critical_value(alpha: float) -> float:
+    """Two-sided rejection threshold on |z| at level alpha in [2^-52, 1)."""
+    check_alpha(alpha)
     return normal_quantile(1.0 - alpha / 2.0)
 
 

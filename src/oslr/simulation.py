@@ -41,10 +41,15 @@ emptied. At interpreter exit an atexit hook closes the pipes and reaps the
 workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
-(n_A + n_B): a block's working arrays, its uniforms included, peak at
-52-57 bytes per observation (tracemalloc at kappa = 1 over blocks at
-n_B = 50 and 10,000, and over one replicate at that bound, where the peak
-is about 57 MB).
+(n_A + n_B): a full block's working arrays, its uniforms included, peak at
+50-62 bytes per observation (tracemalloc at kappa = 1 over full blocks at
+n_B from 10 to 10,000 and pi from 1/16 to 2, and over one replicate at that
+bound, where the peak is about 57 MB), and a cell's last, shorter block at
+up to ~68. Importing this module raises glibc's malloc thresholds once (see
+the comment at MAX_OBSERVATIONS), so the engine's process keeps freed block
+memory in its heap, up to twice the one-time size (~62 MiB), instead of
+returning it to the system between blocks; with an allocator other than
+glibc's nothing changes.
 """
 
 from __future__ import annotations
@@ -95,6 +100,16 @@ _BLOCK_ELEMENTS = 2**16
 
 # largest n_a + n_b of one replicate that a Scenario admits
 MAX_OBSERVATIONS = 1_000_000
+
+# Keep block memory in the heap. glibc's malloc maps each request above its
+# mmap threshold (128 KiB at start) afresh and trims freed heap above its trim
+# threshold, so each block would fault its pages back in. Freeing a mapped
+# chunk raises the mmap threshold to that chunk's size (on 64-bit, up to
+# 32 MiB) and the trim threshold to twice that (mallopt(3)). After this
+# untouched 31 MiB array is freed, every block up to MAX_OBSERVATIONS (largest
+# array 16 MB, working memory ~57 MB) stays in the heap, and forked share
+# workers inherit the thresholds. With any other allocator it is a no-op.
+np.empty(31 << 17)
 
 # closed range of each real Scenario field. Below kappa = 0.05 the smallest
 # event times, sigma (-log u)^(1/kappa) at u = 1 - 2^-53, underflow to zero;
@@ -437,6 +452,10 @@ def resolve_workers(requested: int | None = None) -> int:
     cpus = os.cpu_count() or 1
     if env:
         try:
+            # ASCII digits only, as --workers reads: int() alone also reads
+            # 1_0 and non-ASCII digits
+            if not (env.isascii() and env.isdigit()):
+                raise ValueError(env)
             cap = int(env)
         except ValueError as exc:
             raise UsageError(f"OSLR_THREADS must be an integer, got {env!r}") from exc

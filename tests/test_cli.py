@@ -118,6 +118,22 @@ print(json.dumps([before, critical_value(0.05), "statistics" in sys.modules]))
     assert json.loads(_fresh_interpreter(snippet)) == [False, 1.9599639845400536, True]
 
 
+def test_test_json_loads_no_statistics():
+    """The json output prints no critical value: `oslr test --format json`
+    checks --alpha's range without computing the quantile, so it never loads
+    `statistics`."""
+    snippet = f"""
+import contextlib, io, json, sys
+from oslr.cli import main
+argv = ["test", "--control", {DATA_CONTROL!r}, "--experimental", {DATA_EXPERIMENTAL!r},
+        "--format", "json"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(argv)
+print(json.dumps([code, len(json.loads(out.getvalue())), "statistics" in sys.modules]))
+"""
+    assert json.loads(_fresh_interpreter(snippet)) == [0, 4, False]
+
+
 def test_cli_import_leaves_scipy_out():
     """scipy is a test oracle only: a fresh `import oslr.cli` must not load it."""
     assert _modules_after_cli_import("scipy") == []

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import signal
 import subprocess
 import sys
@@ -697,11 +698,19 @@ def _block_peak_bytes(s):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n_b, replicates", [(50, 200), (10_000, 2)])
-def test_block_working_memory_per_observation(n_b, replicates):
+@pytest.mark.parametrize(
+    "n_b, pi, replicates",
+    [
+        pytest.param(50, 1.0, 200, id="50-200"),
+        pytest.param(10_000, 1.0, 2, id="10000-2"),
+        pytest.param(50, 0.0625, 40, id="50-40-pi0.0625"),
+    ],
+)
+def test_block_working_memory_per_observation(n_b, pi, replicates):
     """A block's working arrays, its uniforms included, peak at no more than
-    64 bytes per observation: the block size is set by that figure."""
-    s = _scenario(n_b=n_b, replicates=replicates)
+    64 bytes per observation: the block size is set by that figure. At
+    pi = 1/16 the Weibull fit of arm A's 800 columns sets the peak."""
+    s = _scenario(n_b=n_b, pi=pi, replicates=replicates)
     peak = _block_peak_bytes(s)
     assert peak / (replicates * (s.n_a + s.n_b)) <= 64.0
 
@@ -711,6 +720,31 @@ def test_full_block_working_memory():
     no more than 4 MiB."""
     s = _scenario(replicates=simulation._BLOCK_ELEMENTS // 100)
     assert _block_peak_bytes(s) <= 4 * 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_full_block_keeps_its_memory_in_the_heap():
+    """In a fresh process, a second full block faults next to none of its
+    pages back in: importing the engine raised glibc's mmap and trim
+    thresholds, so the first block's freed memory stayed in the heap (863
+    minor faults per block without that)."""
+    code = (
+        "import resource\n"
+        "from oslr import simulation as sim\n"
+        "s = sim.Scenario(kappa=1.0, n_b=50, pi=1.0,\n"
+        "                 replicates=sim._BLOCK_ELEMENTS // 100, seed=20260815)\n"
+        "sim._chunk_counts(s, 0, s.replicates)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "sim._chunk_counts(s, 0, s.replicates)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(pathlib.Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= 50
 
 
 @pytest.mark.parametrize("arm", ["A", "B"])
@@ -779,12 +813,11 @@ def test_resolve_workers(monkeypatch):
         resolve_workers(0)
     monkeypatch.setenv("OSLR_THREADS", "1")
     assert resolve_workers() == 1
-    monkeypatch.setenv("OSLR_THREADS", "zero")
-    with pytest.raises(UsageError):
-        resolve_workers()
-    monkeypatch.setenv("OSLR_THREADS", "-3")
-    with pytest.raises(UsageError):
-        resolve_workers()
+    # int() alone reads 1_0 as 10 and the Arabic-Indic digit two as 2
+    for value in ("zero", "-3", "1_0", "٢"):
+        monkeypatch.setenv("OSLR_THREADS", value)
+        with pytest.raises(UsageError):
+            resolve_workers()
 
 
 def test_mc_error_interval_reference_values():
