@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -226,6 +227,13 @@ def _replace(path, text: str, newline=None) -> None:
             os.remove(temporary)
 
 
+# simulate --out rewrites its files once the time since the last rewrite
+# exceeds this share of the time the grid has run: the rewrites grow
+# geometrically apart, so the bytes written stay linear in the grid, and a
+# process killed outright loses at most the cells since the last rewrite
+_REWRITE_SHARE = 0.1
+
+
 def _json_list(texts) -> str:
     """``json.dumps(records, indent=2)`` from each record's text, indented."""
     return "[\n  " + ",\n  ".join(texts) + "\n]"
@@ -246,15 +254,26 @@ def cmd_simulate(args) -> None:
         scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
     texts, table = [], io.StringIO()
     write_rows_csv(table, [])  # the header
-    for scenario in scenarios:
-        record = run_scenario(scenario, workers=args.workers).to_json_dict()
-        # each record is serialized once; every output joins these texts
-        texts.append(json.dumps(record, indent=2).replace("\n", "\n  "))
-        write_rows_csv(table, record_rows(record), header=False)
-        # after every cell, so that an interrupted grid keeps the cells it ran
+
+    def write_out():
+        _replace(f"{args.out}.json", _json_list(texts) + "\n")
+        _replace(f"{args.out}.csv", table.getvalue(), newline="")
+
+    started = written = time.monotonic()
+    try:
+        for scenario in scenarios:
+            record = run_scenario(scenario, workers=args.workers).to_json_dict()
+            # each record is serialized once; every output joins these texts
+            texts.append(json.dumps(record, indent=2).replace("\n", "\n  "))
+            write_rows_csv(table, record_rows(record), header=False)
+            now = time.monotonic()
+            if args.out and now - written > _REWRITE_SHARE * (now - started):
+                write_out()
+                written = time.monotonic()
+    finally:
+        # an exception or an interrupt still leaves every finished cell on disk
         if args.out:
-            _replace(f"{args.out}.json", _json_list(texts) + "\n")
-            _replace(f"{args.out}.csv", table.getvalue(), newline="")
+            write_out()
     if args.format == "csv":
         sys.stdout.write(table.getvalue())
     else:

@@ -238,9 +238,6 @@ def oslr_test(
     )
 
 
-_U1, _U2, _U4, _U62 = (np.uint64(k) for k in (1, 2, 4, 62))
-
-
 def _two_sample_scores(times, events, n_a):
     """Log-rank score U and its hypergeometric variance V for each row of
     (R, n) pooled times and events whose first n_a columns are arm A; each
@@ -250,34 +247,33 @@ def _two_sample_scores(times, events, n_a):
     at rank k has Y = n - k and d = 1; only a row holding a tie looks its
     groups up.
 
-    Times must be positive and finite: such a float64 orders as its bit
-    pattern does, so each row sorts once, in place, as uint64 keys
+    Times must be positive and finite: the bits of such a float64 form a
+    non-negative int64 that orders as the time does, so each row sorts
+    once, in place, as int64 keys
     ((bits - row's smallest bits) << 2) | (arm B << 1) | event, and the
-    flags travel with the time. A row whose bits span 2^62 or more (times
-    more than ~2^1024 apart) keys on its dense time ranks instead, which
+    flags travel with the time. A row whose bits span 2^61 or more (times
+    more than ~2^512 apart) keys on its dense time ranks instead, which
     keep order and ties. Inside a tie group subjects sort by (arm, event),
     so the scores do not depend on the order of subjects within an arm.
-    Every key operand stays uint64: numpy < 2 promotes uint64 with int64 to
-    float64. The flags are unpacked as floats, exact as the counts are, and
-    the keys released before the sums; ``times`` and ``events`` are only
-    read."""
+    The flags are unpacked as floats, exact as the counts are, and the keys
+    released before the sums; ``times`` and ``events`` are only read."""
     n = times.shape[-1]
-    bits = times.view(np.uint64)
+    bits = times.view(np.int64)
     keys = bits - bits.min(axis=-1, keepdims=True)
-    for r in np.flatnonzero(keys.max(axis=-1) >> _U62):
+    for r in np.flatnonzero(keys.max(axis=-1) >> 61):
         keys[r] = np.unique(times[r], return_inverse=True)[1]
-    keys <<= _U2
-    keys[:, n_a:] |= _U2
-    np.bitwise_or(keys, events, out=keys, dtype=np.uint64, casting="unsafe")
+    keys <<= 2
+    keys[:, n_a:] |= 2
+    np.bitwise_or(keys, events, out=keys, dtype=np.int64, casting="unsafe")
     keys.sort(axis=-1)
     # adjacent keys of equal time differ in the two flag bits only
-    tied = np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < _U4, axis=-1))
-    tied_times = keys[tied] >> _U2
+    tied = np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < 4, axis=-1))
+    tied_times = keys[tied] >> 2
     events = np.empty(keys.shape)
-    np.bitwise_and(keys, _U1, out=events, casting="unsafe")
-    keys >>= _U1
+    np.bitwise_and(keys, 1, out=events, casting="unsafe")
+    keys >>= 1
     in_b = np.empty(keys.shape)
-    np.bitwise_and(keys, _U1, out=in_b, casting="unsafe")
+    np.bitwise_and(keys, 1, out=in_b, casting="unsafe")
     del keys
     y = np.arange(n, 0, -1.0)
     # arm B's subjects from each rank to the row's end

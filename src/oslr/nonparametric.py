@@ -59,23 +59,14 @@ class StepCurve:
 
 def _event_table(cohort: Cohort):
     """(t_j, d_j, Y_j) over the cohort's distinct event times in time order:
-    the tied events d_j at t_j and the subjects at risk Y_j at t_j^-. The
-    default sort is enough: a tie group needs only to be contiguous, and its
-    counts do not depend on the order inside it.
+    the tied events d_j at t_j and the subjects at risk Y_j at t_j^-, all
+    those whose time is t_j or later.
     """
-    order = np.argsort(cohort.times)
-    times = cohort.times[order]
-    events = cohort.events[order]
-    first = np.empty(times.size, dtype=bool)
-    first[0] = True
-    np.not_equal(times[1:], times[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    d = np.add.reduceat(events, start)
+    times, group, size = np.unique(cohort.times, return_inverse=True, return_counts=True)
+    d = np.bincount(group, weights=cohort.events, minlength=times.size)
     keep = d > 0
-    at = start[keep]
-    # Y_j counts the subjects still under observation at t_j^-: all from the
-    # tie group's start on
-    return times[at], d[keep], times.size - at
+    at_risk = cohort.times.size - (np.cumsum(size) - size)
+    return times[keep], d[keep], at_risk[keep]
 
 
 def kaplan_meier(cohort: Cohort) -> StepCurve:

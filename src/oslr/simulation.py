@@ -68,6 +68,11 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+# numpy loads numpy.random on first use; loaded here, its lasting allocations
+# lie below the heap the blocks use, not between the first block's arrays,
+# where they would split the holes that later blocks reuse
+from numpy.random import Generator, Philox
+
 from . import _kernels
 from .data import Cohort
 from .errors import UsageError
@@ -196,9 +201,9 @@ def _stream_key(seed: int, index: int) -> np.ndarray:
     return np.array([seed, index], dtype=np.uint64)
 
 
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
+def replicate_rng(seed: int, index: int) -> Generator:
     """Counter-based stream for one replicate; scheduling cannot reorder it."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+    return Generator(Philox(key=_stream_key(seed, index)))
 
 
 def _streams(seed: int, indices):
@@ -214,12 +219,12 @@ def _streams(seed: int, indices):
     The key's second word is rewritten in place; the setter copies the
     words.
     """
-    bit_generator = np.random.Philox(key=_stream_key(seed, 0))
+    bit_generator = Philox(key=_stream_key(seed, 0))
     fresh = bit_generator.state  # counter 0, empty buffer
     fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]  # [seed, index]
-    rng = np.random.Generator(bit_generator)
+    rng = Generator(bit_generator)
     for index in indices:
         key[1] = index
         bit_generator.state = fresh
@@ -249,7 +254,7 @@ def _observe(scenario: Scenario, u_event, u_censor, times=None, events=None):
     return np.minimum(t, c, out=times), events
 
 
-def generate_cohort(scenario: Scenario, group: str, rng: np.random.Generator) -> Cohort:
+def generate_cohort(scenario: Scenario, group: str, rng: Generator) -> Cohort:
     """Draw one arm of n subjects from ``rng``: n event-time uniforms, then n
     censoring uniforms (see ``_observe``)."""
     if group not in ("A", "B"):
@@ -304,14 +309,13 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, times_b, log_b)
     m[:, :2], var[:, :2] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
 
-    # rows without events have no fit; the information comes with the fit
-    fitted = np.flatnonzero(events_a.sum(axis=1) > 0)
-    arm_a = [v[fitted] if fitted.size < n_rows else v for v in (np.log(times_a), events_a)]
-    a, b, _, _, status, (_, *info) = _kernels.fit_weibull(*arm_a, GRAD_TOL, MAX_ITER)
-    del arm_a
-    ok = status == _kernels.FIT_OK
-    fitted, a, b, *info = (v[ok] for v in (fitted, a, b, *info))
+    # the information comes with the fit; a row without events ends FIT_BOUNDARY
+    a, b, _, _, status, (_, *info) = _kernels.fit_weibull(
+        np.log(times_a), events_a, GRAD_TOL, MAX_ITER
+    )
+    fitted = np.flatnonzero(status == _kernels.FIT_OK)
     if fitted.size < n_rows:
+        a, b, *info = (v[fitted] for v in (a, b, *info))
         times_b, log_b, n_events = times_b[fitted], log_b[fitted], n_events[fitted]
     else:
         fitted = slice(None)  # every row: no copies
@@ -369,18 +373,21 @@ class SimulationResult:
         return self.scenario.replicates - self.n_evaluated(procedure)
 
     def to_json_dict(self) -> dict:
+        """The cell's scenario and, per procedure, its rates, counts and
+        intervals; a procedure evaluated on no replicate has null rates and
+        intervals, which JSON can hold, where NaN is not JSON."""
         procs = {}
         for name in PROCEDURES:
             n = self.n_evaluated(name)
             row = {
-                "two_sided_rate": self.two_sided_rate(name),
-                "one_sided_rate": self.one_sided_rate(name),
+                "two_sided_rate": self.two_sided_rate(name) if n else None,
+                "one_sided_rate": self.one_sided_rate(name) if n else None,
                 "n_evaluated": n,
                 "n_failed": self.n_failed(name),
             }
             for sided in ("two", "one"):
                 rate = row[f"{sided}_sided_rate"]
-                interval = mc_error_interval(rate, n) if n else (math.nan, math.nan)
+                interval = mc_error_interval(rate, n) if n else (None, None)
                 row[f"{sided}_sided_interval"] = list(interval)
             procs[name] = row
         return {"scenario": self.scenario.to_json_dict(), "procedures": procs}
@@ -392,14 +399,19 @@ class SimulationResult:
 def record_rows(record: dict) -> list[dict]:
     """CSV rows, one per procedure and sidedness, from a result's JSON record
     (``SimulationResult.to_json_dict()`` or a record read back from disk).
-    Raises TypeError unless n_b and n_eff are integers and the rest numbers."""
+    Where n_eff is 0 a null rate or bound reads as NaN, which older files
+    hold there. Raises TypeError unless n_b and n_eff are integers and the
+    rest numbers."""
     s = record["scenario"]
     rows = []
     for name, stats in record["procedures"].items():
+        n = stats["n_evaluated"]
         for sided in ("two", "one"):
-            lo, hi = stats[f"{sided}_sided_interval"]
-            values = (s["kappa"], s["n_b"], s["pi"], name, sided, stats[f"{sided}_sided_rate"])
-            rows.append(dict(zip(CSV_FIELDS, (*values, lo, hi, stats["n_evaluated"]))))
+            rate, (lo, hi) = stats[f"{sided}_sided_rate"], stats[f"{sided}_sided_interval"]
+            if n == 0:
+                rate, lo, hi = (math.nan if v is None else v for v in (rate, lo, hi))
+            values = (s["kappa"], s["n_b"], s["pi"], name, sided, rate, lo, hi, n)
+            rows.append(dict(zip(CSV_FIELDS, values)))
     for row in rows:
         for key in ("kappa", "n_b", "pi", "rate", "lo", "hi", "n_eff"):
             kind = numbers.Integral if key in ("n_b", "n_eff") else numbers.Real

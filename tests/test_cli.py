@@ -786,6 +786,38 @@ def test_simulate_out_files_equal_its_stdout(tmp_path, capsys):
     assert (tmp_path / "run.csv").read_bytes() == printed_csv.encode()
 
 
+def test_simulate_writes_strict_json_where_nothing_was_evaluated(tmp_path, capsys):
+    """With n_A = n_B = 1 the fitted and two-sample procedures are evaluated
+    on no replicate: their rates and intervals are null, not the bare NaN
+    that JSON does not define, in what simulate prints and in <out>.json.
+    report reads the file, and reads an older file's NaN there alike; a
+    null where a procedure was evaluated is malformed."""
+    path = _scenario_file(tmp_path, kappa=0.05, n_b=1, pi=1.0, replicates=1, seed=0)
+    assert main(["simulate", path, "--workers", "1", "--out", str(tmp_path / "run")]) == 0
+    printed = capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    saved = (tmp_path / "run.json").read_text()
+    for text in (printed, saved):
+        (record,) = json.loads(text, parse_constant=refuse)
+        stats = record["procedures"]["corrected_w0"]
+        assert stats["n_evaluated"] == 0
+        assert stats["two_sided_rate"] is None and stats["one_sided_interval"] == [None, None]
+    assert main(["report", str(tmp_path / "run.json")]) == 0
+    table = capsys.readouterr().out
+    assert "nan" in table
+    older = tmp_path / "older.json"
+    older.write_text(saved.replace("null", "NaN"))
+    assert main(["report", str(older)]) == 0
+    assert capsys.readouterr().out == table
+    record["procedures"]["true_w0"]["two_sided_rate"] = None
+    older.write_text(json.dumps([record]))
+    assert main(["report", str(older)]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, capsys, monkeypatch):
     """A grid run that fails in its third cell leaves <out>.json and
     <out>.csv holding the first two cells, which ``report`` reads, and no

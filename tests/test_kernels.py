@@ -67,13 +67,15 @@ def test_weibull_rows_match_single_rows_in_every_status():
     early_events[0] = 1.0
     # converges in 4 steps; reaches the bound in 14; identical event times
     # spend the budget of 20 doubling the shape; converges out of bounds in
-    # 2 steps; converges in 4 steps
+    # 2 steps; converges in 4 steps; without events ends at once, its scale
+    # infinite
     rows = [
         (np.log(times), events),
         (np.log(tied), tied_events),
         (np.zeros(n), np.ones(n)),
         (early - np.median(early), early_events),
         (np.log(times[::-1] * 1.7), events[::-1]),
+        (np.log(times), np.zeros(n)),
     ]
     t, e = (np.array(v) for v in zip(*rows))
     block = _kernels.fit_weibull(t, e, 1e-8, 20)
@@ -83,9 +85,10 @@ def test_weibull_rows_match_single_rows_in_every_status():
         _kernels.FIT_MAX_ITER,
         _kernels.FIT_BOUNDARY,
         _kernels.FIT_OK,
+        _kernels.FIT_BOUNDARY,
     ]
     a, b, _, iterations, _, _ = block
-    assert iterations.tolist() == [4, 14, 20, 2, 4]
+    assert iterations.tolist() == [4, 14, 20, 2, 4, 0]
     # a row that stops at the bound reports the shape there, and one that
     # converged out of bounds its estimate
     assert a[1] == math.exp(_kernels._LOG_BOUND)

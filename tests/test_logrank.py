@@ -391,12 +391,19 @@ def _two_sample_cases():
         d = (rng.random(na + nb) < 0.7).astype(np.int64)
         for t in (_wide_times(rng, na + nb), rng.choice(_wide_times(rng, 12), na + nb)):
             yield t[:na], d[:na], t[na:], d[na:]
+    # times log-uniform from 1e-160 to 10, whose bits span between 2^61 and
+    # 2^62, with one tie across the arms
+    t = np.exp(rng.uniform(math.log(1e-160), math.log(10.0), 45))
+    t[:2] = 1e-160, 10.0
+    t[-1] = t[2]
+    d = (rng.random(45) < 0.7).astype(np.int64)
+    yield t[:20], d[:20], t[20:], d[20:]
 
 
 def test_two_sample_matches_naive_oracle():
     """Random tied/censored datasets, all-tied times, Y = 1 at the last event
-    time, a 2 x 2,000 case and times spanning 5e-324 to 1e308 agree with the
-    per-time sums."""
+    time, a 2 x 2,000 case and times spanning 5e-324 to 1e308 or 1e-160 to
+    10 agree with the per-time sums."""
     for ta, da, tb, db in _two_sample_cases():
         nb = len(tb)
         u, v = _naive_two_sample(ta, da, tb, db)

@@ -219,6 +219,24 @@ def test_reference_counts_reproduce():
             assert counts.tolist() == by_seed[seed], (key, seed)
 
 
+_SEED77 = pathlib.Path(__file__).resolve().parent / "seed77_counts.json"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seed77_grid_counts_reproduce(workers):
+    """Every cell of the seed-77 design (kappa from 0.05 to 100, n_B from 5
+    to 50, pi from 1/16 to 2, 1,000 replicates each) gives exactly its
+    committed counts, at one worker and at two. At kappa = 0.05, n_B = 5
+    some arm A rows hold no event, and their fits fail."""
+    pinned = json.loads(_SEED77.read_text())
+    scenarios = load_scenarios(pinned["scenario"])
+    assert len(scenarios) == len(pinned["cells"]) == 45
+    for s in scenarios:
+        result = run_scenario(s, workers=workers)
+        counts = np.concatenate((result.evaluated, result.rejected_two, result.rejected_one))
+        assert counts.tolist() == pinned["cells"][f"kappa={s.kappa},n_b={s.n_b},pi={s.pi}"], s
+
+
 def test_run_scenario_worker_invariance():
     s = _scenario(n_b=10, replicates=200)
     serial = run_scenario(s, workers=1)
