@@ -15,9 +15,10 @@ them. The information, the average negated log-likelihood Hessian at the
 estimate, comes from the fit's last pass in log-parameter coordinates,
 where it has no time unit and cannot overflow on huge or tiny times; the
 natural-scale matrix is derived from it once per fit. Its pseudo-inverse
-is in closed form for 2 x 2 matrices from their three entries, which the
-engine passes straight from the Weibull kernel; the corrected test takes it
-in log-parameter coordinates, which keeps that test free of the time unit.
+is in closed form for q in {1, 2} (refused otherwise): 1 / m, or from the
+three entries, which the engine passes straight from the Weibull kernel;
+the corrected test takes it in log-parameter coordinates, which keeps that
+test free of the time unit.
 """
 
 from __future__ import annotations
@@ -180,16 +181,16 @@ def _outer(theta) -> np.ndarray:
 
 
 def pseudo_inverse(m) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
-    (..., q, q) stack, via its eigendecomposition: in closed form for
-    q = 2 (``_pinv_2x2``, elementwise), through LAPACK otherwise.
+    """Moore-Penrose inverse of a symmetric 1 x 1 or 2 x 2 matrix, or of each
+    matrix of such a stack, in closed form: 1 / m, or ``_pinv_2x2``
+    elementwise. Other shapes are refused: no reference family has q > 2.
 
     The singular values of a symmetric matrix are its eigenvalues' moduli;
     those with |lambda| <= 1e-12 * q * max |lambda| count as zero.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-2:] not in ((1, 1), (2, 2)):
+        raise ValueError(f"expected a 1 x 1 or 2 x 2 matrix or stack of them, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     gap = np.abs(m - np.swapaxes(m, -1, -2))
@@ -197,12 +198,8 @@ def pseudo_inverse(m) -> np.ndarray:
         size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         if np.any(gap.max(axis=(-2, -1)) > 1e-10 * size):
             raise ValueError("matrix is not symmetric within 1e-10")
-    if m.shape[-1] != 2:
-        lam, v = np.linalg.eigh(m)
-        size = np.abs(lam)
-        keep = size > 1e-12 * m.shape[-1] * size.max(axis=-1, keepdims=True)
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-        return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
+    if m.shape[-1] == 1:
+        return np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
     return _symmetric(*_pinv_2x2(m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]))
 
 

@@ -278,8 +278,8 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
 
     Row i of ``u`` holds replicate i's 2 n_a + 2 n_b uniforms in the order
     two ``generate_cohort`` calls draw them (arm A, then arm B). A z is NaN
-    where its procedure is not evaluated: a failed fit, or a test whose
-    variance is not positive.
+    where its procedure is not evaluated: a failed fit, masked in its row,
+    or a test whose variance is not positive.
 
     Each array is dropped once its last use is past, so that the block's
     working memory peaks at ~55 bytes per observation, the uniforms
@@ -313,21 +313,15 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     a, b, _, _, status, (_, *info) = _kernels.fit_weibull(
         np.log(times_a), events_a, GRAD_TOL, MAX_ITER
     )
-    fitted = np.flatnonzero(status == _kernels.FIT_OK)
-    if fitted.size < n_rows:
-        a, b, *info = (v[fitted] for v in (a, b, *info))
-        times_b, log_b, n_events = times_b[fitted], log_b[fitted], n_events[fitted]
-    else:
-        fitted = slice(None)  # every row: no copies
-    # a converged fit of extreme shape can overflow the curve; its z is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # every row is tested against its own fit: a failed fit's last iterate,
+    # or a converged fit of extreme shape, can overflow the curve
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
         v2 = _v2(n_b / n_a, g0, g1, *_pinv_2x2(*info))
+        m[:, 2:6], var[:, 2:4] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
+        var[:, 4:6] = var[:, 2:4] + v2[:, None]
     del times_b, log_b
-    m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
-    m[fitted, 2:6] = m_fit
-    var[fitted, 2:4] = v1
-    var[fitted, 4:6] = v1 + v2[:, None]
+    var[status != _kernels.FIT_OK, 2:6] = np.nan  # a failed fit: not evaluated
 
     m[:, 6], var[:, 6] = _two_sample_scores(times, events, n_a)
     return _z_or_nan(m, var)
@@ -455,13 +449,17 @@ def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Explicit argument, else the OSLR_THREADS cap, else the CPU count."""
+    """Explicit argument, else the CPUs this process may run on (its
+    affinity mask where the platform has one), capped by OSLR_THREADS."""
     if requested is not None:
         if requested < 1:
             raise UsageError(f"worker count must be at least 1, got {requested}")
         return requested
     env = os.environ.get("OSLR_THREADS", "").strip()
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if env:
         try:
             # ASCII digits only, as --workers reads: int() alone also reads
@@ -699,3 +697,12 @@ def load_scenarios(source) -> list[Scenario]:
         Scenario(kappa=kappa, n_b=n_b, pi=pi, **fixed)
         for kappa, n_b, pi in itertools.product(*map(listify, grid))
     ]
+
+# numpy's first reductions, np.where and unsafe-casting ufunc calls make ~20
+# small allocations (~7 KB) that it keeps for good; made inside the first full
+# block, they split the holes later blocks reuse, and the second block faults
+# 512 KiB of fresh heap in. One throwaway block makes them here, below that
+# heap. Its critical value is given, so statistics stays unloaded.
+_warm = Scenario(kappa=1.0, n_b=1, pi=1.0, replicates=1, seed=0)
+_tally(_block_z(_warm, _uniforms(_warm, 0, 1)), 1.0)
+del _warm

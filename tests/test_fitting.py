@@ -500,7 +500,7 @@ def test_pseudo_inverse():
             assert_allclose(plus @ m @ plus, plus, atol=1e-10)
             assert_allclose((m @ plus).T, m @ plus, atol=1e-10)
             assert_allclose((plus @ m).T, plus @ m, atol=1e-10)
-        # the closed-form 2 x 2 path over (..., 2, 2) stacks, and eigh for 3 x 3
+        # the closed-form 2 x 2 path over (..., 2, 2) stacks
         a = rng.normal(size=(4, 30, 2, 3))
         general = a @ np.swapaxes(a, -1, -2)
         v = rng.normal(size=(30, 2))
@@ -534,10 +534,17 @@ def test_pseudo_inverse():
         d = np.array([1.0, 1e-3])
         m = general[0] * d[:, None] * d[None, :]
         assert_allclose(pseudo_inverse(m), np.linalg.pinv(m, hermitian=True), rtol=1e-9)
+        # 1 x 1, alone and stacked: 1 / m, and 0 where m = 0
+        ones = np.array([0.0, -0.0, -3.0, 2.5, 1e300, -1e300, 1e-300, -1e-300, 7.0])
+        for m in (*ones[:, None, None], ones.reshape(3, 3, 1, 1)):
+            plus = pseudo_inverse(m)
+            assert plus.shape == m.shape
+            assert np.array_equal(plus, np.linalg.pinv(m, hermitian=True))
+        # no reference family has more than two parameters
         b = rng.normal(size=(20, 3, 2))
-        m = b @ np.swapaxes(b, -1, -2)  # rank 2 of 3
-        expected = np.linalg.pinv(m, rcond=1e-12 * 3, hermitian=True)
-        assert_allclose(pseudo_inverse(m), expected, atol=1e-10 * np.abs(expected).max())
+        for m in (b @ np.swapaxes(b, -1, -2), np.eye(3), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="1 x 1 or 2 x 2"):
+                pseudo_inverse(m)
 
 
 def test_pseudo_inverse_in_log_parameter_coordinates():

@@ -237,6 +237,47 @@ def test_seed77_grid_counts_reproduce(workers):
         assert counts.tolist() == pinned["cells"][f"kappa={s.kappa},n_b={s.n_b},pi={s.pi}"], s
 
 
+def test_seed77_counts_reproduce_at_numpy_baseline_simd():
+    """The seed-77 design's 15 n_B = 5 cells (every kappa and pi, the failed
+    fits at kappa = 0.05 among them) give their committed counts with every
+    SIMD target that numpy dispatches to above its baseline disabled
+    (NPY_DISABLE_CPU_FEATURES, read when numpy loads, so in a fresh
+    interpreter). z-values differ in their last bits between dispatch
+    levels; the counts must not."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatch
+    except ImportError:
+        dispatch = []
+    if not dispatch:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline")
+    pinned = json.loads(_SEED77.read_text())
+    code = (
+        "import json, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+        "from oslr.simulation import load_scenarios, run_scenario\n"
+        "counts = {}\n"
+        "for s in load_scenarios(json.loads(sys.argv[1])):\n"
+        "    r = run_scenario(s, workers=1)\n"
+        "    key = f'kappa={s.kappa},n_b={s.n_b},pi={s.pi}'\n"
+        "    counts[key] = [*r.evaluated.tolist(), *r.rejected_two.tolist(),\n"
+        "                   *r.rejected_one.tolist()]\n"
+        "enabled = [name for name in __cpu_dispatch__ if __cpu_features__[name]]\n"
+        "print(json.dumps({'enabled': enabled, 'counts': counts}))\n"
+    )
+    src = str(pathlib.Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}
+    spec = json.dumps({**pinned["scenario"], "n_b": 5})
+    out = subprocess.run(
+        [sys.executable, "-c", code, spec], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["enabled"] == []
+    assert len(got["counts"]) == 15
+    for key, counts in got["counts"].items():
+        assert counts == pinned["cells"][key], key
+
+
 def test_run_scenario_worker_invariance():
     s = _scenario(n_b=10, replicates=200)
     serial = run_scenario(s, workers=1)
@@ -836,6 +877,11 @@ def test_resolve_workers(monkeypatch):
         monkeypatch.setenv("OSLR_THREADS", value)
         with pytest.raises(UsageError):
             resolve_workers()
+    # by default, the CPUs this process may run on, not every CPU of the host
+    monkeypatch.delenv("OSLR_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_workers() == 1
 
 
 def test_mc_error_interval_reference_values():
