@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 fit failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -245,13 +244,6 @@ def cmd_simulate(args) -> None:
     from .simulation import load_scenarios, record_rows, run_scenario, write_rows_csv
 
     scenarios = load_scenarios(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if overrides:
-        scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
     texts, table = [], io.StringIO()
     write_rows_csv(table, [])  # the header
 
@@ -359,8 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario grid")
     p_sim.add_argument("scenario", help="scenario JSON (kappa/n_b/pi may be lists)")
     p_sim.add_argument("--workers", type=_ascii(int), default=None)
-    p_sim.add_argument("--seed", type=_ascii(int), default=None, help="override scenario seed")
-    p_sim.add_argument("--alpha", type=_ascii(float), default=None, help="override alpha")
     p_sim.add_argument("--format", default="json", choices=["json", "csv"])
     p_sim.add_argument("--out", help="prefix for <out>.json and <out>.csv")
     p_sim.set_defaults(func=cmd_simulate)

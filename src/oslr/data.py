@@ -94,7 +94,8 @@ def counting_process(cohort: Cohort, t: float) -> tuple[int, int]:
 
 
 def ingest_csv(path):
-    """Read a cohort CSV (header row required, UTF-8, comma-separated).
+    """Read a cohort CSV (header row required, UTF-8 with or without a
+    byte-order mark, comma-separated).
 
     Columns ``time`` (decimal) and ``event`` (0/1) are required. When the
     optional ``group`` column is present the rows are partitioned and a dict
@@ -108,7 +109,7 @@ def ingest_csv(path):
     values or a row whose cell count differs from the header's.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = (row for row in csv.reader(fh) if row)
             header = next(rows, None)
             if header is None:

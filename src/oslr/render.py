@@ -70,9 +70,11 @@ def render_curves(path, curves: dict) -> None:
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
         )
+        # the label is text content, so only &, < and > need escaping
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16 * (k + 1)}" '
-            f'font-size="12" text-anchor="end" fill="{color}">{label}</text>'
+            f'font-size="12" text-anchor="end" fill="{color}">{text}</text>'
         )
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -438,8 +438,6 @@ def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     blocks of near-equal size that hold at most _BLOCK_ELEMENTS each."""
     counts = np.zeros((3, _N_PROC), dtype=np.int64)
     m = stop - start
-    if m == 0:
-        return counts
     blocks = math.ceil(m / max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b)))
     bounds = [start + m * j // blocks for j in range(blocks + 1)]
     crit = critical_value(scenario.alpha)
@@ -449,30 +447,15 @@ def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Explicit argument, else the CPUs this process may run on (its
-    affinity mask where the platform has one), capped by OSLR_THREADS."""
+    """Explicit argument, else the CPUs this process may run on: its
+    affinity mask where the platform has one, else the CPU count."""
     if requested is not None:
         if requested < 1:
             raise UsageError(f"worker count must be at least 1, got {requested}")
         return requested
-    env = os.environ.get("OSLR_THREADS", "").strip()
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if env:
-        try:
-            # ASCII digits only, as --workers reads: int() alone also reads
-            # 1_0 and non-ASCII digits
-            if not (env.isascii() and env.isdigit()):
-                raise ValueError(env)
-            cap = int(env)
-        except ValueError as exc:
-            raise UsageError(f"OSLR_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise UsageError(f"OSLR_THREADS must be at least 1, got {cap}")
-        return min(cap, cpus)
-    return cpus
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _ShareWorker:

@@ -112,6 +112,20 @@ def test_ingest_matches_stripped_header_names(tmp_path):
     assert_array_equal(cohort.events, [1.0, 0.0])
 
 
+def test_ingest_reads_a_byte_order_mark_as_no_data(tmp_path):
+    """Excel writes UTF-8 CSVs that start with a byte-order mark: such a file
+    ingests equal to the same rows without it, its first column included."""
+    text = "time,event,group\n1.5,1,a\n2.0,0,b\n3.0,1,a\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = ingest_csv(plain), ingest_csv(marked)
+    assert list(got) == list(want) == ["a", "b"]
+    for label in want:
+        assert got[label].times.tobytes() == want[label].times.tobytes()
+        assert got[label].events.tobytes() == want[label].events.tobytes()
+
+
 def test_ingest_schema_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
