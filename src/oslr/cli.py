@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 fit failure,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -187,9 +186,15 @@ def cmd_km(args) -> None:
         else:
             named.append((prefer[0], loaded))
     prefix = args.out or "km"
+    stems = [f"{prefix}_{label}" if label else prefix for label, _ in named]
+    # every name is checked before any file is written
+    for (label, _), stem in zip(named, stems):
+        if {os.sep, os.altsep, "\0"} & set(label):
+            raise UsageError(f"group label {label!r} holds a path separator or a NUL")
+        if stems.count(stem) > 1:
+            raise UsageError(f"two cohorts are labelled {label!r}: both would write {stem}_*")
     written = []
-    for label, cohort in named:
-        stem = f"{prefix}_{label}" if label else prefix
+    for (label, cohort), stem in zip(named, stems):
         km = kaplan_meier(cohort)
         na = nelson_aalen(cohort)
         km.to_csv(f"{stem}_km.csv")
@@ -213,12 +218,12 @@ def cmd_km(args) -> None:
         print(path)
 
 
-def _replace(path, text: str, newline=None) -> None:
+def _replace(path, text: str) -> None:
     """Write ``text`` into a temporary file beside ``path``, then rename it
     over ``path``: a reader sees the old file or the new one, never a part."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", newline=newline) as fh:
+        with open(temporary, "w") as fh:
             fh.write(text)
         os.replace(temporary, path)
     finally:
@@ -226,7 +231,7 @@ def _replace(path, text: str, newline=None) -> None:
             os.remove(temporary)
 
 
-# simulate --out rewrites its files once the time since the last rewrite
+# simulate --out rewrites its file once the time since the last rewrite
 # exceeds this share of the time the grid has run: the rewrites grow
 # geometrically apart, so the bytes written stay linear in the grid, and a
 # process killed outright loses at most the cells since the last rewrite
@@ -241,23 +246,22 @@ def _json_list(texts) -> str:
 def cmd_simulate(args) -> None:
     # the engine is imported by the commands that run it, so the analysis
     # commands never load it
-    from .simulation import load_scenarios, record_rows, run_scenario, write_rows_csv
+    from .simulation import load_scenarios, run_scenario
 
     scenarios = load_scenarios(args.scenario)
-    texts, table = [], io.StringIO()
-    write_rows_csv(table, [])  # the header
+    texts = []
 
     def write_out():
         _replace(f"{args.out}.json", _json_list(texts) + "\n")
-        _replace(f"{args.out}.csv", table.getvalue(), newline="")
 
+    if args.out:
+        write_out()  # an unwritable --out fails before the first cell runs
     started = written = time.monotonic()
     try:
         for scenario in scenarios:
             record = run_scenario(scenario, workers=args.workers).to_json_dict()
             # each record is serialized once; every output joins these texts
             texts.append(json.dumps(record, indent=2).replace("\n", "\n  "))
-            write_rows_csv(table, record_rows(record), header=False)
             now = time.monotonic()
             if args.out and now - written > _REWRITE_SHARE * (now - started):
                 write_out()
@@ -266,10 +270,7 @@ def cmd_simulate(args) -> None:
         # an exception or an interrupt still leaves every finished cell on disk
         if args.out:
             write_out()
-    if args.format == "csv":
-        sys.stdout.write(table.getvalue())
-    else:
-        print(_json_list(texts))
+    print(_json_list(texts))
 
 
 def cmd_report(args) -> None:
@@ -351,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario grid")
     p_sim.add_argument("scenario", help="scenario JSON (kappa/n_b/pi may be lists)")
     p_sim.add_argument("--workers", type=_ascii(int), default=None)
-    p_sim.add_argument("--format", default="json", choices=["json", "csv"])
-    p_sim.add_argument("--out", help="prefix for <out>.json and <out>.csv")
+    p_sim.add_argument("--out", help="also write the results JSON to <out>.json")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="summarize simulate JSON output")

@@ -414,11 +414,10 @@ def record_rows(record: dict) -> list[dict]:
     return rows
 
 
-def write_rows_csv(fh, rows, header: bool = True) -> None:
-    """Rows in CSV_FIELDS order, after the header if ``header``, to an open text file."""
+def write_rows_csv(fh, rows) -> None:
+    """The header, then rows in CSV_FIELDS order, to an open text file."""
     writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-    if header:
-        writer.writeheader()
+    writer.writeheader()
     writer.writerows(rows)
 
 

@@ -12,10 +12,15 @@ records one SHA-256 (or exit code) per output:
   ``km --family auto --svg`` on the bundled CSVs: exit code, stdout, stderr
   and every file written;
 - the seed-77 design of ``tests/seed77_counts.json`` through
-  ``simulate --out`` at 1 and 2 workers: exit code, stdout and both files;
+  ``simulate --out`` at 1 and 2 workers: exit code, stdout and the one
+  file it writes, the results JSON;
 - the bytes of ``simulation._block_z``'s z-values over kappa in
   {0.05, 1, 100} x n_B in {1, 5, 50} x pi in {1/16, 1, 2}, seed 77, 60
-  replicates per cell, with warnings as errors.
+  replicates per cell, with warnings as errors;
+- ``run_scenario``'s counts on every cell of ``perfbench/reference.json``:
+  per cell and worker count (1 and 2), one hash of the counts over the
+  file's seeds in the file's order, and per cell the list of seeds whose
+  counts differ from the file's at either worker count.
 
 ``compare`` prints each key whose value differs, or that only one manifest
 holds, and exits 1 if there is any. Two trees give the same results when
@@ -101,13 +106,38 @@ def _block_hashes() -> dict:
     return manifest
 
 
+def _reference_hashes() -> dict:
+    from oslr.simulation import Scenario, run_scenario
+
+    reference = json.loads((_ROOT / "perfbench" / "reference.json").read_text())
+    manifest = {}
+    for key, by_seed in reference["cells"].items():
+        cell = dict(item.split("=") for item in key.split(","))
+        differ = set()
+        for workers in (1, 2):
+            counts = []
+            for seed, want in by_seed.items():
+                s = Scenario(
+                    kappa=float(cell["kappa"]), n_b=int(cell["n_b"]), pi=float(cell["pi"]),
+                    replicates=int(cell["replicates"]), seed=int(seed),
+                )
+                r = run_scenario(s, workers=workers)
+                arrays = r.evaluated, r.rejected_two, r.rejected_one
+                counts.append([int(v) for a in arrays for v in a])
+                if counts[-1] != want:
+                    differ.add(int(seed))
+            manifest[f"run_scenario {key} workers={workers}"] = _sha(json.dumps(counts).encode())
+        manifest[f"run_scenario {key} :: seeds differing from the file"] = sorted(differ)
+    return manifest
+
+
 def write(out: str) -> None:
     import numpy as np
     import oslr
 
     src = str(pathlib.Path(oslr.__file__).resolve().parents[1])
     print(f"oslr {oslr.__version__} from {src}, numpy {np.__version__}", file=sys.stderr)
-    manifest = {**_cli_hashes(src), **_block_hashes()}
+    manifest = {**_cli_hashes(src), **_block_hashes(), **_reference_hashes()}
     pathlib.Path(out).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"{len(manifest)} entries written to {out}", file=sys.stderr)
 

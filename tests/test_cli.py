@@ -529,6 +529,35 @@ def test_km_svg_escapes_group_labels(tmp_path, capsys):
         assert f"KM {label}" in texts
 
 
+@pytest.mark.parametrize("label", ["a/b", "a\0b"])
+def test_km_refuses_a_label_that_cannot_be_in_a_file_name(tmp_path, capsys, label):
+    """A group label is part of a file name: one that holds a path separator
+    or a NUL is refused before any group's files are written."""
+    grouped = tmp_path / "both.csv"
+    write_csv(grouped, {"ok": Cohort([1.0, 2.0], [1, 0]), label: Cohort([2.0, 3.0], [1, 0])})
+    prefix = tmp_path / "k"
+    assert main(["km", "--control", str(grouped), "--out", str(prefix)]) == 1
+    assert repr(label) in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["both.csv"]
+
+
+def test_km_refuses_two_cohorts_with_one_label(tmp_path, capsys):
+    """A grouped control file's experimental group and an ungrouped
+    --experimental file would write the same files: refused before any is
+    written, rather than one cohort's curves overwriting the other's."""
+    grouped = tmp_path / "both.csv"
+    write_csv(
+        grouped,
+        {"control": Cohort([1.0, 2.0], [1, 0]), "experimental": Cohort([2.0, 3.0], [1, 0])},
+    )
+    other = _write(tmp_path / "b.csv", [(1, 1), (4, 0)])
+    prefix = tmp_path / "k"
+    argv = ["km", "--control", str(grouped), "--experimental", other, "--out", str(prefix)]
+    assert main(argv) == 1
+    assert "'experimental'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "both.csv"]
+
+
 def _scenario_file(tmp_path, **overrides):
     spec = {
         "kappa": 1.0,
@@ -761,32 +790,26 @@ def test_analysis_commands_never_end_in_a_traceback(
 
 
 def test_simulate_grid_and_outputs(tmp_path, capsys):
+    """simulate prints the JSON list of the grid's cells, and --out writes
+    them to <out>.json and no other file."""
     path = _scenario_file(tmp_path, kappa=[0.5, 1.0])
     out = tmp_path / "run"
-    code = main(["simulate", path, "--workers", "1", "--out", str(out),
-                 "--format", "csv"])
-    assert code == 0
-    stdout = capsys.readouterr().out
-    assert stdout.splitlines()[0] == "kappa,n_b,pi,procedure,sided,rate,lo,hi,n_eff"
-    records = json.loads((tmp_path / "run.json").read_text())
-    assert [r["scenario"]["kappa"] for r in records] == [0.5, 1.0]
-    csv_lines = (tmp_path / "run.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 1 + 2 * 7 * 2
+    assert main(["simulate", path, "--workers", "1", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert [r["scenario"]["kappa"] for r in printed] == [0.5, 1.0]
+    assert json.loads((tmp_path / "run.json").read_text()) == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "scenario.json"]
 
 
 def test_simulate_out_files_equal_its_stdout(tmp_path, capsys):
     """<out>.json holds byte for byte what simulate prints, the indented
-    dump of the record list, and <out>.csv what simulate --format csv
-    prints."""
+    dump of the record list."""
     path = _scenario_file(tmp_path, kappa=[0.5, 1.0, 2.0], n_b=5, replicates=3)
     out = tmp_path / "run"
     assert main(["simulate", path, "--workers", "1", "--out", str(out)]) == 0
     printed_json = capsys.readouterr().out
-    assert main(["simulate", path, "--workers", "1", "--format", "csv"]) == 0
-    printed_csv = capsys.readouterr().out
     assert printed_json == json.dumps(json.loads(printed_json), indent=2) + "\n"
     assert (tmp_path / "run.json").read_bytes() == printed_json.encode()
-    assert (tmp_path / "run.csv").read_bytes() == printed_csv.encode()
 
 
 def test_simulate_writes_strict_json_where_nothing_was_evaluated(tmp_path, capsys):
@@ -822,9 +845,9 @@ def test_simulate_writes_strict_json_where_nothing_was_evaluated(tmp_path, capsy
 
 
 def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, capsys, monkeypatch):
-    """A grid run that fails in its third cell leaves <out>.json and
-    <out>.csv holding the first two cells, which ``report`` reads, and no
-    temporary file beside them."""
+    """A grid run that fails in its third cell leaves <out>.json holding the
+    first two cells, which ``report`` reads, and no temporary file beside
+    it."""
     from oslr import simulation
 
     run_scenario = simulation.run_scenario
@@ -843,13 +866,25 @@ def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, capsys, monkeypa
         main(["simulate", path, "--workers", "1", "--out", str(out)])
     records = json.loads((tmp_path / "run.json").read_text())
     assert [r["scenario"]["kappa"] for r in records] == [0.5, 1.0]
-    csv_lines = (tmp_path / "run.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 1 + 2 * 7 * 2
     left = sorted(p.name for p in tmp_path.iterdir())
-    assert left == ["run.csv", "run.json", "scenario.json"]
+    assert left == ["run.json", "scenario.json"]
     capsys.readouterr()
     assert main(["report", str(tmp_path / "run.json"), "--format", "csv"]) == 0
-    assert capsys.readouterr().out.splitlines() == csv_lines
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 7 * 2
+
+
+def test_simulate_out_into_a_missing_directory_runs_no_cell(tmp_path, capsys, monkeypatch):
+    """An --out that cannot be written fails before the first cell runs,
+    not after it."""
+    from oslr import simulation
+
+    calls = []
+    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: calls.append(a))
+    path = _scenario_file(tmp_path, kappa=[0.5, 1.0])
+    out = tmp_path / "missing" / "run"
+    assert main(["simulate", path, "--workers", "1", "--out", str(out)]) == 1
+    assert calls == []
+    assert str(out) in capsys.readouterr().err
 
 
 def test_simulate_invalid_scenario_exits_one(tmp_path, capsys):
@@ -895,10 +930,15 @@ def test_report_roundtrip(tmp_path, capsys):
     csv_out = report_csv.strip().splitlines()
     assert csv_out[0] == "kappa,n_b,pi,procedure,sided,rate,lo,hi,n_eff"
     assert len(csv_out) == 1 + 7 * 2
-    # rows read back from the JSON equal the rows of the run itself
-    assert main(["simulate", scenario, "--workers", "1", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == report_csv
-    assert (tmp_path / "run.csv").read_bytes() == report_csv.encode()
+    # rows read back from the JSON equal the rows of the run's own record
+    from oslr.simulation import load_scenarios, record_rows, run_scenario, write_rows_csv
+
+    (cell,) = load_scenarios(scenario)
+    expected = io.StringIO()
+    write_rows_csv(expected, record_rows(run_scenario(cell, workers=1).to_json_dict()))
+    assert report_csv == expected.getvalue()
+    # the CSV has one renderer: simulate takes no --format
+    assert main(["simulate", scenario, "--workers", "1", "--format", "csv"]) == 1
 
 
 def test_report_malformed_input_exits_one(tmp_path, capsys):
