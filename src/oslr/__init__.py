@@ -4,9 +4,11 @@ Workflow: ingest right-censored cohorts, fit a reference cumulative hazard to
 historic control data by censored maximum likelihood, then test an
 experimental cohort against that curve, with an optional variance correction
 for the uncertainty the fitting step introduces. A Monte Carlo engine
-measures type-I-error behaviour of the procedures; its names are exported
-here but ``oslr.simulation`` is imported only when one of them is first used,
-so the analysis path never loads it.
+(``oslr.simulation``) measures type-I-error behaviour of the procedures;
+``oslr.results`` holds the results file that ``simulate`` writes and
+``report`` reads. The names of both are exported here, but each module is
+imported only when one of its names is first used, so the analysis path
+loads neither.
 """
 
 __version__ = "0.1.0"
@@ -50,17 +52,15 @@ from .logrank import (
 )
 from .nonparametric import StepCurve, kaplan_meier, nelson_aalen
 
-# the Monte Carlo engine's exports, imported on first access (PEP 562)
-_SIMULATION_NAMES = (
-    "PROCEDURES",
-    "Scenario",
-    "SimulationResult",
-    "generate_cohort",
-    "replicate_rng",
-    "run_scenario",
-    "mc_error_interval",
-    "load_scenarios",
-)
+# the exports of the results file's module and of the Monte Carlo engine,
+# each module imported on first access to one of its names (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("PROCEDURES", "SimulationResult", "mc_error_interval"), "results"),
+    **dict.fromkeys(
+        ("Scenario", "generate_cohort", "replicate_rng", "run_scenario", "load_scenarios"),
+        "simulation",
+    ),
+}
 
 __all__ = [
     "__version__",
@@ -104,19 +104,19 @@ __all__ = [
     "StepCurve",
     "kaplan_meier",
     "nelson_aalen",
-    *_SIMULATION_NAMES,
+    *_LAZY,
 ]
 
 
 def __getattr__(name):
-    if name not in _SIMULATION_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulation
+    import importlib
 
-    value = getattr(simulation, name)
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()).union(_SIMULATION_NAMES))
+    return sorted(set(globals()).union(_LAZY))

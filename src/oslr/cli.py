@@ -226,6 +226,8 @@ def _replace(path, text: str) -> None:
         with open(temporary, "w") as fh:
             fh.write(text)
         os.replace(temporary, path)
+    except OSError as exc:  # name the user's path, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)
@@ -238,30 +240,24 @@ def _replace(path, text: str) -> None:
 _REWRITE_SHARE = 0.1
 
 
-def _json_list(texts) -> str:
-    """``json.dumps(records, indent=2)`` from each record's text, indented."""
-    return "[\n  " + ",\n  ".join(texts) + "\n]"
-
-
 def cmd_simulate(args) -> None:
-    # the engine is imported by the commands that run it, so the analysis
-    # commands never load it
+    # imported here, so that fit, test and km load neither module
+    from .results import json_list
     from .simulation import load_scenarios, run_scenario
 
     scenarios = load_scenarios(args.scenario)
     texts = []
 
     def write_out():
-        _replace(f"{args.out}.json", _json_list(texts) + "\n")
+        _replace(f"{args.out}.json", json_list(texts) + "\n")
 
     if args.out:
         write_out()  # an unwritable --out fails before the first cell runs
     started = written = time.monotonic()
     try:
         for scenario in scenarios:
-            record = run_scenario(scenario, workers=args.workers).to_json_dict()
             # each record is serialized once; every output joins these texts
-            texts.append(json.dumps(record, indent=2).replace("\n", "\n  "))
+            texts.append(run_scenario(scenario, workers=args.workers).to_json())
             now = time.monotonic()
             if args.out and now - written > _REWRITE_SHARE * (now - started):
                 write_out()
@@ -270,11 +266,11 @@ def cmd_simulate(args) -> None:
         # an exception or an interrupt still leaves every finished cell on disk
         if args.out:
             write_out()
-    print(_json_list(texts))
+    print(json_list(texts))
 
 
 def cmd_report(args) -> None:
-    from .simulation import read_json, record_rows, write_rows_csv
+    from .results import read_json, record_rows, write_rows_csv
 
     records = read_json(args.results)
     if not isinstance(records, list):

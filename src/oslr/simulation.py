@@ -41,23 +41,22 @@ emptied. At interpreter exit an atexit hook closes the pipes and reaps the
 workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
-(n_A + n_B): a full block's working arrays, its uniforms included, peak at
-50-62 bytes per observation (tracemalloc at kappa = 1 over full blocks at
-n_B from 10 to 10,000 and pi from 1/16 to 2, and over one replicate at that
-bound, where the peak is about 57 MB), and a cell's last, shorter block at
-up to ~68. Importing this module raises glibc's malloc thresholds once (see
-the comment at MAX_OBSERVATIONS), so the engine's process keeps freed block
-memory in its heap, up to twice the one-time size (~62 MiB), instead of
-returning it to the system between blocks; with an allocator other than
-glibc's nothing changes.
+(n_A + n_B). A block's working arrays, its uniforms included, peak at 49-65
+bytes per observation for n_B from 10 to 10,000 (tracemalloc at kappa = 1,
+pi from 1/16 to 2, blocks of half to full size), at 56 MB for one replicate
+at that bound, and higher below n_B = 10, where the per-replicate arrays
+weigh more: 59-86 bytes per observation at n_B = 5 and up to 228 at n_B = 1
+(14.2 MiB for a full block). Importing this module raises glibc's malloc
+thresholds once (see the comment at MAX_OBSERVATIONS), so the engine's
+process keeps freed block memory in its heap, up to twice the one-time size
+(~62 MiB), instead of returning it to the system between blocks; with an
+allocator other than glibc's nothing changes.
 """
 
 from __future__ import annotations
 
 import atexit
-import csv
 import itertools
-import json
 import math
 import numbers
 import os
@@ -84,23 +83,14 @@ from .logrank import (
     _two_sample_scores,
     _v2,
     critical_value,
-    normal_quantile,
 )
+from .results import PROCEDURES, SimulationResult, read_json
 
-PROCEDURES = (
-    "true_w0",
-    "true_w05",
-    "uncorrected_w0",
-    "uncorrected_w05",
-    "corrected_w0",
-    "corrected_w05",
-    "two_sample",
-)
 _N_PROC = len(PROCEDURES)
 
-# a block of R replicates holds at most this many observations, R * (n_a + n_b);
-# this bounds its working memory, ~55 bytes per observation, to ~3.5 MB, about
-# one core's L2 cache
+# a block of R replicates holds at most this many observations, R * (n_a + n_b),
+# unless one replicate holds more; a full block peaks at 2.6-4.0 MiB of working
+# memory for n_b >= 10 and at up to 14.2 MiB below that (module docstring)
 _BLOCK_ELEMENTS = 2**16
 
 # largest n_a + n_b of one replicate that a Scenario admits
@@ -112,7 +102,7 @@ MAX_OBSERVATIONS = 1_000_000
 # chunk raises the mmap threshold to that chunk's size (on 64-bit, up to
 # 32 MiB) and the trim threshold to twice that (mallopt(3)). After this
 # untouched 31 MiB array is freed, every block up to MAX_OBSERVATIONS (largest
-# array 16 MB, working memory ~57 MB) stays in the heap, and forked share
+# array 16 MB, working memory 56 MB) stays in the heap, and forked share
 # workers inherit the thresholds. With any other allocator it is a no-op.
 np.empty(31 << 17)
 
@@ -126,9 +116,6 @@ RANGES = {
     "accrual_years": (1e-6, 1e6),
     "followup_years": (0.0, 1e6),
 }
-
-# columns of the flat results CSV, one row per procedure and sidedness
-CSV_FIELDS = ("kappa", "n_b", "pi", "procedure", "sided", "rate", "lo", "hi", "n_eff")
 
 
 @dataclass(frozen=True)
@@ -282,8 +269,8 @@ def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     or a test whose variance is not positive.
 
     Each array is dropped once its last use is past, so that the block's
-    working memory peaks at ~55 bytes per observation, the uniforms
-    included; ``u`` is read, never written.
+    working memory, the uniforms included, peaks near 50 bytes per
+    observation on long rows (module docstring); ``u`` is read, never written.
     """
     n_a, n_b = scenario.n_a, scenario.n_b
     n_rows = u.shape[0]
@@ -338,98 +325,6 @@ def _tally(z: np.ndarray, crit: float) -> np.ndarray:
             (z <= -crit).sum(axis=0),
         )
     )
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Aggregated rejection counts for one scenario cell."""
-
-    scenario: Scenario
-    evaluated: np.ndarray
-    rejected_two: np.ndarray
-    rejected_one: np.ndarray
-
-    def _rate(self, counts, procedure: str) -> float:
-        i = PROCEDURES.index(procedure)
-        n = int(self.evaluated[i])
-        return float(counts[i]) / n if n else float("nan")
-
-    def two_sided_rate(self, procedure: str) -> float:
-        return self._rate(self.rejected_two, procedure)
-
-    def one_sided_rate(self, procedure: str) -> float:
-        return self._rate(self.rejected_one, procedure)
-
-    def n_evaluated(self, procedure: str) -> int:
-        return int(self.evaluated[PROCEDURES.index(procedure)])
-
-    def n_failed(self, procedure: str) -> int:
-        return self.scenario.replicates - self.n_evaluated(procedure)
-
-    def to_json_dict(self) -> dict:
-        """The cell's scenario and, per procedure, its rates, counts and
-        intervals; a procedure evaluated on no replicate has null rates and
-        intervals, which JSON can hold, where NaN is not JSON."""
-        procs = {}
-        for name in PROCEDURES:
-            n = self.n_evaluated(name)
-            row = {
-                "two_sided_rate": self.two_sided_rate(name) if n else None,
-                "one_sided_rate": self.one_sided_rate(name) if n else None,
-                "n_evaluated": n,
-                "n_failed": self.n_failed(name),
-            }
-            for sided in ("two", "one"):
-                rate = row[f"{sided}_sided_rate"]
-                interval = mc_error_interval(rate, n) if n else (None, None)
-                row[f"{sided}_sided_interval"] = list(interval)
-            procs[name] = row
-        return {"scenario": self.scenario.to_json_dict(), "procedures": procs}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-
-def record_rows(record: dict) -> list[dict]:
-    """CSV rows, one per procedure and sidedness, from a result's JSON record
-    (``SimulationResult.to_json_dict()`` or a record read back from disk).
-    Where n_eff is 0 a null rate or bound reads as NaN, which older files
-    hold there. Raises TypeError unless n_b and n_eff are integers and the
-    rest numbers."""
-    s = record["scenario"]
-    rows = []
-    for name, stats in record["procedures"].items():
-        n = stats["n_evaluated"]
-        for sided in ("two", "one"):
-            rate, (lo, hi) = stats[f"{sided}_sided_rate"], stats[f"{sided}_sided_interval"]
-            if n == 0:
-                rate, lo, hi = (math.nan if v is None else v for v in (rate, lo, hi))
-            values = (s["kappa"], s["n_b"], s["pi"], name, sided, rate, lo, hi, n)
-            rows.append(dict(zip(CSV_FIELDS, values)))
-    for row in rows:
-        for key in ("kappa", "n_b", "pi", "rate", "lo", "hi", "n_eff"):
-            kind = numbers.Integral if key in ("n_b", "n_eff") else numbers.Real
-            if isinstance(row[key], bool) or not isinstance(row[key], kind):
-                raise TypeError(f"{key} must be {kind.__name__}, got {row[key]!r}")
-    return rows
-
-
-def write_rows_csv(fh, rows) -> None:
-    """The header, then rows in CSV_FIELDS order, to an open text file."""
-    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def mc_error_interval(p: float, n: int):
-    """Binomial 95% Monte Carlo error interval p +- z * sqrt(p(1-p)/n),
-    z the normal 0.975 quantile, clipped to [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"rate must be in [0, 1], got {p}")
-    if n < 1:
-        raise UsageError(f"replicate count must be at least 1, got {n}")
-    half = normal_quantile(0.975) * math.sqrt(p * (1.0 - p) / n)
-    return max(0.0, p - half), min(1.0, p + half)
 
 
 def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
@@ -628,24 +523,7 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationRe
         counts = _chunk_counts(scenario, 0, n)
     else:
         counts = _forked_counts(scenario, [n * i // k for i in range(k + 1)])
-    evaluated, rej_two, rej_one = counts
-    return SimulationResult(
-        scenario=scenario,
-        evaluated=evaluated,
-        rejected_two=rej_two,
-        rejected_one=rej_one,
-    )
-
-
-def read_json(path):
-    """The JSON document in a file. Text that does not decode or parse,
-    including an integer literal past Python's int string limit (a plain
-    ValueError, not a JSONDecodeError), raises UsageError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"{path}: not a readable JSON document ({exc})") from exc
+    return SimulationResult(scenario, *counts)  # counts' rows as _tally orders them
 
 
 def load_scenarios(source) -> list[Scenario]:

@@ -14,6 +14,8 @@ records one SHA-256 (or exit code) per output:
 - the seed-77 design of ``tests/seed77_counts.json`` through
   ``simulate --out`` at 1 and 2 workers: exit code, stdout and the one
   file it writes, the results JSON;
+- ``report`` on the 1-worker run's results JSON, as the table and as
+  ``--format csv``, each to stdout and with ``--out``: the same entries;
 - the bytes of ``simulation._block_z``'s z-values over kappa in
   {0.05, 1, 100} x n_B in {1, 5, 50} x pi in {1/16, 1, 2}, seed 77, 60
   replicates per cell, with warnings as errors;
@@ -63,6 +65,8 @@ def _cli_runs():
         )
     runs.append(f"km {inputs} --family auto --svg --out curves")
     runs += [f"simulate ../seed77.json --workers {w} --out grid" for w in (1, 2)]
+    for fmt, out in (("table", "table.txt"), ("csv", "rows.csv")):
+        runs += [f"report ../grid.json --format {fmt}" + flag for flag in ("", f" --out {out}")]
     return [(run, run.split()) for run in runs]
 
 
@@ -87,6 +91,9 @@ def _cli_hashes(src: str) -> dict:
             manifest[f"{name} :: stderr"] = _sha(done.stderr)
             for path in sorted(run_dir.iterdir()):
                 manifest[f"{name} :: file {path.name}"] = _sha(path.read_bytes())
+            # report reads the results JSON of the first simulate run
+            if (run_dir / "grid.json").exists() and not (base / "grid.json").exists():
+                shutil.copy(run_dir / "grid.json", base / "grid.json")
     return manifest
 
 

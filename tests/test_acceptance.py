@@ -24,7 +24,7 @@ from oslr.families import (
 )
 from oslr.fitting import fit_mle, pseudo_inverse
 from oslr.logrank import ReferenceCurve, oslr_test, p_one_sided, zscore
-from oslr.simulation import mc_error_interval
+from oslr.results import mc_error_interval
 
 MASTER_SEED = 20260815
 

@@ -80,6 +80,24 @@ def test_cli_import_loads_only_the_analysis_modules():
     assert _modules_after_cli_import("statistics") == []
 
 
+def test_report_loads_the_results_module_alone(tmp_path):
+    """`oslr report` reads the results file without the Monte Carlo engine:
+    a fresh interpreter holds no `oslr.simulation` after it."""
+    stats = {"two_sided_rate": 0.05, "one_sided_rate": 0.025, "n_evaluated": 40,
+             "two_sided_interval": [0.0, 0.1], "one_sided_interval": [0.0, 0.07]}
+    record = {"scenario": {"kappa": 1.0, "n_b": 50, "pi": 1.0}, "procedures": {"true_w0": stats}}
+    results = tmp_path / "run.json"
+    results.write_text(json.dumps([record]))
+    snippet = f"""
+import contextlib, io, json, sys
+from oslr.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["report", {str(results)!r}])
+print(json.dumps([code, "oslr.results" in sys.modules, "oslr.simulation" in sys.modules]))
+"""
+    assert json.loads(_fresh_interpreter(snippet)) == [0, True, False]
+
+
 def test_package_import_leaves_simulation_out():
     assert _modules_after("import oslr", "oslr.simulation", "statistics") == []
 
@@ -812,6 +830,22 @@ def test_simulate_out_files_equal_its_stdout(tmp_path, capsys):
     assert (tmp_path / "run.json").read_bytes() == printed_json.encode()
 
 
+@pytest.mark.parametrize("cells", [0, 1, 2])
+def test_json_list_is_the_indented_dump_of_the_records(cells):
+    """The results file's text, built from each record's own text, is what
+    json.dumps gives for the record list, the empty list included."""
+    from oslr.results import json_list
+    from oslr.simulation import Scenario, run_scenario
+
+    scenarios = [
+        Scenario(kappa=kappa, n_b=5, pi=1.0, replicates=3, seed=MASTER_SEED)
+        for kappa in [0.5, 1.0][:cells]
+    ]
+    results = [run_scenario(s, workers=1) for s in scenarios]
+    want = json.dumps([r.to_json_dict() for r in results], indent=2)
+    assert json_list([r.to_json() for r in results]) == want
+
+
 def test_simulate_writes_strict_json_where_nothing_was_evaluated(tmp_path, capsys):
     """With n_A = n_B = 1 the fitted and two-sample procedures are evaluated
     on no replicate: their rates and intervals are null, not the bare NaN
@@ -887,6 +921,17 @@ def test_simulate_out_into_a_missing_directory_runs_no_cell(tmp_path, capsys, mo
     assert str(out) in capsys.readouterr().err
 
 
+def test_simulate_out_error_names_the_path_given(tmp_path, capsys):
+    """A results file that cannot be written is named as the user gave it,
+    not by the temporary file written beside it."""
+    path = _scenario_file(tmp_path, n_b=5, replicates=2)
+    out = tmp_path / "missing" / "run"
+    assert main(["simulate", path, "--workers", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"'{out}.json'")
+    assert ".tmp" not in err
+
+
 def test_simulate_invalid_scenario_exits_one(tmp_path, capsys):
     path = _scenario_file(tmp_path, mode="extra")
     assert main(["simulate", path]) == 1
@@ -931,7 +976,8 @@ def test_report_roundtrip(tmp_path, capsys):
     assert csv_out[0] == "kappa,n_b,pi,procedure,sided,rate,lo,hi,n_eff"
     assert len(csv_out) == 1 + 7 * 2
     # rows read back from the JSON equal the rows of the run's own record
-    from oslr.simulation import load_scenarios, record_rows, run_scenario, write_rows_csv
+    from oslr.results import record_rows, write_rows_csv
+    from oslr.simulation import load_scenarios, run_scenario
 
     (cell,) = load_scenarios(scenario)
     expected = io.StringIO()

@@ -29,23 +29,25 @@ from oslr.errors import DegenerateTestError, FitError, RowValidationError, Usage
 from oslr.fitting import GRAD_TOL, MAX_ITER, fit_mle
 from oslr.logrank import ReferenceCurve, critical_value, oslr_test, two_sample_logrank
 from oslr import _kernels, cli, simulation
+from oslr.results import (
+    PROCEDURES,
+    SimulationResult,
+    mc_error_interval,
+    record_rows,
+    write_rows_csv,
+)
 from oslr.simulation import (
     MAX_OBSERVATIONS,
-    PROCEDURES,
     RANGES,
     Scenario,
-    SimulationResult,
     _block_z,
     _tally,
     _uniforms,
     generate_cohort,
     load_scenarios,
-    mc_error_interval,
-    record_rows,
     replicate_rng,
     resolve_workers,
     run_scenario,
-    write_rows_csv,
 )
 
 MASTER_SEED = 20260815
