@@ -105,15 +105,12 @@ def _loglik_terms(code, x0, x1, data):
         exposure = a * s
         return d * x0 - exposure, d - exposure, 0.0, -exposure, 0.0, 0.0
     logu = logt - x1
-    z = a * logu
+    lam, _, q = cumhaz_terms(code, a, None, logu)  # (p, p) or (log(1 + p), q)
     if code == WEIBULL:
-        r = wq = wqq = np.exp(z)
+        r = wq = wqq = lam
     else:
         w = events + 1.0
-        softplus = np.logaddexp(0.0, z)
-        # q = u^a / (1 + u^a), computed in log space to survive large u^a
-        q = np.exp(z - softplus)
-        r = w * softplus
+        r = w * lam
         wq = w * q
         wqq = wq * (1.0 - q)
     dlogu = s - d * x1  # sum of events x log u

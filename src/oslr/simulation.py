@@ -8,24 +8,23 @@ counter-based RNG streams keyed by (seed, replicate index), so results are
 bit-identical across runs and across worker counts.
 
 The unit of work is a block of replicates held as (R, n) arrays, one
-replicate per row: the block is drawn, fitted (one ``_kernels.fit_weibull``
-call, Newton on the profile likelihood in the shape from shape 1, that
-carries only its unfinished rows; the sums of a row's last pass also give
-its information's three entries in log-parameters, and V2 follows from them
-elementwise), tested against both reference curves at arm B's largest time,
-which caps none, over its log-times taken once (the expected events alone
-for the true curve, one fused pass with the hazard gradient for the fitted
-curve; all six one-sample z-values follow from them arithmetically) and
-compared two-sample (one in-place sort per row of integer keys that carry
-each subject's time, arm and event) at once. A row's z-values do not depend
-on the other rows of its block, so the counts are the same for any chunking
-and worker count.
+replicate per row, run as stages in turn: draw (``_uniforms``), observe
+(``_observe_block``), fit (``_kernels.fit_weibull``, Newton on the profile
+likelihood in the shape from shape 1, carrying only its unfinished rows; a
+row's last pass also gives its information in log-parameters, and V2 follows
+elementwise), one-sample tests (``_one_sample_tests``, both reference curves
+at arm B's largest time, which caps none, over its log-times taken once: the
+expected events alone for the true curve, one fused pass with the hazard
+gradient for the fitted curve), two-sample (``_two_sample_scores``, one
+in-place sort per row of integer keys that carry each subject's time, arm and
+event) and tally (``_tally``). A row's z-values do not depend on the other
+rows of its block, so the counts are the same for any chunking and workers.
 
-With N workers a cell's replicates split into N equal contiguous shares.
-Where ``os.fork`` exists (POSIX), N - 1 share workers compute shares 1..N-1
-and send their counts back through a pipe while the calling process computes
-share 0; elsewhere the shares run one after another in the calling process.
-Each share runs as the fewest near-equal blocks that fit the block size.
+With N workers a cell of 4 or more replicates splits into min(N, replicates)
+equal contiguous shares, each run as the fewest near-equal blocks that fit
+the block size. Where ``os.fork`` exists (POSIX), share workers compute shares
+1.. and send their counts back through a pipe while the calling process
+computes share 0; elsewhere, and for a smaller cell, it computes all of them.
 
 The share workers persist: a process forks them on its first call that
 needs them, and more only when a later call asks for more, so later calls
@@ -41,12 +40,12 @@ emptied. At interpreter exit an atexit hook closes the pipes and reaps the
 workers. Calls from several threads take turns with the pool.
 
 A scenario holds at most MAX_OBSERVATIONS observations per replicate
-(n_A + n_B). A block's working arrays, its uniforms included, peak at 49-65
+(n_A + n_B). A block's working arrays, its uniforms included, peak at 49-62
 bytes per observation for n_B from 10 to 10,000 (tracemalloc at kappa = 1,
 pi from 1/16 to 2, blocks of half to full size), at 56 MB for one replicate
 at that bound, and higher below n_B = 10, where the per-replicate arrays
-weigh more: 59-86 bytes per observation at n_B = 5 and up to 228 at n_B = 1
-(14.2 MiB for a full block). Importing this module raises glibc's malloc
+weigh more: 57-75 bytes per observation at n_B = 5 and up to 164 at n_B = 1
+(10.3 MiB for a full block). Importing this module raises glibc's malloc
 thresholds once (see the comment at MAX_OBSERVATIONS), so the engine's
 process keeps freed block memory in its heap, up to twice the one-time size
 (~62 MiB), instead of returning it to the system between blocks; with an
@@ -89,8 +88,8 @@ from .results import PROCEDURES, SimulationResult, read_json
 _N_PROC = len(PROCEDURES)
 
 # a block of R replicates holds at most this many observations, R * (n_a + n_b),
-# unless one replicate holds more; a full block peaks at 2.6-4.0 MiB of working
-# memory for n_b >= 10 and at up to 14.2 MiB below that (module docstring)
+# unless one replicate holds more; a full block peaks at 2.6-3.8 MiB of working
+# memory for n_b >= 10 and at up to 10.3 MiB below that (module docstring)
 _BLOCK_ELEMENTS = 2**16
 
 # largest n_a + n_b of one replicate that a Scenario admits
@@ -251,67 +250,70 @@ def generate_cohort(scenario: Scenario, group: str, rng: Generator) -> Cohort:
     return Cohort(times, events, group)
 
 
-def _z_or_nan(m, total):
-    """m / sqrt(total) where total > 0; NaN (not evaluated) elsewhere."""
-    z = np.full(m.shape, np.nan)
-    ok = total > 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: NaN, not evaluated
-        z[ok] = m[ok] / np.sqrt(total[ok])
-    return z
+def _observe_block(scenario: Scenario, u: np.ndarray):
+    """Pooled (R, n_a + n_b) times and events, arm A in the first n_a columns,
+    from a block's uniforms; refuses times not finite and positive."""
+    n_a, n_b = scenario.n_a, scenario.n_b
+    times, events = np.empty((2, u.shape[0], n_a + n_b))
+    _observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a], times[:, :n_a], events[:, :n_a])
+    _observe(scenario, u[:, -2 * n_b : -n_b], u[:, -n_b:], times[:, n_a:], events[:, n_a:])
+    if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails both
+        raise ValueError("times must be finite and positive")
+    return times, events
+
+
+def _one_sample_tests(scenario: Scenario, times_b, events_b, fit):
+    """M and V, each (R, 6), of arm B's tests against the true curve, then
+    against each row's own fit (``_kernels.fit_weibull``'s output)
+    uncorrected and corrected, each at w = 0 and 0.5; a failed fit's V is
+    NaN. The analysis time is arm B's largest time, which caps none."""
+    n_rows, n_b = times_b.shape
+    w = np.array([0.0, 0.5])
+    n_events, log_b = events_b.sum(axis=1)[:, None], np.log(times_b)
+
+    # the true curve's tests need no hazard gradient
+    kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
+    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, times_b, log_b)
+    m_true, v_true = _compensated_and_v1(n_events, expected[:, None], n_b, w)
+
+    # every row is tested against its own fit: a failed fit's last iterate,
+    # or a converged fit of extreme shape, can overflow the curve
+    a, b, _, _, status, (_, *info) = fit
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
+        v2 = _v2(n_b / scenario.n_a, g0, g1, *_pinv_2x2(*info))
+        m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
+        var = np.hstack((v_true, v1, v1 + v2[:, None]))
+    var[status != _kernels.FIT_OK, 2:] = np.nan  # a failed fit: not evaluated
+    return np.hstack((m_true, m_true, m_fit, m_fit, m_fit, m_fit)), var
 
 
 def _block_z(scenario: Scenario, u: np.ndarray) -> np.ndarray:
     """z-values of the seven procedures, (R, 7), for a block of replicates.
 
     Row i of ``u`` holds replicate i's 2 n_a + 2 n_b uniforms in the order
-    two ``generate_cohort`` calls draw them (arm A, then arm B). A z is NaN
-    where its procedure is not evaluated: a failed fit, masked in its row,
-    or a test whose variance is not positive.
+    two ``generate_cohort`` calls draw them (arm A, then arm B); ``u`` is
+    read, never written. A z is NaN where its procedure is not evaluated:
+    a failed fit, masked in its row, or a test whose variance is not positive.
 
-    Each array is dropped once its last use is past, so that the block's
-    working memory, the uniforms included, peaks near 50 bytes per
-    observation on long rows (module docstring); ``u`` is read, never written.
+    Its stages run in turn, each called by name and freeing its arrays as it
+    returns: ``_observe_block``, ``_kernels.fit_weibull``,
+    ``_one_sample_tests`` and ``_two_sample_scores``. With the uniforms,
+    which go once observed if the caller passes a temporary, a block peaks
+    near 50 bytes per observation on long rows (module docstring).
     """
-    n_a, n_b = scenario.n_a, scenario.n_b
-    n_rows = u.shape[0]
-    # the pooled arrays, arm A in the first n_a columns; each arm's are views
-    times, events = np.empty((2, n_rows, n_a + n_b))
-    times_a, times_b = times[:, :n_a], times[:, n_a:]
-    events_a, events_b = events[:, :n_a], events[:, n_a:]
-    _observe(scenario, u[:, :n_a], u[:, n_a : 2 * n_a], times_a, events_a)
-    _observe(scenario, u[:, 2 * n_a : 2 * n_a + n_b], u[:, 2 * n_a + n_b :], times_b, events_b)
+    n_a = scenario.n_a
+    times, events = _observe_block(scenario, u)
     del u  # frees a caller's temporary: the uniforms are the block's largest array
-    if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails both
-        raise ValueError("times must be finite and positive")
-    # each procedure's statistic and its variance, NaN where not evaluated
-    m = np.full((n_rows, _N_PROC), np.nan)
-    var = np.full((n_rows, _N_PROC), np.nan)
-    w = np.array([0.0, 0.5])
-    # the analysis time of every one-sample test: arm B's largest time, which
-    # caps no time and observes every event
-    n_events, log_b = events_b.sum(axis=1)[:, None], np.log(times_b)
-
-    # the true curve's tests need no hazard gradient
-    kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
-    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, times_b, log_b)
-    m[:, :2], var[:, :2] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
-
     # the information comes with the fit; a row without events ends FIT_BOUNDARY
-    a, b, _, _, status, (_, *info) = _kernels.fit_weibull(
-        np.log(times_a), events_a, GRAD_TOL, MAX_ITER
-    )
-    # every row is tested against its own fit: a failed fit's last iterate,
-    # or a converged fit of extreme shape, can overflow the curve
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
-        v2 = _v2(n_b / n_a, g0, g1, *_pinv_2x2(*info))
-        m[:, 2:6], var[:, 2:4] = _compensated_and_v1(n_events, expected[:, None], n_b, w)
-        var[:, 4:6] = var[:, 2:4] + v2[:, None]
-    del times_b, log_b
-    var[status != _kernels.FIT_OK, 2:6] = np.nan  # a failed fit: not evaluated
-
-    m[:, 6], var[:, 6] = _two_sample_scores(times, events, n_a)
-    return _z_or_nan(m, var)
+    fit = _kernels.fit_weibull(np.log(times[:, :n_a]), events[:, :n_a], GRAD_TOL, MAX_ITER)
+    one_sample = _one_sample_tests(scenario, times[:, n_a:], events[:, n_a:], fit)
+    # each procedure's statistic and its variance, (R, 7)
+    m, var = map(np.column_stack, zip(one_sample, _two_sample_scores(times, events, n_a)))
+    var[~(var > 0.0)] = np.nan  # NaN too, so that every z not evaluated has the same bits
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: NaN, not evaluated
+        m /= np.sqrt(var, out=var)  # z, in place: short rows peak here otherwise
+    return m
 
 
 def _tally(z: np.ndarray, crit: float) -> np.ndarray:
@@ -509,13 +511,14 @@ def _forked_counts(scenario: Scenario, bounds: list[int]) -> np.ndarray:
 def run_scenario(scenario: Scenario, workers: int | None = None) -> SimulationResult:
     """Aggregate all replicates of one cell; independent of worker count.
 
-    With k workers the replicates split into k equal contiguous shares: k - 1
-    share workers take shares 1..k-1 while the calling process computes
-    share 0, then the integer counts add up. The workers are forked on the
-    first call that needs them and kept for later calls; a forked copy of
-    this process starts its own. A failure kills and reaps them all, and the
-    next call forks afresh; at exit they are closed and reaped. Without
-    ``os.fork`` the cell runs in the calling process, with the same counts.
+    With k workers, at most one per replicate, the replicates split into k
+    equal contiguous shares: k - 1 share workers take shares 1..k-1 while
+    the calling process computes share 0, then the integer counts add up. A
+    cell of fewer than 4 replicates runs in the calling process at any k.
+    Workers are forked on the first call that needs them and kept for later
+    calls; a forked copy of this process starts its own. A failure kills and
+    reaps them all, and the next call forks afresh; at exit they are closed
+    and reaped. Without ``os.fork`` the calling process runs every share.
     """
     n = scenario.replicates
     k = min(resolve_workers(workers), n)

@@ -783,6 +783,26 @@ def test_full_block_working_memory():
     assert _block_peak_bytes(s) <= 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "n_b, pi, bound",
+    [
+        pytest.param(1, 1.0, 180.0, id="1-pi1"),
+        pytest.param(1, 2.0, 180.0, id="1-pi2"),
+        pytest.param(5, 1.0, 73.0, id="5-pi1"),
+        pytest.param(5, 2.0, 81.0, id="5-pi2"),
+    ],
+)
+def test_full_block_working_memory_on_short_rows(n_b, pi, bound):
+    """Below n_B = 10 a block's per-replicate arrays outweigh its (R, n)
+    ones, so a full block peaks above the 64 bytes per observation of long
+    rows; each stage's arrays go as it returns, which keeps it within 10% of
+    its measured peak (164, 164, 66.5 and 74.4 bytes per observation). At
+    n_B = 1, pi = 2 rounds n_A to 1, as at pi = 1."""
+    n = _scenario(n_b=n_b, pi=pi).n_a + n_b
+    s = _scenario(n_b=n_b, pi=pi, replicates=simulation._BLOCK_ELEMENTS // n)
+    assert _block_peak_bytes(s) / (s.replicates * n) <= bound
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_full_block_keeps_its_memory_in_the_heap():
     """In a fresh process, a second full block faults next to none of its
@@ -846,6 +866,36 @@ def test_one_component_pass_per_reference_curve(monkeypatch):
         "cumhaz_terms": 1,
         "_loglik_terms": 0,
     }
+
+
+def test_block_runs_as_named_stages(monkeypatch):
+    """A block runs as stages called by name, so a tracer can wrap each:
+    draw, observe, fit, one-sample tests, two-sample and tally. A cell of
+    two blocks runs each stage twice and counts as an unwrapped run does."""
+    s = _scenario(replicates=1000)  # 655 replicates fill a block
+    expected = simulation._chunk_counts(s, 0, s.replicates)
+    stages = [
+        (simulation, "_uniforms"),
+        (simulation, "_observe_block"),
+        (_kernels, "fit_weibull"),
+        (simulation, "_one_sample_tests"),
+        (simulation, "_two_sample_scores"),
+        (simulation, "_tally"),
+    ]
+    calls = {name: 0 for _, name in stages}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in stages:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    counts = simulation._chunk_counts(s, 0, s.replicates)
+    assert calls == {name: 2 for _, name in stages}
+    assert np.array_equal(counts, expected)
 
 
 def test_run_scenario_survives_overflowing_fit_trial():
