@@ -1,8 +1,13 @@
-"""Family-coded numeric kernels shared by fitting, testing and simulation.
+"""What fitting, testing and simulation share: family-coded numeric
+kernels and the formulas that both the public API and the Monte Carlo
+engine compute, so that the engine imports no analysis module.
 
-These are the hot inner loops of the package: the censored log-likelihood
-with its gradient and Hessian in one pass, the fit drivers and the
-one-sample test components. ``fit_weibull`` takes a block of R rows, one
+The kernels are the hot inner loops of the package: the censored
+log-likelihood with its gradient and Hessian in one pass, the fit drivers
+and the one-sample test components. Beside them sit the fit drivers'
+stopping rule (GRAD_TOL, MAX_ITER), the 2 x 2 pseudo-inverse, M, V1 and V2
+of the one-sample test, the two-sample log-rank scores and the two-sided
+normal critical value. ``fit_weibull`` takes a block of R rows, one
 cohort per row, (R, n) times and events: the Monte Carlo engine in
 :mod:`oslr.simulation` runs it on blocks of replicates, ``fitting.fit_mle``
 on a block of one. The test components take such a block with (R,)
@@ -34,6 +39,8 @@ import math
 
 import numpy as np
 
+from .errors import UsageError
+
 EXPONENTIAL = 0
 WEIBULL = 1
 LOGLOGISTIC = 2
@@ -45,6 +52,12 @@ FIT_OK = 0
 FIT_MAX_ITER = 1
 FIT_LINE_SEARCH = 2
 FIT_BOUNDARY = 3
+
+# stopping rule and iteration budget of the Newton drivers, as fit_mle and the
+# engine run them; the tolerance applies to the log-scale gradient of the mean
+# log-likelihood
+GRAD_TOL = 1e-8
+MAX_ITER = 200
 
 # the Weibull shape's working bounds, exactly as |log a| <= _LOG_BOUND allows
 _A_LOW = math.exp(-_LOG_BOUND)
@@ -328,3 +341,124 @@ def oslr_components(code, a, b, capped, log_capped):
     expected = lam.sum(axis=-1)
     q = expected if q is lam else q.sum(axis=-1)  # the Weibull's q is Lambda
     return expected, da.sum(axis=-1) / n * a, -a * q / n
+
+
+def _pinv_2x2(a, b, c):
+    """Entries (p00, p01, p11) of ``fitting.pseudo_inverse`` of [[a, b], [b, c]],
+    elementwise, with its cut 1e-12 * 2 * max |lambda|. The eigenvalues are
+    mid +- hypot(half, b): big, the one of larger modulus, takes the sign of
+    mid, which avoids cancellation, and small is the determinant over big,
+    computed without cancellation or overflow as LAPACK's dlaev2 does. Only
+    the zero matrix has big = 0. big's eigenvector is (cos phi, sin phi),
+    2 phi the angle of sign * (a - c, 2b); small's is orthogonal to it."""
+    mid, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+    sign = np.copysign(1.0, mid)
+    big = mid + sign * np.hypot(half, b)
+    safe = np.where(big == 0.0, 1.0, big)
+    small = (a / safe) * c - (b / safe) * b
+    cut = 2e-12 * np.maximum(np.abs(big), np.abs(small))
+    inv_big = np.divide(1.0, big, out=np.zeros_like(big), where=np.abs(big) > cut)
+    inv_small = np.divide(1.0, small, out=np.zeros_like(small), where=np.abs(small) > cut)
+    phi = 0.5 * np.arctan2(sign * b, sign * half)
+    cos, sin = np.cos(phi), np.sin(phi)
+    p00 = inv_big * cos * cos + inv_small * sin * sin
+    p11 = inv_big * sin * sin + inv_small * cos * cos
+    return p00, (inv_big - inv_small) * cos * sin, p11
+
+
+def _compensated_and_v1(n_events, expected, n, w):
+    """M(t) = n^{-1/2} (N(t) - E(t)) and V1(w, t) = (w N(t) + (1-w) E(t)) / n,
+    for scalars or rows alike."""
+    return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
+
+
+def _v2(pi, g0, g1, p00, p01=None, p11=None):
+    """V2 = pi * gbar' J^+ gbar, written out elementwise from J^+'s entries
+    (p00 for q = 1; p00, p01, p11 for q = 2) so that a row of a block is
+    computed alike in any block. Both are in log-parameters, where neither
+    has a time unit: J^+ is the pseudo-inverse there, and gbar = (g0, g1)[:q]
+    the mean hazard gradient from ``oslr_components``."""
+    h0 = pi * g0
+    if p01 is None:
+        return h0 * p00 * g0
+    h1 = pi * g1
+    return (h0 * p00 + h1 * p01) * g0 + (h0 * p01 + h1 * p11) * g1
+
+
+def normal_quantile(p: float) -> float:
+    # statistics (with fractions, decimal and random) loads on first use
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
+
+
+# alpha with a critical value: below 2^-52, 1 - alpha / 2 rounds to 1
+_ALPHA_RANGE = (2.0**-52, 1.0 - 2.0**-53)
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse an alpha outside _ALPHA_RANGE, without loading the quantile."""
+    if not _ALPHA_RANGE[0] <= alpha <= _ALPHA_RANGE[1]:
+        raise UsageError(f"alpha must be in [2^-52, 1), got {alpha}")
+
+
+def critical_value(alpha: float) -> float:
+    """Two-sided rejection threshold on |z| at level alpha in [2^-52, 1)."""
+    check_alpha(alpha)
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
+def _two_sample_scores(times, events, n_a):
+    """Log-rank score U and its hypergeometric variance V for each row of
+    (R, n) pooled times and events whose first n_a columns are arm A; each
+    is (R,). Summed per event in time order, with f = Y_B / Y:
+    U = sum (b - f) and V = sum f (1 - f) (Y - d) / (Y - 1), b the event's
+    arm-B flag and Y, Y_B, d those of its tie group. Without ties an event
+    at rank k has Y = n - k and d = 1; only a row holding a tie looks its
+    groups up.
+
+    Times must be positive and finite: the bits of such a float64 form a
+    non-negative int64 that orders as the time does, so each row sorts
+    once, in place, as int64 keys
+    ((bits - row's smallest bits) << 2) | (arm B << 1) | event, and the
+    flags travel with the time. A row whose bits span 2^61 or more (times
+    more than ~2^512 apart) keys on its dense time ranks instead, which
+    keep order and ties. Inside a tie group subjects sort by (arm, event),
+    so the scores do not depend on the order of subjects within an arm.
+    The flags are unpacked as floats, exact as the counts are, and the keys
+    released before the sums; ``times`` and ``events`` are only read."""
+    n = times.shape[-1]
+    bits = times.view(np.int64)
+    keys = bits - bits.min(axis=-1, keepdims=True)
+    for r in np.flatnonzero(keys.max(axis=-1) >> 61):
+        keys[r] = np.unique(times[r], return_inverse=True)[1]
+    keys <<= 2
+    keys[:, n_a:] |= 2
+    np.bitwise_or(keys, events, out=keys, dtype=np.int64, casting="unsafe")
+    keys.sort(axis=-1)
+    # adjacent keys of equal time differ in the two flag bits only
+    tied = np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < 4, axis=-1))
+    tied_times = keys[tied] >> 2
+    events = np.empty(keys.shape)
+    np.bitwise_and(keys, 1, out=events, casting="unsafe")
+    keys >>= 1
+    in_b = np.empty(keys.shape)
+    np.bitwise_and(keys, 1, out=in_b, casting="unsafe")
+    del keys
+    y = np.arange(n, 0, -1.0)
+    # arm B's subjects from each rank to the row's end
+    frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1]
+    frac /= y
+    var = 1.0 - frac
+    var *= frac
+    for r, t in zip(tied, tied_times):
+        lo = np.searchsorted(t, t, "left")
+        hi = np.searchsorted(t, t, "right")
+        d = np.concatenate(([0.0], np.cumsum(events[r])))
+        d = d[hi] - d[lo]
+        frac[r] = frac[r, lo]
+        var[r] = var[r, lo] * (y[lo] - d) / np.maximum(y[lo] - 1.0, 1.0)
+    in_b -= frac
+    in_b *= events
+    var *= events
+    return in_b.sum(axis=-1), var.sum(axis=-1)

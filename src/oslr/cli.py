@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._kernels import check_alpha, critical_value
 from .data import DECIMAL, ingest_csv
 from .errors import (
     DegenerateTestError,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .families import FAMILIES, survival
 from .fitting import fit_mle, select_model
-from .logrank import ReferenceCurve, check_alpha, critical_value, oslr_test
+from .logrank import ReferenceCurve, oslr_test
 from .nonparametric import kaplan_meier, nelson_aalen
 from .render import render_curves
 

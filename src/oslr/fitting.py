@@ -16,9 +16,10 @@ estimate, comes from the fit's last pass in log-parameter coordinates,
 where it has no time unit and cannot overflow on huge or tiny times; the
 natural-scale matrix is derived from it once per fit. Its pseudo-inverse
 is in closed form for q in {1, 2} (refused otherwise): 1 / m, or from the
-three entries, which the engine passes straight from the Weibull kernel;
-the corrected test takes it in log-parameter coordinates, which keeps that
-test free of the time unit.
+three entries (``_kernels._pinv_2x2``, which the engine runs straight on
+the Weibull kernel's output); the corrected test takes it in log-parameter
+coordinates, which keeps that test free of the time unit. The stopping
+rule, GRAD_TOL and MAX_ITER, is the engine's too and lives in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
+from ._kernels import GRAD_TOL, MAX_ITER, _pinv_2x2
 from .data import Cohort
 from .errors import FitError, SelectionError
 from .families import FamilyDescriptor, family
-
-# stopping rule and iteration budget of the Newton driver; the tolerance
-# applies to the log-scale gradient of the mean log-likelihood
-GRAD_TOL = 1e-8
-MAX_ITER = 200
 
 # why a fit failed, by the fit drivers' status
 FAILURES = {
@@ -201,26 +198,3 @@ def pseudo_inverse(m) -> np.ndarray:
     if m.shape[-1] == 1:
         return np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
     return _symmetric(*_pinv_2x2(m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]))
-
-
-def _pinv_2x2(a, b, c):
-    """Entries (p00, p01, p11) of ``pseudo_inverse`` of [[a, b], [b, c]],
-    elementwise, with its cut 1e-12 * 2 * max |lambda|. The eigenvalues are
-    mid +- hypot(half, b): big, the one of larger modulus, takes the sign of
-    mid, which avoids cancellation, and small is the determinant over big,
-    computed without cancellation or overflow as LAPACK's dlaev2 does. Only
-    the zero matrix has big = 0. big's eigenvector is (cos phi, sin phi),
-    2 phi the angle of sign * (a - c, 2b); small's is orthogonal to it."""
-    mid, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
-    sign = np.copysign(1.0, mid)
-    big = mid + sign * np.hypot(half, b)
-    safe = np.where(big == 0.0, 1.0, big)
-    small = (a / safe) * c - (b / safe) * b
-    cut = 2e-12 * np.maximum(np.abs(big), np.abs(small))
-    inv_big = np.divide(1.0, big, out=np.zeros_like(big), where=np.abs(big) > cut)
-    inv_small = np.divide(1.0, small, out=np.zeros_like(small), where=np.abs(small) > cut)
-    phi = 0.5 * np.arctan2(sign * b, sign * half)
-    cos, sin = np.cos(phi), np.sin(phi)
-    p00 = inv_big * cos * cos + inv_small * sin * sin
-    p11 = inv_big * sin * sin + inv_small * cos * cos
-    return p00, (inv_big - inv_small) * cos * sin, p11

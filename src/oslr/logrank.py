@@ -15,17 +15,11 @@ from dataclasses import InitVar, asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import _compensated_and_v1, _two_sample_scores, _v2
 from .data import Cohort
 from .errors import DegenerateTestError, UsageError
 from .families import FamilyDescriptor, _ab, check_theta, family
 from .fitting import FitResult, _fields_equal, _outer, pseudo_inverse
-
-
-def normal_quantile(p: float) -> float:
-    # statistics (with fractions, decimal and random) loads on first use
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(p)
 
 
 def p_two_sided(z: float) -> float:
@@ -36,22 +30,6 @@ def p_one_sided(z: float) -> float:
     """The standard normal CDF at z. Small when z is very negative: fewer
     events than the reference predicts, i.e. evidence of superiority."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# alpha with a critical value: below 2^-52, 1 - alpha / 2 rounds to 1
-_ALPHA_RANGE = (2.0**-52, 1.0 - 2.0**-53)
-
-
-def check_alpha(alpha: float) -> None:
-    """Refuse an alpha outside _ALPHA_RANGE, without loading the quantile."""
-    if not _ALPHA_RANGE[0] <= alpha <= _ALPHA_RANGE[1]:
-        raise UsageError(f"alpha must be in [2^-52, 1), got {alpha}")
-
-
-def critical_value(alpha: float) -> float:
-    """Two-sided rejection threshold on |z| at level alpha in [2^-52, 1)."""
-    check_alpha(alpha)
-    return normal_quantile(1.0 - alpha / 2.0)
 
 
 def zscore(m_oslr: float, v1: float, v2: float = 0.0) -> float:
@@ -157,25 +135,6 @@ class TestReport:
         return asdict(self)
 
 
-def _compensated_and_v1(n_events, expected, n, w):
-    """M(t) = n^{-1/2} (N(t) - E(t)) and V1(w, t) = (w N(t) + (1-w) E(t)) / n,
-    for scalars or rows alike."""
-    return (n_events - expected) / math.sqrt(n), (w * n_events + (1.0 - w) * expected) / n
-
-
-def _v2(pi, g0, g1, p00, p01=None, p11=None):
-    """V2 = pi * gbar' J^+ gbar, written out elementwise from J^+'s entries
-    (p00 for q = 1; p00, p01, p11 for q = 2) so that a row of a block is
-    computed alike in any block. Both are in log-parameters, where neither
-    has a time unit: J^+ is the pseudo-inverse there, and gbar = (g0, g1)[:q]
-    the mean hazard gradient from ``_kernels.oslr_components``."""
-    h0 = pi * g0
-    if p01 is None:
-        return h0 * p00 * g0
-    h1 = pi * g1
-    return (h0 * p00 + h1 * p01) * g0 + (h0 * p01 + h1 * p11) * g1
-
-
 def oslr_test(
     ref: ReferenceCurve,
     cohort_b: Cohort,
@@ -236,62 +195,6 @@ def oslr_test(
         corrected=corrected,
         pi=pi,
     )
-
-
-def _two_sample_scores(times, events, n_a):
-    """Log-rank score U and its hypergeometric variance V for each row of
-    (R, n) pooled times and events whose first n_a columns are arm A; each
-    is (R,). Summed per event in time order, with f = Y_B / Y:
-    U = sum (b - f) and V = sum f (1 - f) (Y - d) / (Y - 1), b the event's
-    arm-B flag and Y, Y_B, d those of its tie group. Without ties an event
-    at rank k has Y = n - k and d = 1; only a row holding a tie looks its
-    groups up.
-
-    Times must be positive and finite: the bits of such a float64 form a
-    non-negative int64 that orders as the time does, so each row sorts
-    once, in place, as int64 keys
-    ((bits - row's smallest bits) << 2) | (arm B << 1) | event, and the
-    flags travel with the time. A row whose bits span 2^61 or more (times
-    more than ~2^512 apart) keys on its dense time ranks instead, which
-    keep order and ties. Inside a tie group subjects sort by (arm, event),
-    so the scores do not depend on the order of subjects within an arm.
-    The flags are unpacked as floats, exact as the counts are, and the keys
-    released before the sums; ``times`` and ``events`` are only read."""
-    n = times.shape[-1]
-    bits = times.view(np.int64)
-    keys = bits - bits.min(axis=-1, keepdims=True)
-    for r in np.flatnonzero(keys.max(axis=-1) >> 61):
-        keys[r] = np.unique(times[r], return_inverse=True)[1]
-    keys <<= 2
-    keys[:, n_a:] |= 2
-    np.bitwise_or(keys, events, out=keys, dtype=np.int64, casting="unsafe")
-    keys.sort(axis=-1)
-    # adjacent keys of equal time differ in the two flag bits only
-    tied = np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) < 4, axis=-1))
-    tied_times = keys[tied] >> 2
-    events = np.empty(keys.shape)
-    np.bitwise_and(keys, 1, out=events, casting="unsafe")
-    keys >>= 1
-    in_b = np.empty(keys.shape)
-    np.bitwise_and(keys, 1, out=in_b, casting="unsafe")
-    del keys
-    y = np.arange(n, 0, -1.0)
-    # arm B's subjects from each rank to the row's end
-    frac = np.cumsum(in_b[:, ::-1], axis=-1)[:, ::-1]
-    frac /= y
-    var = 1.0 - frac
-    var *= frac
-    for r, t in zip(tied, tied_times):
-        lo = np.searchsorted(t, t, "left")
-        hi = np.searchsorted(t, t, "right")
-        d = np.concatenate(([0.0], np.cumsum(events[r])))
-        d = d[hi] - d[lo]
-        frac[r] = frac[r, lo]
-        var[r] = var[r, lo] * (y[lo] - d) / np.maximum(y[lo] - 1.0, 1.0)
-    in_b -= frac
-    in_b *= events
-    var *= events
-    return in_b.sum(axis=-1), var.sum(axis=-1)
 
 
 def two_sample_logrank(cohort_a: Cohort, cohort_b: Cohort) -> TestReport:

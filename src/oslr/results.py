@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._kernels import normal_quantile
 from .errors import UsageError
-from .logrank import normal_quantile
 
 if TYPE_CHECKING:
     from .simulation import Scenario

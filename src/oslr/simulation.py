@@ -49,7 +49,14 @@ weigh more: 57-75 bytes per observation at n_B = 5 and up to 164 at n_B = 1
 thresholds once (see the comment at MAX_OBSERVATIONS), so the engine's
 process keeps freed block memory in its heap, up to twice the one-time size
 (~62 MiB), instead of returning it to the system between blocks; with an
-allocator other than glibc's nothing changes.
+allocator other than glibc's nothing changes. It then runs one throwaway
+block with its critical value (at the end of the module), so that numpy's
+lasting allocations and the modules a cell loads, ``statistics`` among them,
+lie below that heap: the first cell imports no module.
+
+From the rest of the package the engine imports only ``_kernels``, which
+holds the formulas it shares with the analysis API, ``errors`` and
+``results``; ``generate_cohort`` loads ``data`` when first called.
 """
 
 from __future__ import annotations
@@ -72,17 +79,17 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import _kernels
-from .data import Cohort
-from .errors import UsageError
-from .families import WEIBULL
-from .fitting import GRAD_TOL, MAX_ITER, _pinv_2x2
-from .logrank import (
+from ._kernels import (
+    GRAD_TOL,
+    MAX_ITER,
     _ALPHA_RANGE,
     _compensated_and_v1,
+    _pinv_2x2,
     _two_sample_scores,
     _v2,
     critical_value,
 )
+from .errors import UsageError
 from .results import PROCEDURES, SimulationResult, read_json
 
 _N_PROC = len(PROCEDURES)
@@ -166,6 +173,8 @@ class Scenario:
 
     @property
     def n_a(self) -> int:
+        """Arm A's size, max(1, round(n_b / pi)); round() takes a half to
+        the even integer, so at pi = 2 n_b = 1, 3, 5, 7 give 1, 2, 2, 4."""
         return max(1, round(self.n_b / self.pi))
 
     @property
@@ -243,6 +252,8 @@ def _observe(scenario: Scenario, u_event, u_censor, times=None, events=None):
 def generate_cohort(scenario: Scenario, group: str, rng: Generator) -> Cohort:
     """Draw one arm of n subjects from ``rng``: n event-time uniforms, then n
     censoring uniforms (see ``_observe``)."""
+    from .data import Cohort  # here, so that the engine's import loads no analysis module
+
     if group not in ("A", "B"):
         raise UsageError(f"group must be 'A' or 'B', got {group!r}")
     n = scenario.n_a if group == "A" else scenario.n_b
@@ -273,14 +284,14 @@ def _one_sample_tests(scenario: Scenario, times_b, events_b, fit):
 
     # the true curve's tests need no hazard gradient
     kappa, sigma = np.full(n_rows, scenario.kappa), np.full(n_rows, scenario.sigma)
-    expected = _kernels.expected_events(WEIBULL.code, kappa, sigma, times_b, log_b)
+    expected = _kernels.expected_events(_kernels.WEIBULL, kappa, sigma, times_b, log_b)
     m_true, v_true = _compensated_and_v1(n_events, expected[:, None], n_b, w)
 
     # every row is tested against its own fit: a failed fit's last iterate,
     # or a converged fit of extreme shape, can overflow the curve
     a, b, _, _, status, (_, *info) = fit
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        expected, g0, g1 = _kernels.oslr_components(WEIBULL.code, a, b, times_b, log_b)
+        expected, g0, g1 = _kernels.oslr_components(_kernels.WEIBULL, a, b, times_b, log_b)
         v2 = _v2(n_b / scenario.n_a, g0, g1, *_pinv_2x2(*info))
         m_fit, v1 = _compensated_and_v1(n_events, expected[:, None], n_b, w)
         var = np.hstack((v_true, v1, v1 + v2[:, None]))
@@ -565,7 +576,8 @@ def load_scenarios(source) -> list[Scenario]:
 # small allocations (~7 KB) that it keeps for good; made inside the first full
 # block, they split the holes later blocks reuse, and the second block faults
 # 512 KiB of fresh heap in. One throwaway block makes them here, below that
-# heap. Its critical value is given, so statistics stays unloaded.
+# heap. Its critical value loads statistics, which would otherwise load in the
+# first cell, among its arrays.
 _warm = Scenario(kappa=1.0, n_b=1, pi=1.0, replicates=1, seed=0)
-_tally(_block_z(_warm, _uniforms(_warm, 0, 1)), 1.0)
+_tally(_block_z(_warm, _uniforms(_warm, 0, 1)), critical_value(_warm.alpha))
 del _warm

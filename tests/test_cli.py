@@ -102,6 +102,16 @@ def test_package_import_leaves_simulation_out():
     assert _modules_after("import oslr", "oslr.simulation", "statistics") == []
 
 
+def test_engine_import_loads_only_the_engine():
+    """The Monte Carlo engine takes the formulas it shares with the analysis
+    API from `oslr._kernels`: a fresh `import oslr.simulation` loads none of
+    the analysis modules, and `import oslr` loads no module of its own."""
+    assert _modules_after("import oslr.simulation", "oslr") == [
+        "oslr", "oslr._kernels", "oslr.errors", "oslr.results", "oslr.simulation",
+    ]
+    assert _modules_after("import oslr", "oslr") == ["oslr"]
+
+
 def test_simulation_exports_load_on_first_use():
     """The engine's names are exported lazily: listed by dir(), bound by a
     star import, and the engine's own objects once loaded."""
@@ -130,7 +140,7 @@ print(json.dumps(report))
 def test_critical_value_loads_statistics_on_first_use():
     snippet = """
 import json, sys
-from oslr.logrank import critical_value
+from oslr import critical_value
 before = "statistics" in sys.modules
 print(json.dumps([before, critical_value(0.05), "statistics" in sys.modules]))
 """

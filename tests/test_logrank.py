@@ -19,11 +19,10 @@ from oslr.data import Cohort, ingest_csv
 from oslr.errors import DegenerateTestError, DomainError, UsageError
 from oslr.families import cumulative_hazard
 from oslr.fitting import fit_mle
+from oslr._kernels import _two_sample_scores
+from oslr import critical_value, normal_quantile
 from oslr.logrank import (
     ReferenceCurve,
-    _two_sample_scores,
-    critical_value,
-    normal_quantile,
     oslr_test,
     p_one_sided,
     p_two_sided,

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from oslr.errors import DegenerateTestError, FitError, RowValidationError, UsageError
 from oslr.fitting import GRAD_TOL, MAX_ITER, fit_mle
-from oslr.logrank import ReferenceCurve, critical_value, oslr_test, two_sample_logrank
+from oslr import critical_value
+from oslr.logrank import ReferenceCurve, oslr_test, two_sample_logrank
 from oslr import _kernels, cli, simulation
 from oslr.results import (
     PROCEDURES,
@@ -77,6 +78,12 @@ def test_scenario_derived_quantities():
         "seed",
         "alpha",
     }
+
+
+def test_scenario_n_a_rounds_half_to_even():
+    """n_A = max(1, round(n_B / pi)), and round() takes a half to the even
+    integer: at pi = 2 the odd n_B round down and up in turn."""
+    assert [_scenario(n_b=n_b, pi=2.0).n_a for n_b in (1, 3, 5, 7, 9, 11)] == [1, 2, 2, 4, 4, 6]
 
 
 def test_scenario_validation():
@@ -826,6 +833,29 @@ def test_full_block_keeps_its_memory_in_the_heap():
     )
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) <= 50
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_cell_imports_no_module(workers):
+    """In a fresh process the engine's import loads every module its first
+    cell needs: a module loaded inside the cell would lay its lasting
+    allocations among the block's arrays, where they split the heap's holes
+    (see the throwaway block at the end of ``oslr.simulation``)."""
+    code = (
+        "import sys\n"
+        "from oslr.simulation import Scenario, run_scenario\n"
+        "s = Scenario(kappa=1.0, n_b=50, pi=1.0, replicates=8, seed=1)\n"
+        "before = set(sys.modules)\n"
+        f"run_scenario(s, workers={workers})\n"
+        "print(sorted(set(sys.modules) ^ before))\n"
+    )
+    src = str(pathlib.Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("arm", ["A", "B"])
