@@ -52,7 +52,11 @@ process keeps freed block memory in its heap, up to twice the one-time size
 allocator other than glibc's nothing changes. It then runs one throwaway
 block with its critical value (at the end of the module), so that numpy's
 lasting allocations and the modules a cell loads, ``statistics`` among them,
-lie below that heap: the first cell imports no module.
+lie below that heap: the first cell imports no module. Before a process's
+first block of a new largest size (up to a full block), ``_touch_heap``
+writes one word per page of enough heap top for that block and one more
+array, so a second block does not fault fresh pages in when numpy's kept
+small buffers from the first one sit among its arrays.
 
 From the rest of the package the engine imports only ``_kernels``, which
 holds the formulas it shares with the analysis API, ``errors`` and
@@ -340,6 +344,27 @@ def _tally(z: np.ndarray, crit: float) -> np.ndarray:
     )
 
 
+# bytes of heap that _touch_heap has written in this process
+_touched = 0
+
+
+def _touch_heap(elements: int) -> None:
+    """Write one word per 4 KiB page of 72 bytes per observation of a block
+    of ``elements`` (capped at _BLOCK_ELEMENTS), unless as much is written
+    already. numpy keeps its freed buffers under 1 KiB for reuse, so those a
+    block allocates first stay where they land, which can be among its own
+    arrays; the next block may then put one array (8 bytes per observation)
+    above the first one's peak. Freed at once, the written memory joins the
+    heap's top, which stays mapped below the trim threshold, so both blocks
+    land on pages already in place (62 bytes per observation at most for
+    n_B >= 10, module docstring)."""
+    global _touched
+    nbytes = 72 * min(elements, _BLOCK_ELEMENTS)
+    if nbytes > _touched:
+        np.empty(nbytes // 8)[::512] = 0.0
+        _touched = nbytes
+
+
 def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     """Counts (see ``_tally``) of replicates start..stop-1, in the fewest
     blocks of near-equal size that hold at most _BLOCK_ELEMENTS each."""
@@ -348,6 +373,7 @@ def _chunk_counts(scenario: Scenario, start: int, stop: int) -> np.ndarray:
     blocks = math.ceil(m / max(1, _BLOCK_ELEMENTS // (scenario.n_a + scenario.n_b)))
     bounds = [start + m * j // blocks for j in range(blocks + 1)]
     crit = critical_value(scenario.alpha)
+    _touch_heap((scenario.n_a + scenario.n_b) * math.ceil(m / blocks))
     for first, last in zip(bounds, bounds[1:]):
         counts += _tally(_block_z(scenario, _uniforms(scenario, first, last)), crit)
     return counts
